@@ -243,6 +243,12 @@ def parse_config(doc: dict) -> RunConfig:
         holdout_pairs=_value(train_doc, "holdout_pairs", 2000, "train", int,
                              lambda x: x >= 0),
         seed=_value(train_doc, "seed", 1, "train", int, lambda x: x >= 0))
+    if model.per_node_classifier:
+        # a per-node head batch-normalises one row per pair
+        for key in ("batch_size", "pairs_per_epoch"):
+            if getattr(train, key) == 1:
+                raise ConfigError(f"train.{key}: must be at least 2 with "
+                                  f"model.per_node_classifier")
 
     inf_doc = _expect(doc.get("inference", {}), "inference")
     _reject_unknown(inf_doc, ("alpha", "beta", "gamma0", "gamma1", "mu",

@@ -135,8 +135,57 @@ class _Head:
         return self.bn.backward(gbn, bn_cache)
 
 
+def _group_by_camera(cams: np.ndarray, num_cameras: int):
+    """Stable sort order of a batch by source camera, and segment bounds:
+    the rows of camera s are order[bounds[s]:bounds[s + 1]], in batch order."""
+    order = np.argsort(cams, kind="stable")
+    bounds = np.zeros(num_cameras + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cams, minlength=num_cameras), out=bounds[1:])
+    return order, bounds
+
+
+# The per-camera contractions below use np.einsum rather than matmul: BLAS
+# switches between matrix-vector and matrix-matrix kernels with the group
+# size, which would make a row's logits depend on the rest of its batch in
+# the last bit.
+
+
+def _spatial_forward(weight: np.ndarray, weights: np.ndarray, order: np.ndarray,
+                     bounds: np.ndarray) -> np.ndarray:
+    """out[i] = weights[i] contracted with weight[cams[i]] -> [n, C, D], one
+    contraction per camera group of _group_by_camera."""
+    c, d = weight.shape[:2]
+    blocks = weight.reshape(c, d, c * d)
+    sorted_weights = weights[order]
+    out = np.empty((order.size, c * d))
+    for s in np.flatnonzero(np.diff(bounds)):
+        rows = slice(bounds[s], bounds[s + 1])
+        out[order[rows]] = np.einsum("nj,jk->nk", sorted_weights[rows], blocks[s])
+    return out.reshape(-1, c, d)
+
+
+def _spatial_backward(weight_grad: np.ndarray, weights: np.ndarray,
+                      order: np.ndarray, bounds: np.ndarray, ga: np.ndarray) -> None:
+    """weight_grad[s] += sum over camera s's rows i, in batch order, of
+    outer(weights[i], ga[i])."""
+    c, d = weight_grad.shape[:2]
+    sorted_weights = weights[order]
+    sorted_ga = ga.reshape(-1, c * d)[order]
+    for s in np.flatnonzero(np.diff(bounds)):
+        rows = slice(bounds[s], bounds[s + 1])
+        weight_grad[s] += np.einsum("nj,nk->jk", sorted_weights[rows],
+                                    sorted_ga[rows]).reshape(d, c, d)
+
+
 class TransitionNet:
-    """Maps (source camera, signed time difference) to per-camera logits."""
+    """Maps (source camera, signed time difference) to per-camera logits.
+
+    The spatial contraction multiplies each row's normalised time embedding
+    by its source camera's [D, C*D] weight block. A batch is grouped by
+    camera once per forward pass, so each block is applied to its rows in one
+    contraction and its gradient is summed over those rows in one more; no
+    per-row copy of a weight block is made.
+    """
 
     def __init__(self, config: TransitionNetConfig, rng: np.random.Generator):
         self.config = config
@@ -201,7 +250,9 @@ class TransitionNet:
         """Score each camera for a batch of (source camera, time pair) inputs.
 
         cameras, t_query, t_target broadcast to a common batch shape [n];
-        returns logits [n, C] and retains the cache consumed by backward.
+        returns logits [n, C] and retains the cache consumed by backward,
+        which reuses the batch's grouping by source camera for the
+        spatial-weight gradient.
         """
         cfg = self.config
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
@@ -224,8 +275,9 @@ class TransitionNet:
         den = sign * np.maximum(np.abs(raw_den), cfg.denominator_floor)
         weights = embed / den[:, None]
 
-        gathered = self.spatial_weight.value[cams]
-        a = np.einsum("nj,njcd->ncd", weights, gathered) + self.spatial_bias.value
+        order, bounds = _group_by_camera(cams, c)
+        a = (_spatial_forward(self.spatial_weight.value, weights, order, bounds)
+             + self.spatial_bias.value)
 
         block_caches = []
         for block in self.blocks:
@@ -247,14 +299,18 @@ class TransitionNet:
 
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits; check inputs and learning rate")
-        self._cache = (cams, weights, block_caches, head_caches, n)
+        self._cache = (order, bounds, weights, block_caches, head_caches, n)
         return logits
 
     def backward(self, glogits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the most recent forward pass."""
+        """Accumulate parameter gradients for the most recent forward pass.
+
+        The spatial-weight gradient of camera s is the sum over that camera's
+        rows, in batch order, of outer(weights, upstream gradient).
+        """
         if self._cache is None:
             raise InputError("backward called before forward")
-        cams, weights, block_caches, head_caches, n = self._cache
+        order, bounds, weights, block_caches, head_caches, n = self._cache
         cfg = self.config
         c, d = cfg.num_cameras, cfg.embed_dim
         glogits = as_f64(glogits)
@@ -274,8 +330,7 @@ class TransitionNet:
             ga = block.backward(ga, cache)
 
         self.spatial_bias.grad += ga.sum(axis=0)
-        np.add.at(self.spatial_weight.grad, cams,
-                  np.einsum("nj,ncd->njcd", weights, ga))
+        _spatial_backward(self.spatial_weight.grad, weights, order, bounds, ga)
         self._cache = None
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
@@ -347,9 +402,18 @@ def sample_pairs(scene: Scene, rng: np.random.Generator, count: int) -> list[Tra
     flip for which side is the query."""
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
+    return _draw_pairs(_train_pool(scene), rng, count)
+
+
+def _train_pool(scene: Scene) -> dict[int, list]:
     pool = _cross_camera_pairs(scene.train_observations())
     if not pool:
         raise DataError("train split has no cross-camera observation pairs")
+    return pool
+
+
+def _draw_pairs(pool: dict[int, list], rng: np.random.Generator,
+                count: int) -> list[TrainPair]:
     idents = sorted(pool)
     out = []
     ident_draws = rng.integers(0, len(idents), size=count)
@@ -409,25 +473,37 @@ def holdout_accuracy(model: TransitionNet, pairs: Sequence[TrainPair]) -> float:
     return correct / len(pairs)
 
 
+def _batches(pairs: list, batch_size: int) -> list[list]:
+    """Consecutive batch_size slices of pairs; a one-pair tail joins the batch
+    before it, since a batch-norm head cannot take a batch of one."""
+    starts = list(range(0, len(pairs), batch_size))
+    if len(starts) > 1 and len(pairs) - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [len(pairs)]
+    return [pairs[a:b] for a, b in zip(starts, ends)]
+
+
 def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
           rng: np.random.Generator) -> list[dict]:
     """Train on the scene's train split; returns per-epoch history rows.
 
     Each row records epoch, lr, mean loss, and hold-out accuracy on a
-    deterministic sample of test-split pairs. A non-finite loss rolls the
+    deterministic sample of test-split pairs. Each epoch draws its pairs from
+    one pool of cross-camera pairs built per call. A non-finite loss rolls the
     model back to the end of the previous epoch and raises DivergenceError.
     """
     pair_rng, eval_rng = rng.spawn(2)
     holdout = _holdout_pairs(scene, eval_rng, schedule.holdout_pairs)
     per_epoch = schedule.pairs_per_epoch or max(1, len(scene.train_observations()))
+    # zero epochs draw nothing, so they need no cross-camera pairs
+    pool = _train_pool(scene) if schedule.epochs else {}
     history: list[dict] = []
     snapshot = _snapshot(model)
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
-        pairs = sample_pairs(scene, pair_rng, per_epoch)
+        pairs = _draw_pairs(pool, pair_rng, per_epoch)
         losses = []
-        for start in range(0, len(pairs), schedule.batch_size):
-            batch = pairs[start:start + schedule.batch_size]
+        for batch in _batches(pairs, schedule.batch_size):
             try:
                 loss = training_step(model, batch, lr)
             except NumericError:

@@ -1,11 +1,13 @@
 """End-to-end command line flows on a tiny synthetic scene."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import edgereid
 from edgereid.cli import main
 from edgereid.transition import load_checkpoint
 
@@ -51,8 +53,12 @@ def read(path):
 
 
 def test_module_entry_point_reports_version():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(edgereid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "edgereid.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("edgereid ")
 
@@ -201,6 +207,17 @@ def test_simulate_rejects_starved_bandwidth(config_path, capsys):
     doc["inference"] = {"total_bandwidth": 2}
     assert main(["simulate", "--config", config_path(doc)]) == 1
     assert "one slot each" in capsys.readouterr().err
+
+
+def test_per_node_heads_with_one_pair_batches_exit_1(tmp_path, config_path,
+                                                     capsys):
+    doc = base_config()
+    doc["model"]["per_node_classifier"] = True
+    doc["train"]["batch_size"] = 1
+    out = tmp_path / "train"
+    assert main(["train", "--config", config_path(doc), "--out", str(out)]) == 1
+    assert "train.batch_size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_central_writes_rankings(tmp_path, config_path, capsys):

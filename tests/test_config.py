@@ -115,6 +115,14 @@ def test_model_section_scene_mismatch():
     assert built.num_cameras == 4
 
 
+@pytest.mark.parametrize("key", ["batch_size", "pairs_per_epoch"])
+def test_per_node_heads_need_two_pairs_per_batch(key):
+    with pytest.raises(ConfigError, match=f"train.{key}: must be at least 2"):
+        parse_config({"model": {"per_node_classifier": True}, "train": {key: 1}})
+    # a shared head normalises every camera's row, so one pair is enough
+    assert getattr(parse_config({"train": {key: 1}}).train, key) == 1
+
+
 def test_load_config_and_check_paths(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scene": {"ingest": str(tmp_path / "gone.csv")}}))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgereid import nn
 from edgereid import transition as tr
@@ -143,6 +145,98 @@ def test_zero_parameters_give_uniform_loss():
     assert abs(loss - math.log(4.0)) < 1e-12
 
 
+def gather_forward(weight, weights, order, bounds):
+    """The reference spatial contraction over a per-row copy of the blocks."""
+    return np.einsum("nj,njcd->ncd", weights, weight[cameras_of(order, bounds)])
+
+
+def add_at_backward(weight_grad, weights, order, bounds, ga):
+    """The reference spatial-weight gradient, scattered row by row."""
+    np.add.at(weight_grad, cameras_of(order, bounds),
+              np.einsum("nj,ncd->njcd", weights, ga))
+
+
+def cameras_of(order, bounds):
+    cams = np.empty(order.size, dtype=np.int64)
+    cams[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return cams
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def check_grouped_contraction(c, d, cams, seed):
+    rng = np.random.default_rng(seed)
+    n = cams.size
+    weight = rng.uniform(-1.0, 1.0, (c, d, c, d))
+    weights = rng.normal(size=(n, d))
+    ga = rng.normal(size=(n, c, d))
+    order, bounds = tr._group_by_camera(cams, c)
+    np.testing.assert_array_equal(cameras_of(order, bounds), cams)
+    assert_bit_equal(tr._spatial_forward(weight, weights, order, bounds),
+                     gather_forward(weight, weights, order, bounds))
+    got, want = np.zeros_like(weight), np.zeros_like(weight)
+    tr._spatial_backward(got, weights, order, bounds, ga)
+    add_at_backward(want, weights, order, bounds, ga)
+    assert_bit_equal(got, want)
+
+
+@st.composite
+def camera_batches(draw):
+    c = draw(st.integers(2, 8))
+    d = 2 * draw(st.integers(2, 16))
+    used = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c,
+                         unique=True))
+    cams = draw(st.lists(st.sampled_from(used), min_size=1, max_size=70))
+    return c, d, np.array(cams, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(camera_batches())
+def test_grouped_contraction_matches_gather_and_add_at(batch):
+    check_grouped_contraction(*batch)
+
+
+@pytest.mark.parametrize("c, d, cams", [
+    (2, 4, [1]),                          # one row
+    (8, 32, [5]),
+    (8, 32, [3] * 600),                   # one camera: a table-build slice
+    (8, 32, [7, 0, 7, 7, 2, 0]),          # cameras 1, 3-6 empty
+    (3, 6, [2, 1, 0, 0, 1, 2] * 40),
+])
+def test_grouped_contraction_fixed_shapes(c, d, cams):
+    check_grouped_contraction(c, d, np.array(cams, dtype=np.int64), seed=len(cams))
+
+
+@settings(deadline=None, max_examples=25)
+@given(camera_batches(), st.booleans())
+def test_grouped_contraction_matches_reference_through_the_model(batch, per_node):
+    c, d, cams, seed = batch
+    rng = np.random.default_rng(seed)
+    n = cams.size
+    tq = rng.integers(0, 500, n).astype(float)
+    td = tq + rng.integers(-300, 301, n)
+    glogits = rng.normal(size=(n, c))
+    train = n >= 2  # train-mode batch norm needs two rows
+    runs = []
+    for reference in (False, True):
+        model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed,
+                           per_node_classifier=per_node)
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                mp.setattr(tr, "_spatial_forward", gather_forward)
+                mp.setattr(tr, "_spatial_backward", add_at_backward)
+            logits = model.forward(cams, tq, td, train=train)
+            model.backward(glogits)
+        runs.append((logits, {k: p.grad for k, p in model.named_params().items()}))
+    (got, got_grads), (want, want_grads) = runs
+    assert_bit_equal(got, want)
+    for name in want_grads:
+        assert_bit_equal(got_grads[name], want_grads[name])
+
+
 def run_gradcheck(model, batch, seed):
     rng = np.random.default_rng(seed)
     c = model.config.num_cameras
@@ -241,6 +335,51 @@ def test_sample_pairs_needs_cross_camera_data():
                   train_identities=frozenset({0}), test_identities=frozenset())
     with pytest.raises(DataError):
         tr.sample_pairs(scene, np.random.default_rng(0), 1)
+
+
+def test_pair_pool_reuse_keeps_the_draws():
+    # train builds the pool once and draws every epoch from it; the draws
+    # must match one sample_pairs call per epoch on the same stream
+    scene = ring_scene(num_cameras=3, identities=20, visits=5, seed=30)
+    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    pool = tr._train_pool(scene)
+    for count in (50, 7, 50):
+        assert (tr._draw_pairs(pool, rng_a, count)
+                == tr.sample_pairs(scene, rng_b, count))
+
+
+def test_train_builds_the_pair_pool_once(monkeypatch):
+    calls = []
+    build = tr._cross_camera_pairs
+    monkeypatch.setattr(tr, "_cross_camera_pairs",
+                        lambda obs: calls.append(1) or build(obs))
+    scene = ring_scene(num_cameras=3, identities=20, visits=5, seed=32)
+    tr.train(tiny_model(num_cameras=3), scene,
+             tr.TrainSchedule(epochs=3, pairs_per_epoch=32), np.random.default_rng(33))
+    assert len(calls) == 2  # train pool and hold-out pool
+
+
+@pytest.mark.parametrize("count, size, sizes", [
+    (129, 128, [129]),
+    (130, 128, [128, 2]),
+    (128, 128, [128]),
+    (1, 128, [1]),
+    (5, 2, [2, 3]),
+    (7, 3, [3, 4]),
+])
+def test_one_pair_tail_joins_the_previous_batch(count, size, sizes):
+    batches = tr._batches(list(range(count)), size)
+    assert [len(b) for b in batches] == sizes
+    assert sum(batches, []) == list(range(count))
+
+
+def test_per_node_heads_train_through_a_one_pair_tail():
+    scene = ring_scene(num_cameras=3, identities=20, visits=5, seed=34)
+    model = tiny_model(num_cameras=3, per_node_classifier=True, seed=35)
+    schedule = tr.TrainSchedule(epochs=2, pairs_per_epoch=129, batch_size=128,
+                                holdout_pairs=50)
+    history = tr.train(model, scene, schedule, np.random.default_rng(36))
+    assert len(history) == 2 and all(np.isfinite(r["loss"]) for r in history)
 
 
 def test_training_learns_a_deterministic_ring():
