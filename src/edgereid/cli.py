@@ -214,19 +214,20 @@ def _strategies_needing_features(names) -> list[str]:
     return [n for n in names if Strategy.parse(n) is not Strategy.CENTRALIZED]
 
 
-def _check_simulate_config(config: RunConfig) -> None:
-    spec = config.scene.generator
+def _check_simulate_config(config: RunConfig, num_cameras: int,
+                           feature_dim: int) -> None:
+    """Reject strategies that need features the scene lacks, and a bandwidth
+    that cannot give every camera one slot."""
     needy = _strategies_needing_features(config.simulate.strategies)
-    if spec is not None:
-        if needy and spec.feature_dim == 0:
-            raise ConfigError(
-                f"strategies {needy} need appearance features but the "
-                f"generator has feature_dim 0")
-        bandwidth = config.inference.bandwidth(spec.num_cameras)
-        if bandwidth < spec.num_cameras:
-            raise ConfigError(
-                f"inference.total_bandwidth {bandwidth} cannot give "
-                f"{spec.num_cameras} cameras one slot each")
+    if needy and feature_dim == 0:
+        raise ConfigError(
+            f"strategies {needy} need appearance features but the scene has "
+            f"feature_dim 0")
+    bandwidth = config.inference.bandwidth(num_cameras)
+    if bandwidth < num_cameras:
+        raise ConfigError(
+            f"inference.total_bandwidth {bandwidth} cannot give "
+            f"{num_cameras} cameras one slot each")
 
 
 def _report_table(summaries, ks) -> str:
@@ -247,7 +248,9 @@ def _report_table(summaries, ks) -> str:
 
 
 def cmd_simulate(config: RunConfig, dry_run: bool, threads: int) -> int:
-    _check_simulate_config(config)
+    spec = config.scene.generator
+    if spec is not None:
+        _check_simulate_config(config, spec.num_cameras, spec.feature_dim)
     if dry_run:
         source = ("checkpoint " + config.simulate.checkpoint
                   if config.simulate.checkpoint else "inline training")
@@ -256,6 +259,8 @@ def cmd_simulate(config: RunConfig, dry_run: bool, threads: int) -> int:
         return EXIT_OK
     out = _ensure_out(config)
     scene = _build_scene(config)
+    # an ingested scene is known only now, and must pass before any training
+    _check_simulate_config(config, scene.num_cameras, scene.feature_dim)
     model, history = _obtain_model(config, scene)
     check_scene_compatible(model, scene)
     table = build_transition_table(model, _scene_timestamps(scene))

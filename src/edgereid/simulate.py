@@ -179,7 +179,10 @@ class QueryTask:
     """One retrieval request against the distributed gallery.
 
     device_items excludes the query's own observation; target_time is the
-    tick the requester cares about.
+    tick the requester cares about. plan memoises the task's upload sequences,
+    and run_benchmark its learned per-pair budgets, in _memo, keyed by what
+    they depend on besides the task; the models must not change while the
+    task is in use.
     """
 
     gallery: Gallery
@@ -189,6 +192,8 @@ class QueryTask:
     query_feature: np.ndarray | None
     target_time: int
     device_items: tuple[np.ndarray, ...]
+    _memo: dict = dataclasses.field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
 
 def make_task(gallery: Gallery, query_index: int, target_time: int) -> QueryTask:
@@ -244,15 +249,25 @@ def _visual_scores(task: QueryTask) -> np.ndarray:
     return task.gallery.features @ task.query_feature
 
 
+def _transition_rows(models: Models, task: QueryTask,
+                     times: np.ndarray) -> np.ndarray | None:
+    """p(camera at each tick in times | query sighting), in one model call;
+    None without a transition model."""
+    if models.transition is None:
+        return None
+    return models.transition.distribution(
+        np.full(times.size, task.query_camera, dtype=np.int64),
+        np.full(times.size, float(task.query_time)), as_f64(times))
+
+
 def _st_scores(models: Models, params: InferenceParams, task: QueryTask,
-               items: np.ndarray) -> np.ndarray:
+               items: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Spatio-temporal score of each item; rows are the items' transition
+    rows from _transition_rows."""
     cams = task.gallery.cameras[items]
     ts = task.gallery.timestamps[items]
     model_part = freq_part = None
-    if models.transition is not None:
-        rows = models.transition.distribution(
-            np.full(items.size, task.query_camera, dtype=np.int64),
-            np.full(items.size, float(task.query_time)), as_f64(ts))
+    if rows is not None:
         model_part = rows[np.arange(items.size), cams]
     if models.frequency is not None:
         freq_part = strat.frequency_scores(
@@ -266,63 +281,97 @@ def _st_scores(models: Models, params: InferenceParams, task: QueryTask,
     raise ConfigError("this strategy needs a transition or frequency model")
 
 
-def _bank(models: Models, task: QueryTask, items: np.ndarray) -> strat.PatternBank:
-    if models.transition is None:
-        raise ConfigError("time-targeted scoring needs a transition model")
-    rows = models.transition.distribution(
-        np.full(items.size, task.query_camera, dtype=np.int64),
-        np.full(items.size, float(task.query_time)),
-        as_f64(task.gallery.timestamps[items]))
-    target = models.transition.distribution(
-        task.query_camera, float(task.query_time), float(task.target_time))[0]
-    return strat.PatternBank(rows=rows, target=target)
-
-
 def _order(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
     """items sorted by key ascending, original order on ties."""
     return items[np.lexsort((items, keys))]
 
 
+def _joint_sequences(task: QueryTask, params: InferenceParams,
+                     models: Models) -> list[np.ndarray]:
+    """Joint spatio-temporal/visual order per camera. The transition rows of
+    every candidate, and of the target time when time-targeted, come from
+    one model call; each camera reads its slice as scores and pattern bank."""
+    visual = _visual_scores(task)
+    candidates = np.concatenate(task.device_items)
+    times = as_f64(task.gallery.timestamps[candidates])
+    if params.time_targeted:
+        times = np.append(times, float(task.target_time))
+    rows = _transition_rows(models, task, times) if candidates.size else None
+    sequences = []
+    start = 0
+    for items in task.device_items:
+        stop = start + items.size
+        part = None if rows is None else rows[start:stop]
+        start = stop
+        if items.size == 0:
+            sequences.append(items.copy())  # _sequences freezes it
+            continue
+        o = _st_scores(models, params, task, items, part)
+        s = strat.joint_similarity(o, visual[items], params.alpha, params.beta,
+                                   params.orientation)
+        if params.time_targeted:
+            if part is None:
+                raise ConfigError("time-targeted scoring needs a transition model")
+            bank = strat.PatternBank(rows=part, target=rows[-1])
+            s = strat.time_targeted_scores(s, bank, params.orientation)
+        sequences.append(_order(s, items))
+    return sequences
+
+
+def _sequences(task: QueryTask, kind: str, params: InferenceParams,
+               models: Models) -> tuple[np.ndarray, ...]:
+    """Each camera's upload order for a sequence kind ("time", "visual" or
+    "joint"), memoised on the task and read-only."""
+    key = (kind, params, models)
+    if key not in task._memo:
+        if kind == "time":
+            ts = task.gallery.timestamps
+            sequences = [_order(ts[items].astype(np.float64), items)
+                         for items in task.device_items]
+        elif kind == "visual":
+            visual = _visual_scores(task)
+            sequences = [_order(-visual[items], items)
+                         for items in task.device_items]
+        else:
+            sequences = _joint_sequences(task, params, models)
+        for seq in sequences:
+            seq.flags.writeable = False
+        task._memo[key] = tuple(sequences)
+    return task._memo[key]
+
+
+def _sizes(task: QueryTask) -> np.ndarray:
+    """Per-camera upload sizes; every strategy uploads all of a camera's items."""
+    return np.array([items.size for items in task.device_items], dtype=np.float64)
+
+
 def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
          params: InferenceParams, models: Models) -> UploadPlan:
-    """Build each camera's upload sequence and round budget for a strategy."""
+    """Build each camera's upload sequence and round budget for a strategy.
+
+    The sequences are computed once per task for each sequence kind, params
+    and models: visual and bandwidth share one order, rerank and combined
+    another. The joint order evaluates the transition model once over all
+    candidates (plus the target time when time-targeted). Sequences are
+    read-only arrays shared between the plans of one task.
+    """
     c = task.gallery.num_cameras
     if total_bandwidth < c:
         raise ConfigError(
             f"total bandwidth {total_bandwidth} cannot give {c} cameras one "
             f"slot each")
-    kind = SEQUENCE_STRATEGIES[strategy]
-    visual = _visual_scores(task) if kind in ("visual", "joint") else None
-    sequences = []
-    for device in range(c):
-        items = task.device_items[device]
-        if kind == "time":
-            sequences.append(_order(task.gallery.timestamps[items].astype(np.float64),
-                                    items))
-        elif kind == "visual":
-            sequences.append(_order(-visual[items], items))
-        elif items.size == 0:
-            sequences.append(items)
-        else:
-            o = _st_scores(models, params, task, items)
-            s = strat.joint_similarity(o, visual[items], params.alpha, params.beta,
-                                       params.orientation)
-            if params.time_targeted:
-                s = strat.time_targeted_scores(s, _bank(models, task, items),
-                                               params.orientation)
-            sequences.append(_order(s, items))
+    sequences = _sequences(task, SEQUENCE_STRATEGIES[strategy], params, models)
     if strategy in LEARNED_BUDGETS:
         if models.transition is None:
             raise ConfigError("learned budgets need a transition model")
         logits = models.transition.forward(
             task.query_camera, float(task.query_time), float(task.target_time),
             train=False)[0]
-        sizes = np.array([len(s) for s in sequences], dtype=np.float64)
-        allocation = strat.allocate_bandwidth(logits, sizes, total_bandwidth,
+        allocation = strat.allocate_bandwidth(logits, _sizes(task), total_bandwidth,
                                               params.gamma0, params.gamma1)
     else:
         allocation = strat.uniform_allocation(c, total_bandwidth)
-    return UploadPlan(strategy=strategy, sequences=tuple(sequences),
+    return UploadPlan(strategy=strategy, sequences=sequences,
                       budgets=allocation.budgets)
 
 
@@ -452,6 +501,25 @@ def build_transition_table(model: TransitionNet, timestamps: np.ndarray,
     return TransitionTable(model, -span, span)
 
 
+def _pair_budgets(task: QueryTask, partners: np.ndarray, total_bandwidth: int,
+                  params: InferenceParams, models: Models) -> np.ndarray:
+    """Learned budgets [partners, C] with each partner's timestamp as the
+    target time, memoised on the task (whose partners are fixed): bandwidth
+    and combined share them. The partners' logits come from one model call."""
+    key = ("pair_budgets", total_bandwidth, params, models)
+    if key not in task._memo:
+        logits = models.transition.forward(
+            np.full(partners.size, task.query_camera, dtype=np.int64),
+            np.full(partners.size, float(task.query_time)),
+            as_f64(task.gallery.timestamps[partners]), train=False)
+        sizes = _sizes(task)
+        task._memo[key] = np.array([
+            strat.allocate_bandwidth(row, sizes, total_bandwidth, params.gamma0,
+                                     params.gamma1).budgets
+            for row in logits])
+    return task._memo[key]
+
+
 def _query_outcome(gallery: Gallery, task: QueryTask, strategy: Strategy,
                    total_bandwidth: int, params: InferenceParams, models: Models,
                    partners: np.ndarray, desired: int):
@@ -460,20 +528,14 @@ def _query_outcome(gallery: Gallery, task: QueryTask, strategy: Strategy,
     rank_of = np.full(gallery.size, -1, dtype=np.int64)
     for seq in plan_.sequences:
         rank_of[seq] = np.arange(1, seq.size + 1)
+    learned = strategy in LEARNED_BUDGETS
+    if learned:
+        pair_budgets = _pair_budgets(task, partners, total_bandwidth, params, models)
     pair_records = []
-    for target in partners:
+    for k, target in enumerate(partners):
         device = int(gallery.cameras[target])
         rank = int(rank_of[target])
-        if strategy in LEARNED_BUDGETS:
-            logits = models.transition.forward(
-                task.query_camera, float(task.query_time),
-                float(gallery.timestamps[target]), train=False)[0]
-            sizes = np.array([len(s) for s in plan_.sequences], dtype=np.float64)
-            budgets = strat.allocate_bandwidth(
-                logits, sizes, total_bandwidth, params.gamma0,
-                params.gamma1).budgets
-        else:
-            budgets = plan_.budgets
+        budgets = pair_budgets[k] if learned else plan_.budgets
         budget = int(budgets[device])
         tn = -(-rank // budget)
         pair_records.append(PairRecord(
@@ -496,7 +558,10 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     Each query's target time is the timestamp of a seeded-random same-identity
     cross-camera partner. Per-pair transmission numbers use a pair-specific
     allocation for the learned-budget strategies; everything else reuses the
-    query-level plan.
+    query-level plan. Queries run in the outer loop and strategies in the
+    inner one, so the sequences and per-pair budgets a query's task memoises
+    are shared by its strategies and freed before the next query; with
+    threads > 1, queries run on a thread pool.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
@@ -520,28 +585,31 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
                     for p in partner_lists]
     desired = [_desired_index(gallery, int(q), t)
                for q, t in zip(chosen, target_times)]
-    tasks = [make_task(gallery, int(q), t) for q, t in zip(chosen, target_times)]
 
+    def one(i: int):
+        task = make_task(gallery, int(chosen[i]), target_times[i])
+        return [_query_outcome(gallery, task, strategy, total_bandwidth, params,
+                               models, partner_lists[i], desired[i])
+                for strategy in strategies]
+
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(one, range(chosen.size)))
+    else:
+        outcomes = [one(i) for i in range(chosen.size)]
     reports: dict[str, RunReport] = {}
-    for strategy in strategies:
-        def one(i: int):
-            return _query_outcome(gallery, tasks[i], strategy, total_bandwidth,
-                                  params, models, partner_lists[i], desired[i])
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(len(tasks))))
-        else:
-            outcomes = [one(i) for i in range(len(tasks))]
+    for k, strategy in enumerate(strategies):
         pairs: list[PairRecord] = []
         queries: list[QueryRecord] = []
-        for i, (pair_records, query_record) in enumerate(outcomes):
-            q = int(chosen[i])
-            pairs.extend(dataclasses.replace(r, query_index=q) for r in pair_records)
-            queries.append(dataclasses.replace(query_record, query_index=q))
+        for q, per_strategy in zip(chosen, outcomes):
+            pair_records, query_record = per_strategy[k]
+            pairs.extend(dataclasses.replace(r, query_index=int(q))
+                         for r in pair_records)
+            queries.append(dataclasses.replace(query_record, query_index=int(q)))
         reports[strategy.value] = RunReport(
             strategy=strategy.value, total_bandwidth=total_bandwidth,
             num_cameras=scene.num_cameras, gallery_size=gallery.size,
-            num_queries=len(tasks), num_skipped=skipped,
+            num_queries=chosen.size, num_skipped=skipped,
             pairs=pairs, queries=queries)
     return reports
 
@@ -587,7 +655,8 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
         task = make_task(gallery, q, int(gallery.timestamps[q]))
         v = (gallery.features @ gallery.features[q])[others]
         order_v = others[np.lexsort((others, -v))]
-        o = _st_scores(models, params, task, others)
+        rows = _transition_rows(models, task, gallery.timestamps[others])
+        o = _st_scores(models, params, task, others, rows)
         s = strat.joint_similarity(o, v, params.alpha, params.beta,
                                    params.orientation)
         order_s = others[np.lexsort((others, s))]

@@ -24,6 +24,10 @@ from .nn import Param, as_f64
 from .scene import Observation, Scene
 
 CHECKPOINT_VERSION = 1
+# Rows per eval-mode forward pass in TransitionNet.distribution. It bounds the
+# size of each pass's temporaries; 256 measured faster than 1,024 on long
+# galleries.
+EVAL_ROWS = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -334,8 +338,27 @@ class TransitionNet:
         self._cache = None
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
-        """Softmax of the eval-mode logits: p(camera at target time)."""
-        return nn.softmax(self.forward(cameras, t_query, t_target, train=False), axis=1)
+        """Softmax of the eval-mode logits: p(camera at target time).
+
+        Inputs broadcast as in forward. The rows are evaluated in blocks of
+        about EVAL_ROWS (see _batches), which gives the same bits as one
+        forward pass over the whole batch; no cache is kept afterwards, so
+        backward cannot follow.
+        """
+        cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
+        tq = np.atleast_1d(as_f64(t_query))
+        td = np.atleast_1d(as_f64(t_target))
+        cams, tq, td = np.broadcast_arrays(cams, tq, td)
+        if cams.size == 0:
+            raise InputError("empty batch")
+        out = np.empty((cams.shape[0], self.config.num_cameras))
+        try:
+            for rows in _batches(np.arange(cams.shape[0]), EVAL_ROWS):
+                out[rows] = nn.softmax(
+                    self.forward(cams[rows], tq[rows], td[rows], train=False), axis=1)
+        finally:
+            self._cache = None
+        return out
 
 
 # -- training ----------------------------------------------------------------
@@ -473,9 +496,12 @@ def holdout_accuracy(model: TransitionNet, pairs: Sequence[TrainPair]) -> float:
     return correct / len(pairs)
 
 
-def _batches(pairs: list, batch_size: int) -> list[list]:
-    """Consecutive batch_size slices of pairs; a one-pair tail joins the batch
-    before it, since a batch-norm head cannot take a batch of one."""
+def _batches(pairs, batch_size: int) -> list:
+    """Consecutive batch_size slices of a sequence; a one-item tail joins the
+    batch before it. A batch-norm head cannot train on a batch of one, and in
+    eval mode a one-row batch takes another BLAS path (a dot product, not a
+    matrix-vector product) through a per-node head's linear layer, which can
+    move its logits in the last bit."""
     starts = list(range(0, len(pairs), batch_size))
     if len(starts) > 1 and len(pairs) - starts[-1] == 1:
         starts.pop()

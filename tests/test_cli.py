@@ -209,6 +209,32 @@ def test_simulate_rejects_starved_bandwidth(config_path, capsys):
     assert "one slot each" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("feature_dim, bandwidth, message", [
+    (0, None, "appearance features"),
+    (6, 2, "one slot each"),
+])
+def test_simulate_checks_an_ingested_scene_before_training(
+        tmp_path, config_path, capsys, monkeypatch, feature_dim, bandwidth,
+        message):
+    doc = base_config()
+    doc["scene"]["generator"]["feature_dim"] = feature_dim
+    gen_out = tmp_path / "gen"
+    assert main(["gen", "--config", config_path(doc, "gen.json"),
+                 "--out", str(gen_out)]) == 0
+    doc["scene"] = {"ingest": str(gen_out / "scene.csv"), "seed": 3}
+    if bandwidth is not None:
+        doc["inference"] = {"total_bandwidth": bandwidth}
+
+    def no_training(*args):
+        raise AssertionError("the model was built before the scene was checked")
+
+    monkeypatch.setattr("edgereid.cli._obtain_model", no_training)
+    capsys.readouterr()
+    assert main(["simulate", "--config", config_path(doc),
+                 "--out", str(tmp_path / "sim")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_per_node_heads_with_one_pair_batches_exit_1(tmp_path, config_path,
                                                      capsys):
     doc = base_config()

@@ -339,3 +339,134 @@ def test_central_rankings_cover_every_query():
     size = sim.build_gallery(scene.test_observations(), scene.num_cameras).size
     for rq in visual + joint:
         assert rq.gallery_identities.size == size - 1
+
+
+# -- plan against the per-camera reference --------------------------------------
+
+
+def reference_st_scores(models, params, task, items):
+    """Spatio-temporal scores with one model call per camera."""
+    g = task.gallery
+    cams, ts = g.cameras[items], g.timestamps[items]
+    model_part = freq_part = None
+    if models.transition is not None:
+        rows = models.transition.distribution(
+            np.full(items.size, task.query_camera), float(task.query_time),
+            ts.astype(float))
+        model_part = rows[np.arange(items.size), cams]
+    if models.frequency is not None:
+        freq_part = sg.frequency_scores(models.frequency, task.query_camera,
+                                        task.query_time, cams, ts)
+    if model_part is not None and freq_part is not None:
+        return sg.fuse_scores(model_part, freq_part, params.mu)
+    return model_part if model_part is not None else freq_part
+
+
+def reference_bank(models, task, items):
+    """The pattern bank with one call for the items and one for the target."""
+    rows = models.transition.distribution(
+        np.full(items.size, task.query_camera), float(task.query_time),
+        task.gallery.timestamps[items].astype(float))
+    target = models.transition.distribution(
+        task.query_camera, float(task.query_time), float(task.target_time))[0]
+    return sg.PatternBank(rows=rows, target=target)
+
+
+def reference_plan(task, strategy, total_bandwidth, params, models):
+    """plan as a loop over cameras that scores each camera on its own."""
+    g = task.gallery
+    kind = sim.SEQUENCE_STRATEGIES[strategy]
+    visual = None if kind == "time" else g.features @ task.query_feature
+    sequences = []
+    for items in task.device_items:
+        if kind == "time":
+            keys = g.timestamps[items].astype(np.float64)
+        elif kind == "visual":
+            keys = -visual[items]
+        elif items.size == 0:
+            sequences.append(items)
+            continue
+        else:
+            o = reference_st_scores(models, params, task, items)
+            keys = sg.joint_similarity(o, visual[items], params.alpha,
+                                       params.beta, params.orientation)
+            if params.time_targeted:
+                keys = sg.time_targeted_scores(
+                    keys, reference_bank(models, task, items), params.orientation)
+        sequences.append(items[np.lexsort((items, keys))])
+    if strategy in sim.LEARNED_BUDGETS:
+        logits = models.transition.forward(
+            task.query_camera, float(task.query_time), float(task.target_time),
+            train=False)[0]
+        sizes = np.array([s.size for s in sequences], dtype=np.float64)
+        budgets = sg.allocate_bandwidth(logits, sizes, total_bandwidth,
+                                        params.gamma0, params.gamma1).budgets
+    else:
+        budgets = sg.uniform_allocation(g.num_cameras, total_bandwidth).budgets
+    return sequences, budgets
+
+
+def assert_same_plan(got, want):
+    sequences, budgets = want
+    assert len(got.sequences) == len(sequences)
+    for a, b in zip(got.sequences, sequences):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.budgets, budgets)
+
+
+@pytest.fixture(scope="module")
+def plan_inputs():
+    scene = featured_scene(seed=15, identities=30)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(16))
+    span = int(gallery.timestamps.max() - gallery.timestamps.min())
+    table = sim.TransitionTable(model, -span, span)
+    freq = sg.fit_frequency(scene, bin_width=5)
+    queries = sim.eligible_queries(gallery)[0][:6]
+    targets = gallery.timestamps[queries[::-1]]
+    return gallery, model, table, freq, list(zip(queries, targets))
+
+
+@pytest.mark.parametrize("strategy", list(sim.Strategy))
+@pytest.mark.parametrize("time_targeted", [False, True])
+@pytest.mark.parametrize("with_frequency", [False, True])
+@pytest.mark.parametrize("use_table", [False, True])
+def test_plan_matches_per_camera_reference(plan_inputs, strategy, time_targeted,
+                                           with_frequency, use_table):
+    gallery, model, table, freq, queries = plan_inputs
+    models = sim.Models(transition=table if use_table else model,
+                        frequency=freq if with_frequency else None)
+    params = sim.InferenceParams(gamma0=1.0, time_targeted=time_targeted)
+    for q, t in queries:
+        task = sim.make_task(gallery, int(q), int(t))
+        got = sim.plan(task, strategy, 7, params, models)
+        assert_same_plan(got, reference_plan(task, strategy, 7, params, models))
+        for seq in got.sequences:
+            assert not seq.flags.writeable
+            if seq.size:
+                with pytest.raises(ValueError):
+                    seq[0] = -1
+
+
+def test_plan_memo_never_crosses_params_or_models(plan_inputs):
+    gallery, model, table, freq, queries = plan_inputs
+    other = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(17))
+    models = [sim.Models(transition=model), sim.Models(transition=table),
+              sim.Models(transition=other), sim.Models(transition=model,
+                                                       frequency=freq)]
+    params = [sim.InferenceParams(), sim.InferenceParams(time_targeted=True),
+              sim.InferenceParams(alpha=5.0, beta=0.05),
+              sim.InferenceParams(mu=0.9, orientation="inverted")]
+    q, t = queries[1]
+    task = sim.make_task(gallery, int(q), int(t))
+    for m in models:
+        for p in params:
+            for strategy in sim.Strategy:
+                got = sim.plan(task, strategy, 7, p, m)
+                fresh = sim.plan(sim.make_task(gallery, int(q), int(t)),
+                                 strategy, 7, p, m)
+                assert_same_plan(got, (fresh.sequences, fresh.budgets))
+    # the shared task memoised one entry per sequence kind, params and models
+    assert len(task._memo) == len(models) * len(params) * 3

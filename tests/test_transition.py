@@ -289,6 +289,49 @@ def test_distribution_rows_are_probabilities():
     assert np.all(rows > 0.0)
 
 
+def eval_model(c, d, per_node, seed):
+    """A model whose batch-norm running statistics are not the identity."""
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed,
+                       per_node_classifier=per_node)
+    rng = np.random.default_rng(seed)
+    model.load_bn_states({name: {"running_mean": rng.normal(size=d),
+                                 "running_var": rng.uniform(0.5, 2.0, d)}
+                          for name in model.bn_states()})
+    return model
+
+
+BLOCK_SIZES = (1, tr.EVAL_ROWS - 1, tr.EVAL_ROWS, tr.EVAL_ROWS + 1,
+               3 * tr.EVAL_ROWS + 7)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 8), st.integers(1, 8), st.sampled_from(BLOCK_SIZES),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
+                                                       seed):
+    model = eval_model(c, 2 * half_d, per_node, seed)
+    rng = np.random.default_rng(seed)
+    cams = rng.integers(0, c, n)
+    tq = rng.integers(0, 10_000, n).astype(float)
+    td = tq + rng.integers(-5_000, 5_001, n)
+    want = nn.softmax(model.forward(cams, tq, td, train=False), axis=1)
+    assert_bit_equal(model.distribution(cams, tq, td), want)
+    # one source camera and query time broadcast against many targets
+    want = nn.softmax(model.forward(cams[0], tq[0], td, train=False), axis=1)
+    assert_bit_equal(model.distribution(cams[0], tq[0], td), want)
+
+
+def test_backward_after_distribution_raises():
+    model = tiny_model(num_cameras=3, seed=12)
+    cams, tq, td = np.array([0, 1, 2]), np.zeros(3), np.array([5.0, 9.0, 1.0])
+    model.forward(cams, tq, td, train=True)
+    model.distribution(cams, tq, td)
+    with pytest.raises(InputError, match="before forward"):
+        model.backward(np.zeros((3, 3)))
+    with pytest.raises(InputError, match="empty"):
+        model.distribution(np.array([], dtype=np.int64), [], [])
+
+
 def test_schedule_decay_boundaries():
     sched = tr.TrainSchedule()
     assert sched.lr_at(0) == 0.01
