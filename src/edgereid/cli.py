@@ -98,22 +98,23 @@ def _train_model(config: RunConfig, scene):
 def _obtain_model(config: RunConfig, scene):
     """Load the configured checkpoint, or train from scratch."""
     if config.simulate.checkpoint is not None:
-        model = load_checkpoint(config.simulate.checkpoint)
-        check_scene_compatible(model, scene)
-        return model, []
+        return load_checkpoint(config.simulate.checkpoint), []
     return _train_model(config, scene)
 
 
-def _frequency_model(config: RunConfig, scene):
+def _serving_models(config: RunConfig, scene):
+    """Obtain the model and check it covers the scene, then tabulate it and
+    fit the frequency model: (model, history, Models)."""
+    model, history = _obtain_model(config, scene)
+    check_scene_compatible(model, scene)
+    timestamps = np.array([o.timestamp for o in scene.observations], dtype=np.int64)
     freq = config.inference.frequency
-    if not freq.enabled:
-        return None
-    return fit_frequency(scene, bin_width=freq.bin_width,
-                         sigma_bins=freq.sigma_bins, floor=freq.floor)
-
-
-def _scene_timestamps(scene) -> np.ndarray:
-    return np.array([o.timestamp for o in scene.observations], dtype=np.int64)
+    frequency = None
+    if freq.enabled:
+        frequency = fit_frequency(scene, bin_width=freq.bin_width,
+                                  sigma_bins=freq.sigma_bins, floor=freq.floor)
+    models = Models(build_transition_table(model, timestamps), frequency)
+    return model, history, models
 
 
 # -- subcommands --------------------------------------------------------------
@@ -247,7 +248,7 @@ def _report_table(summaries, ks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config: RunConfig, dry_run: bool, threads: int) -> int:
+def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
     spec = config.scene.generator
     if spec is not None:
         _check_simulate_config(config, spec.num_cameras, spec.feature_dim)
@@ -261,16 +262,13 @@ def cmd_simulate(config: RunConfig, dry_run: bool, threads: int) -> int:
     scene = _build_scene(config)
     # an ingested scene is known only now, and must pass before any training
     _check_simulate_config(config, scene.num_cameras, scene.feature_dim)
-    model, history = _obtain_model(config, scene)
-    check_scene_compatible(model, scene)
-    table = build_transition_table(model, _scene_timestamps(scene))
-    models = Models(transition=table, frequency=_frequency_model(config, scene))
+    model, history, models = _serving_models(config, scene)
     bandwidth = config.inference.bandwidth(scene.num_cameras)
     reports = run_benchmark(
         scene, [Strategy.parse(s) for s in config.simulate.strategies], models,
         bandwidth, config.inference.params(),
         QuerySpec(max_queries=config.simulate.max_queries),
-        np.random.default_rng(config.simulate.seed), threads=threads)
+        np.random.default_rng(config.simulate.seed))
 
     ks = config.simulate.rank_ks
     summaries = [summarize(reports[name], ks)
@@ -321,10 +319,9 @@ def cmd_eval_central(config: RunConfig, dry_run: bool) -> int:
         return EXIT_OK
     out = _ensure_out(config)
     scene = _build_scene(config)
-    model, _ = _obtain_model(config, scene)
-    check_scene_compatible(model, scene)
-    table = build_transition_table(model, _scene_timestamps(scene))
-    models = Models(transition=table, frequency=_frequency_model(config, scene))
+    if scene.feature_dim == 0:
+        raise ConfigError("centralized evaluation needs appearance features")
+    _, _, models = _serving_models(config, scene)
     visual, joint = central_rankings(
         scene, models, config.inference.params(), config.simulate.max_queries,
         np.random.default_rng(config.simulate.seed))
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="DIR",
                         help="override output.dir")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for the benchmark")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--dry-run", action="store_true",
                         help="validate the config and print the plan only")
     parser = argparse.ArgumentParser(
@@ -409,7 +406,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(config, args.dry_run, args.inject_fault)
         if args.command == "simulate":
-            return cmd_simulate(config, args.dry_run, args.threads)
+            return cmd_simulate(config, args.dry_run)
         if args.command == "eval-central":
             return cmd_eval_central(config, args.dry_run)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -190,6 +190,23 @@ class Scene:
         return self.subset(self.test_identities)
 
 
+def cross_camera_pairs(identities, cameras) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered same-identity pair of items seen on two different
+    cameras, as index arrays (first, second) with first < second, ordered by
+    identity, then first, then second."""
+    ids = np.asarray(identities, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    pos = np.arange(ids.size)
+    # later[p]: items after sorted position p within its identity's group
+    later = np.searchsorted(ids[order], ids[order], side="right") - pos - 1
+    left = np.repeat(pos, later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    first, second = order[left], order[right]
+    cams = np.asarray(cameras)
+    keep = cams[first] != cams[second]
+    return first[keep], second[keep]
+
+
 def generate(spec: GeneratorSpec, rng: np.random.Generator) -> Scene:
     """Simulate every identity's walk and collect the emitted observations.
 
@@ -243,12 +260,14 @@ def split_identities(scene: Scene, train_fraction: float,
 
 
 def export_csv(scene: Scene, path) -> None:
-    """Write the scene as CSV with full-precision features (UTF-8, LF)."""
+    """Write the scene as CSV with full-precision features (UTF-8, LF),
+    under the original camera labels when the scene records them."""
     dim = scene.feature_dim
     header = list(CSV_BASE_HEADER) + [f"f{i}" for i in range(dim)]
     lines = [",".join(header)]
+    labels = scene.camera_ids or range(scene.num_cameras)
     for obs in scene.observations:
-        row = [str(obs.identity), str(obs.camera), str(obs.timestamp)]
+        row = [str(obs.identity), str(labels[obs.camera]), str(obs.timestamp)]
         if dim:
             if obs.feature is None:
                 raise DataError("mixed featured and featureless observations")

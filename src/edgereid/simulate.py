@@ -9,7 +9,6 @@ position of the item closest to the requested target time.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import enum
 from typing import Sequence
@@ -19,8 +18,8 @@ import numpy as np
 from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
-from .scene import Observation, Scene
-from .transition import TransitionNet
+from .scene import Observation, Scene, cross_camera_pairs
+from .transition import TransitionNet, check_scene_compatible
 
 
 class Strategy(enum.Enum):
@@ -88,6 +87,9 @@ class Models:
     frequency: strat.FrequencyModel | None = None
 
 
+TABLE_CHUNK = 16384  # deltas per forward pass while tabulating
+
+
 class TransitionTable:
     """Eval-mode logits of a TransitionNet memoised over integer tick deltas.
 
@@ -96,8 +98,7 @@ class TransitionTable:
     network on repeated (camera, delta) pairs during large benchmarks.
     """
 
-    def __init__(self, model: TransitionNet, dt_min: int, dt_max: int,
-                 chunk: int = 16384):
+    def __init__(self, model: TransitionNet, dt_min: int, dt_max: int):
         if dt_max < dt_min:
             raise InputError(f"empty delta range [{dt_min}, {dt_max}]")
         self.config = model.config
@@ -108,8 +109,8 @@ class TransitionTable:
         self.logits = np.empty((c, span, c))
         deltas = np.arange(self.dt_min, self.dt_max + 1, dtype=np.float64)
         for cam in range(c):
-            for start in range(0, span, chunk):
-                sl = slice(start, min(start + chunk, span))
+            for start in range(0, span, TABLE_CHUNK):
+                sl = slice(start, min(start + TABLE_CHUNK, span))
                 self.logits[cam, sl] = model.forward(
                     np.full(sl.stop - sl.start, cam, dtype=np.int64),
                     np.zeros(sl.stop - sl.start), deltas[sl], train=False)
@@ -463,23 +464,22 @@ class QuerySpec:
 
 
 def eligible_queries(gallery: Gallery) -> tuple[np.ndarray, int]:
-    """Indices with a same-identity cross-camera partner, plus skip count."""
-    eligible = []
-    skipped = 0
-    for idx in range(gallery.size):
-        same = gallery.identities == gallery.identities[idx]
-        same[idx] = False
-        if np.any(same & (gallery.cameras != gallery.cameras[idx])):
-            eligible.append(idx)
-        else:
-            skipped += 1
-    return np.asarray(eligible, dtype=np.int64), skipped
+    """Indices, ascending, of the items in any scene.cross_camera_pairs pair
+    (those with a same-identity partner on another camera), plus the count of
+    the other items."""
+    eligible = np.unique(np.concatenate(
+        cross_camera_pairs(gallery.identities, gallery.cameras)))
+    return eligible, gallery.size - eligible.size
 
 
-def _partners(gallery: Gallery, query_index: int) -> np.ndarray:
-    same = gallery.identities == gallery.identities[query_index]
-    same[query_index] = False
-    return np.flatnonzero(same & (gallery.cameras != gallery.cameras[query_index]))
+def _partners(gallery: Gallery, queries: np.ndarray) -> list[np.ndarray]:
+    """Each query's same-identity partners on other cameras, ascending."""
+    first, second = cross_camera_pairs(gallery.identities, gallery.cameras)
+    query, partner = np.concatenate((first, second)), np.concatenate((second, first))
+    order = np.lexsort((partner, query))
+    query, partner = query[order], partner[order]
+    lo, hi = (np.searchsorted(query, queries, side=s) for s in ("left", "right"))
+    return [partner[a:b] for a, b in zip(lo, hi)]
 
 
 def _desired_index(gallery: Gallery, query_index: int, target_time: int) -> int:
@@ -520,9 +520,10 @@ def _pair_budgets(task: QueryTask, partners: np.ndarray, total_bandwidth: int,
     return task._memo[key]
 
 
-def _query_outcome(gallery: Gallery, task: QueryTask, strategy: Strategy,
+def _query_outcome(task: QueryTask, query: int, strategy: Strategy,
                    total_bandwidth: int, params: InferenceParams, models: Models,
                    partners: np.ndarray, desired: int):
+    gallery = task.gallery
     plan_ = plan(task, strategy, total_bandwidth, params, models)
     log = run_rounds(plan_, gallery.size)
     rank_of = np.full(gallery.size, -1, dtype=np.int64)
@@ -539,10 +540,10 @@ def _query_outcome(gallery: Gallery, task: QueryTask, strategy: Strategy,
         budget = int(budgets[device])
         tn = -(-rank // budget)
         pair_records.append(PairRecord(
-            query_index=-1, target_index=int(target), device=device,
+            query_index=query, target_index=int(target), device=device,
             rank=rank, budget=budget, tn=tn))
     query_record = QueryRecord(
-        query_index=-1, target_time=task.target_time, desired_index=desired,
+        query_index=query, target_time=task.target_time, desired_index=desired,
         device=int(gallery.cameras[desired]),
         position=int(log.position_of[desired]),
         round=int(log.round_of[desired]))
@@ -560,16 +561,14 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     allocation for the learned-budget strategies; everything else reuses the
     query-level plan. Queries run in the outer loop and strategies in the
     inner one, so the sequences and per-pair budgets a query's task memoises
-    are shared by its strategies and freed before the next query; with
-    threads > 1, queries run on a thread pool.
+    are shared by its strategies and freed before the next query. threads
+    is accepted for compatibility and has no effect: a thread pool over the
+    queries measured slower than this single loop.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
-    if models.transition is not None and hasattr(models.transition, "config"):
-        if models.transition.config.num_cameras != scene.num_cameras:
-            raise ConfigError(
-                f"model covers {models.transition.config.num_cameras} cameras "
-                f"but the scene has {scene.num_cameras}")
+    if models.transition is not None:
+        check_scene_compatible(models.transition, scene)
     strategies = [Strategy.parse(s) if isinstance(s, str) else s for s in strategies]
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     all_eligible, skipped = eligible_queries(gallery)
@@ -580,38 +579,23 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
         keep = rng.choice(all_eligible.size, size=query_spec.max_queries,
                           replace=False)
         chosen = all_eligible[np.sort(keep)]
-    partner_lists = [_partners(gallery, int(q)) for q in chosen]
-    target_times = [int(gallery.timestamps[p[rng.integers(0, p.size)]])
-                    for p in partner_lists]
-    desired = [_desired_index(gallery, int(q), t)
-               for q, t in zip(chosen, target_times)]
-
-    def one(i: int):
-        task = make_task(gallery, int(chosen[i]), target_times[i])
-        return [_query_outcome(gallery, task, strategy, total_bandwidth, params,
-                               models, partner_lists[i], desired[i])
-                for strategy in strategies]
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(chosen.size)))
-    else:
-        outcomes = [one(i) for i in range(chosen.size)]
-    reports: dict[str, RunReport] = {}
-    for k, strategy in enumerate(strategies):
-        pairs: list[PairRecord] = []
-        queries: list[QueryRecord] = []
-        for q, per_strategy in zip(chosen, outcomes):
-            pair_records, query_record = per_strategy[k]
-            pairs.extend(dataclasses.replace(r, query_index=int(q))
-                         for r in pair_records)
-            queries.append(dataclasses.replace(query_record, query_index=int(q)))
-        reports[strategy.value] = RunReport(
-            strategy=strategy.value, total_bandwidth=total_bandwidth,
-            num_cameras=scene.num_cameras, gallery_size=gallery.size,
-            num_queries=chosen.size, num_skipped=skipped,
-            pairs=pairs, queries=queries)
-    return reports
+    pairs: list[list[PairRecord]] = [[] for _ in strategies]
+    queries: list[list[QueryRecord]] = [[] for _ in strategies]
+    for q, partners in zip(chosen.tolist(), _partners(gallery, chosen)):
+        target_time = int(gallery.timestamps[partners[rng.integers(0, partners.size)]])
+        task = make_task(gallery, q, target_time)
+        desired = _desired_index(gallery, q, target_time)
+        for k, strategy in enumerate(strategies):
+            pair_records, query_record = _query_outcome(
+                task, q, strategy, total_bandwidth, params, models, partners, desired)
+            pairs[k].extend(pair_records)
+            queries[k].append(query_record)
+    return {strategy.value: RunReport(
+                strategy=strategy.value, total_bandwidth=total_bandwidth,
+                num_cameras=scene.num_cameras, gallery_size=gallery.size,
+                num_queries=chosen.size, num_skipped=skipped,
+                pairs=pairs[k], queries=queries[k])
+            for k, strategy in enumerate(strategies)}
 
 
 # -- centralized evaluation ------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
-from .scene import Scene
+from .scene import Scene, cross_camera_pairs
 from .transition import TransitionNet
 
 ORIENTATION_MODES = ("consistent", "inverted")
@@ -106,20 +106,14 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
     observations = scene.train_observations()
     if not observations:
         raise DataError("train split is empty")
-    by_identity: dict[int, list] = {}
-    for obs in observations:
-        by_identity.setdefault(obs.identity, []).append(obs)
-    sources, dests, deltas = [], [], []
-    for group in by_identity.values():
-        for a in group:
-            for b in group:
-                if a is b or a.camera == b.camera:
-                    continue
-                sources.append(a.camera)
-                dests.append(b.camera)
-                deltas.append(b.timestamp - a.timestamp)
-    if not deltas:
+    cams = np.array([o.camera for o in observations], dtype=np.int64)
+    ts = np.array([o.timestamp for o in observations], dtype=np.int64)
+    first, second = cross_camera_pairs([o.identity for o in observations], cams)
+    if first.size == 0:
         raise DataError("no cross-camera pairs in the train split")
+    sources = np.concatenate((cams[first], cams[second]))
+    dests = np.concatenate((cams[second], cams[first]))
+    deltas = np.concatenate((ts[second] - ts[first], ts[first] - ts[second]))
     c = scene.num_cameras
     raw_bins = np.floor(as_f64(deltas) / bin_width).astype(np.int64)
     kernel = _gaussian_kernel(sigma_bins)
@@ -128,7 +122,7 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
     hi = int(raw_bins.max()) + pad
     n_bins = hi - lo + 1
     counts = np.zeros((c, c, n_bins))
-    np.add.at(counts, (np.asarray(sources), np.asarray(dests), raw_bins - lo), 1.0)
+    np.add.at(counts, (sources, dests, raw_bins - lo), 1.0)
     observed = counts.sum(axis=2) > 0.0
     if kernel.size > 1:
         smoothed = np.apply_along_axis(

@@ -21,7 +21,7 @@ from . import nn
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      InputError, NumericError, ShapeError)
 from .nn import Param, as_f64
-from .scene import Observation, Scene
+from .scene import Observation, Scene, cross_camera_pairs
 
 CHECKPOINT_VERSION = 1
 # Rows per eval-mode forward pass in TransitionNet.distribution. It bounds the
@@ -405,18 +405,18 @@ class TrainSchedule:
         return self.base_lr * self.lr_decay ** (epoch // self.lr_step_epochs)
 
 
-def _cross_camera_pairs(observations: Sequence[Observation]) -> dict[int, list]:
-    """Unordered cross-camera observation pairs, grouped by identity."""
-    by_identity: dict[int, list[Observation]] = {}
-    for obs in observations:
-        by_identity.setdefault(obs.identity, []).append(obs)
-    pairs: dict[int, list] = {}
-    for ident, group in by_identity.items():
-        valid = [(a, b) for i, a in enumerate(group) for b in group[i + 1:]
-                 if a.camera != b.camera]
-        if valid:
-            pairs[ident] = valid
-    return pairs
+def _cross_camera_pairs(observations: Sequence[Observation]):
+    """Unordered cross-camera observation pairs: (observations, first,
+    second, bounds), where pair k joins observations[first[k]] and
+    observations[second[k]] (scene.cross_camera_pairs order) and the pairs of
+    the i-th identity with any, in ascending identity order, are
+    bounds[i]:bounds[i + 1]."""
+    observations = list(observations)
+    ids = np.array([o.identity for o in observations], dtype=np.int64)
+    first, second = cross_camera_pairs(
+        ids, np.array([o.camera for o in observations], dtype=np.int64))
+    _, starts = np.unique(ids[first], return_index=True)
+    return observations, first, second, np.append(starts, first.size)
 
 
 def sample_pairs(scene: Scene, rng: np.random.Generator, count: int) -> list[TrainPair]:
@@ -428,21 +428,21 @@ def sample_pairs(scene: Scene, rng: np.random.Generator, count: int) -> list[Tra
     return _draw_pairs(_train_pool(scene), rng, count)
 
 
-def _train_pool(scene: Scene) -> dict[int, list]:
+def _train_pool(scene: Scene):
     pool = _cross_camera_pairs(scene.train_observations())
-    if not pool:
+    if pool[1].size == 0:
         raise DataError("train split has no cross-camera observation pairs")
     return pool
 
 
-def _draw_pairs(pool: dict[int, list], rng: np.random.Generator,
-                count: int) -> list[TrainPair]:
-    idents = sorted(pool)
+def _draw_pairs(pool, rng: np.random.Generator, count: int) -> list[TrainPair]:
+    observations, first, second, bounds = pool
     out = []
-    ident_draws = rng.integers(0, len(idents), size=count)
-    for k in range(count):
-        options = pool[idents[ident_draws[k]]]
-        a, b = options[rng.integers(0, len(options))]
+    ident_draws = rng.integers(0, bounds.size - 1, size=count)
+    for ident in ident_draws:
+        lo, hi = int(bounds[ident]), int(bounds[ident + 1])
+        k = lo + int(rng.integers(0, hi - lo))
+        a, b = observations[first[k]], observations[second[k]]
         if rng.random() < 0.5:
             a, b = b, a
         out.append(TrainPair(query=a, target=b))
@@ -471,16 +471,18 @@ def training_step(model: TransitionNet, pairs: Sequence[TrainPair], lr: float) -
 
 
 def _holdout_pairs(scene: Scene, rng: np.random.Generator, cap: int) -> list[TrainPair]:
-    pool = _cross_camera_pairs(scene.test_observations())
-    ordered: list[TrainPair] = []
-    for ident in sorted(pool):
-        for a, b in pool[ident]:
-            ordered.append(TrainPair(query=a, target=b))
-            ordered.append(TrainPair(query=b, target=a))
-    if cap and len(ordered) > cap:
-        keep = rng.choice(len(ordered), size=cap, replace=False)
-        ordered = [ordered[i] for i in sorted(keep)]
-    return ordered
+    """Both orientations of every test-split cross-camera pair, in pair order
+    (first as query, then second), thinned to a seeded sample of cap when
+    there are more; only the kept pairs are built."""
+    observations, first, second, _ = _cross_camera_pairs(scene.test_observations())
+    keep = np.arange(2 * first.size)
+    if cap and keep.size > cap:
+        keep = np.sort(rng.choice(keep.size, size=cap, replace=False))
+    pair, flipped = keep // 2, keep % 2 == 1
+    queries = np.where(flipped, second[pair], first[pair])
+    targets = np.where(flipped, first[pair], second[pair])
+    return [TrainPair(query=observations[q], target=observations[t])
+            for q, t in zip(queries, targets)]
 
 
 def holdout_accuracy(model: TransitionNet, pairs: Sequence[TrainPair]) -> float:
@@ -522,7 +524,7 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     holdout = _holdout_pairs(scene, eval_rng, schedule.holdout_pairs)
     per_epoch = schedule.pairs_per_epoch or max(1, len(scene.train_observations()))
     # zero epochs draw nothing, so they need no cross-camera pairs
-    pool = _train_pool(scene) if schedule.epochs else {}
+    pool = _train_pool(scene) if schedule.epochs else None
     history: list[dict] = []
     snapshot = _snapshot(model)
     for epoch in range(schedule.epochs):

@@ -260,3 +260,19 @@ def test_eval_central_writes_rankings(tmp_path, config_path, capsys):
         assert block["evaluated"] > 0
     assert "output" not in doc["config"]
     assert (out / "central.txt").read_text().count("\n") == 2
+
+
+def test_eval_central_rejects_a_featureless_scene_before_training(
+        tmp_path, config_path, capsys, monkeypatch):
+    doc = base_config()
+    doc["scene"]["generator"]["feature_dim"] = 0
+    doc["scene"]["generator"]["feature_noise"] = 0.0
+
+    def no_training(*args):
+        raise AssertionError("the model was trained before the scene was checked")
+
+    monkeypatch.setattr("edgereid.cli.train", no_training)
+    assert main(["eval-central", "--config", config_path(doc),
+                 "--out", str(tmp_path / "central")]) == 1
+    assert "appearance features" in capsys.readouterr().err
+

@@ -1,9 +1,14 @@
 """Scene generation, CSV round trips, splits, and the closed-form oracle."""
 
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from edgereid import scene as sc
@@ -262,3 +267,102 @@ def test_spec_dict_roundtrip_and_files(tmp_path):
         sc.spec_from_dict({"num_cameras": 2, "num_identities": 1, "visits": 1,
                            "edges": [{"from": 0, "to": 1, "prob": 1.0,
                                       "delay": {"beta": 1}}]})
+
+
+def reference_cross_camera_pairs(identities, cameras):
+    """The per-identity loop that cross_camera_pairs replaced: group items by
+    identity in item order, pair each item with every later one of its group
+    on another camera, and list the groups in ascending identity order."""
+    groups = {}
+    for i, ident in enumerate(identities):
+        groups.setdefault(ident, []).append(i)
+    first, second = [], []
+    for ident in sorted(groups):
+        group = groups[ident]
+        for k, a in enumerate(group):
+            for b in group[k + 1:]:
+                if cameras[a] != cameras[b]:
+                    first.append(a)
+                    second.append(b)
+    return first, second
+
+
+@pytest.mark.parametrize("identities, cameras", [
+    ([], []),                                 # no items
+    ([4, 4, 4, 4], [0, 1, 0, 2]),             # one identity
+    ([0, 1, 0, 1, 2], [3, 3, 3, 3, 3]),       # every item on one camera
+    ([90, -2, 7, 90, 7, -2], [0, 1, 0, 1, 1, 0]),  # non-contiguous identities
+    ([5], [1]),
+])
+def test_cross_camera_pairs_examples(identities, cameras):
+    first, second = sc.cross_camera_pairs(identities, cameras)
+    assert first.dtype == second.dtype == np.int64
+    assert (first.tolist(), second.tolist()) == reference_cross_camera_pairs(
+        identities, cameras)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from([-3, 0, 1, 7, 1000, 2 ** 40]),
+                          st.integers(0, 3)), max_size=40))
+def test_cross_camera_pairs_matches_the_per_identity_loop(items):
+    identities = [ident for ident, _ in items]
+    cameras = [cam for _, cam in items]
+    first, second = sc.cross_camera_pairs(identities, cameras)
+    assert np.all(first < second)
+    assert (first.tolist(), second.tolist()) == reference_cross_camera_pairs(
+        identities, cameras)
+
+
+def test_export_keeps_original_camera_labels(tmp_path):
+    path = tmp_path / "sparse.csv"
+    path.write_text("identity,camera,timestamp\n0,3,0\n0,7,10\n1,7,3\n")
+    out = tmp_path / "out.csv"
+    sc.export_csv(sc.ingest_csv(path), out)
+    assert out.read_text() == ("identity,camera,timestamp\n"
+                               "0,3,0\n1,7,3\n0,7,10\n")
+
+
+feature_values = st.one_of(st.floats(0.125, 8.0), st.floats(-8.0, -0.125))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 3), st.booleans(), st.data())
+def test_csv_export_ingest_round_trip(dim, single_identity, data):
+    labels = data.draw(st.lists(st.sampled_from([0, 3, 7, 12, 40, 999]),
+                                min_size=1, max_size=4, unique=True))
+    rows = data.draw(st.lists(st.tuples(
+        st.just(5) if single_identity else st.integers(0, 3),
+        st.sampled_from(labels), st.integers(0, 10 ** 6),
+        st.lists(feature_values, min_size=dim, max_size=dim)),
+        min_size=1, max_size=20))
+    header = ",".join(list(sc.CSV_BASE_HEADER) + [f"f{i}" for i in range(dim)])
+    lines = [header] + [",".join([str(i), str(c), str(t)] + [repr(v) for v in f])
+                        for i, c, t, f in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "source.csv")
+        with open(source, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # non-unit features renormalise
+            scene = sc.ingest_csv(source)
+        first = os.path.join(tmp, "first.csv")
+        sc.export_csv(scene, first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no second renormalisation
+            back = sc.ingest_csv(first)
+        second = os.path.join(tmp, "second.csv")
+        sc.export_csv(back, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+        with open(first, encoding="utf-8") as fh:
+            exported = [ln.split(",")[:3] for ln in fh.read().splitlines()[1:]]
+    assert sorted((int(i), int(c), int(t)) for i, c, t in exported) == sorted(
+        (i, c, t) for i, c, t, _ in rows)
+    assert back.camera_ids == scene.camera_ids == tuple(sorted({r[1] for r in rows}))
+    assert obs_tuples(back) == obs_tuples(scene)
+    for a, b in zip(scene.observations, back.observations):
+        if dim:
+            assert abs(float(np.linalg.norm(a.feature)) - 1.0) < 1e-12
+            assert a.feature.tobytes() == b.feature.tobytes()
+        else:
+            assert a.feature is None and b.feature is None

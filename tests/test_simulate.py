@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgereid import simulate as sim
 from edgereid import strategy as sg
@@ -470,3 +472,37 @@ def test_plan_memo_never_crosses_params_or_models(plan_inputs):
                 assert_same_plan(got, (fresh.sequences, fresh.budgets))
     # the shared task memoised one entry per sequence kind, params and models
     assert len(task._memo) == len(models) * len(params) * 3
+
+
+def reference_eligible_queries(gallery):
+    """The O(N^2) loop eligible_queries replaced: one identity mask per item."""
+    eligible, skipped = [], 0
+    for idx in range(gallery.size):
+        same = gallery.identities == gallery.identities[idx]
+        same[idx] = False
+        if np.any(same & (gallery.cameras != gallery.cameras[idx])):
+            eligible.append(idx)
+        else:
+            skipped += 1
+    return eligible, skipped
+
+
+def reference_partners(gallery, query_index):
+    same = gallery.identities == gallery.identities[query_index]
+    same[query_index] = False
+    return np.flatnonzero(same & (gallery.cameras != gallery.cameras[query_index]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.sampled_from([0, 1, 5, 11, 300]), st.integers(0, 3),
+                          st.integers(0, 50)), min_size=1, max_size=40))
+def test_eligible_queries_and_partners_match_the_identity_masks(items):
+    gallery = sim.build_gallery(
+        [Observation(i, c, t) for i, c, t in items], num_cameras=4)
+    eligible, skipped = sim.eligible_queries(gallery)
+    assert eligible.dtype == np.int64
+    assert (eligible.tolist(), skipped) == reference_eligible_queries(gallery)
+    partners = sim._partners(gallery, eligible)
+    assert len(partners) == eligible.size
+    for q, got in zip(eligible, partners):
+        assert got.tolist() == reference_partners(gallery, q).tolist()

@@ -247,3 +247,62 @@ def test_frequency_scores_batches_by_camera():
     assert out[0] == 1.0 and out[1] == 0.0 and out[2] < 1e-6
     with pytest.raises(ShapeError):
         sg.frequency_scores(freq, 0, 0.0, np.array([1, 2]), np.array([1.0]))
+
+
+def reference_fit_frequency(scene, bin_width, sigma_bins, floor):
+    """fit_frequency as it was before the pairs came from
+    scene.cross_camera_pairs: a double loop over each identity's sightings."""
+    by_identity = {}
+    for obs in scene.train_observations():
+        by_identity.setdefault(obs.identity, []).append(obs)
+    sources, dests, deltas = [], [], []
+    for group in by_identity.values():
+        for a in group:
+            for b in group:
+                if a is b or a.camera == b.camera:
+                    continue
+                sources.append(a.camera)
+                dests.append(b.camera)
+                deltas.append(b.timestamp - a.timestamp)
+    if not deltas:
+        raise DataError("no cross-camera pairs in the train split")
+    c = scene.num_cameras
+    raw_bins = np.floor(np.asarray(deltas, dtype=np.float64) / bin_width)
+    raw_bins = raw_bins.astype(np.int64)
+    kernel = sg._gaussian_kernel(sigma_bins)
+    pad = (kernel.size - 1) // 2
+    lo = int(raw_bins.min()) - pad
+    n_bins = int(raw_bins.max()) + pad - lo + 1
+    counts = np.zeros((c, c, n_bins))
+    np.add.at(counts, (np.asarray(sources), np.asarray(dests), raw_bins - lo), 1.0)
+    observed = counts.sum(axis=2) > 0.0
+    if kernel.size > 1:
+        smoothed = np.apply_along_axis(
+            lambda row: np.convolve(row, kernel, mode="same"), 2, counts)
+    else:
+        smoothed = counts
+    smoothed += floor
+    return smoothed / smoothed.sum(axis=(1, 2), keepdims=True), lo, observed
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.sampled_from([0, 2, 9, 40]), st.integers(0, 3),
+                          st.integers(0, 400)), min_size=1, max_size=40),
+       st.integers(1, 60), st.sampled_from([0.0, 0.7, 2.0]))
+def test_fit_frequency_matches_the_double_loop(items, bin_width, sigma_bins):
+    obs = tuple(Observation(i, c, t) for i, c, t in items)
+    idents = frozenset(i for i, _, _ in items)
+    scene = Scene(num_cameras=4, observations=obs, train_identities=idents,
+                  test_identities=frozenset())
+    try:
+        table, lo, observed = reference_fit_frequency(scene, bin_width,
+                                                      sigma_bins, 1e-6)
+    except DataError:
+        with pytest.raises(DataError, match="no cross-camera pairs"):
+            sg.fit_frequency(scene, bin_width, sigma_bins, 1e-6)
+        return
+    freq = sg.fit_frequency(scene, bin_width, sigma_bins, 1e-6)
+    assert freq.bin_offset == lo
+    assert freq.table.shape == table.shape
+    assert freq.table.tobytes() == table.tobytes()
+    np.testing.assert_array_equal(freq.observed, observed)

@@ -12,7 +12,8 @@ from edgereid import nn
 from edgereid import transition as tr
 from edgereid.errors import (CheckpointError, ConfigError, DataError,
                              DivergenceError, InputError, NumericError)
-from edgereid.scene import Edge, FixedDelay, GeneratorSpec, generate, split_identities
+from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation, Scene,
+                            generate, split_identities)
 
 
 def tiny_model(num_cameras=2, embed_dim=4, num_blocks=1, seed=0, **kwargs):
@@ -534,3 +535,93 @@ def test_config_dict_roundtrip():
         tr.TransitionNetConfig.from_dict({"num_cameras": 2, "bogus": 1})
     with pytest.raises(ConfigError):
         tr.TransitionNetConfig.from_dict({"embed_dim": 4})
+
+
+def reference_pool(observations):
+    """The pair pool as a dict of Observation pairs per identity, built by the
+    per-identity loop that scene.cross_camera_pairs replaced."""
+    by_identity = {}
+    for obs in observations:
+        by_identity.setdefault(obs.identity, []).append(obs)
+    pool = {}
+    for ident, group in by_identity.items():
+        valid = [(a, b) for i, a in enumerate(group) for b in group[i + 1:]
+                 if a.camera != b.camera]
+        if valid:
+            pool[ident] = valid
+    return pool
+
+
+def reference_holdout_pairs(scene, rng, cap):
+    """Build every oriented test pair, then keep a seeded sample of cap."""
+    pool = reference_pool(scene.test_observations())
+    ordered = []
+    for ident in sorted(pool):
+        for a, b in pool[ident]:
+            ordered.append(tr.TrainPair(query=a, target=b))
+            ordered.append(tr.TrainPair(query=b, target=a))
+    if cap and len(ordered) > cap:
+        keep = rng.choice(len(ordered), size=cap, replace=False)
+        ordered = [ordered[i] for i in sorted(keep)]
+    return ordered
+
+
+def reference_draw_pairs(pool, rng, count):
+    idents = sorted(pool)
+    out = []
+    ident_draws = rng.integers(0, len(idents), size=count)
+    for k in range(count):
+        options = pool[idents[ident_draws[k]]]
+        a, b = options[rng.integers(0, len(options))]
+        if rng.random() < 0.5:
+            a, b = b, a
+        out.append(tr.TrainPair(query=a, target=b))
+    return out
+
+
+def random_split_scene(items, test_share):
+    obs = tuple(Observation(i, c, t) for i, c, t in items)
+    idents = sorted({i for i, _, _ in items})
+    cut = int(len(idents) * test_share)
+    return Scene(num_cameras=4, observations=obs,
+                 train_identities=frozenset(idents[cut:]),
+                 test_identities=frozenset(idents[:cut]))
+
+
+scene_items = st.lists(st.tuples(st.sampled_from([0, 1, 4, 9, 23, 500]),
+                                 st.integers(0, 3), st.integers(0, 100)),
+                       min_size=1, max_size=40)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scene_items, st.sampled_from([0.5, 1.0]), st.integers(0, 2 ** 31 - 1))
+def test_holdout_pairs_match_build_all_then_sample(items, test_share, seed):
+    scene = random_split_scene(items, test_share)
+    oriented = len(reference_holdout_pairs(scene, None, 0))
+    for cap in sorted({0, 1, max(oriented - 1, 0), oriented, oriented + 5}):
+        got = tr._holdout_pairs(scene, np.random.default_rng(seed), cap)
+        want = reference_holdout_pairs(scene, np.random.default_rng(seed), cap)
+        assert got == want
+
+
+def test_holdout_pairs_match_build_all_then_sample_on_a_ring():
+    scene = ring_scene(num_cameras=4, identities=30, visits=6, seed=41)
+    oriented = len(tr._holdout_pairs(scene, np.random.default_rng(0), 0))
+    assert oriented > 100
+    for cap in (0, 7, oriented // 2, oriented - 1, oriented, oriented + 1):
+        got = tr._holdout_pairs(scene, np.random.default_rng(42), cap)
+        assert got == reference_holdout_pairs(scene, np.random.default_rng(42), cap)
+        assert len(got) == (min(cap, oriented) if cap else oriented)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scene_items, st.integers(1, 60), st.integers(0, 2 ** 31 - 1))
+def test_draw_pairs_match_the_dict_pool(items, count, seed):
+    scene = random_split_scene(items, 0.0)
+    ref_pool = reference_pool(scene.train_observations())
+    if not ref_pool:
+        with pytest.raises(DataError):
+            tr._train_pool(scene)
+        return
+    got = tr._draw_pairs(tr._train_pool(scene), np.random.default_rng(seed), count)
+    assert got == reference_draw_pairs(ref_pool, np.random.default_rng(seed), count)
