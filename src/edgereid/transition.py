@@ -411,7 +411,6 @@ def _cross_camera_pairs(observations: Sequence[Observation]):
     observations[second[k]] (scene.cross_camera_pairs order) and the pairs of
     the i-th identity with any, in ascending identity order, are
     bounds[i]:bounds[i + 1]."""
-    observations = list(observations)
     ids = np.array([o.identity for o in observations], dtype=np.int64)
     first, second = cross_camera_pairs(
         ids, np.array([o.camera for o in observations], dtype=np.int64))
