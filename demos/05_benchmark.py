@@ -53,7 +53,7 @@ def main():
     params = InferenceParams(alpha=20.0, beta=0.05, gamma0=0.05)
     reports = run_benchmark(scene, list(Strategy), models, 18, params,
                             QuerySpec(max_queries=300),
-                            np.random.default_rng(14), threads=2)
+                            np.random.default_rng(14))
 
     print(f"\n{'strategy':12s} {'mTN':>8s} {'pR-1':>7s} {'pR-5':>7s} "
           f"{'mpR':>7s}")

@@ -25,8 +25,8 @@ from .simulate import (ArrivalLog, Gallery, InferenceParams, Models,
 from .strategy import (BandwidthAllocation, FrequencyModel, PatternBank,
                        allocate_bandwidth, fit_frequency, frequency_scores,
                        fuse_scores, joint_similarity, largest_remainder,
-                       model_scores, time_targeted_scores, uniform_allocation)
-from .transition import (GraphBlock, TrainPair, TrainSchedule, TransitionNet,
+                       time_targeted_scores, uniform_allocation)
+from .transition import (GraphBlock, TrainSchedule, TransitionNet,
                          TransitionNetConfig, check_scene_compatible,
                          holdout_accuracy, load_checkpoint, sample_pairs,
                          save_checkpoint, train, training_step)
@@ -40,7 +40,7 @@ __all__ = [
     "GradCheckReport", "GraphBlock", "InferenceParams", "InputError",
     "LogNormalDelay", "MetricSummary", "Models", "NumericError", "Observation",
     "Param", "PatternBank", "QuerySpec", "QueryTask", "RunReport", "Scene",
-    "ShapeError", "Strategy", "TrainPair", "TrainSchedule", "TransitionNet",
+    "ShapeError", "Strategy", "TrainSchedule", "TransitionNet",
     "TransitionNetConfig", "TransitionOracle", "TransitionTable", "UploadPlan",
     "adam_step", "allocate_bandwidth", "build_gallery",
     "build_transition_table", "central_rankings", "check_scene_compatible",
@@ -48,7 +48,7 @@ __all__ = [
     "frequency_scores", "fuse_scores", "gelu", "generate", "gradient_check",
     "holdout_accuracy", "ingest_csv", "joint_similarity", "largest_remainder",
     "load_checkpoint", "load_spec", "make_task", "mean_precise_rank",
-    "model_scores", "mtn", "plan", "precise_rank_k", "relu", "run_benchmark",
+    "mtn", "plan", "precise_rank_k", "relu", "run_benchmark",
     "run_rounds", "sample_pairs", "save_checkpoint", "save_spec",
     "sinusoidal_embed", "softmax", "spec_from_dict", "spec_to_dict",
     "split_identities", "summarize", "time_targeted_scores", "train",

@@ -258,10 +258,10 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
         print(f"would simulate strategies {list(config.simulate.strategies)} "
               f"with model from {source} (simulate seed {config.simulate.seed})")
         return EXIT_OK
-    out = _ensure_out(config)
     scene = _build_scene(config)
     # an ingested scene is known only now, and must pass before any training
     _check_simulate_config(config, scene.num_cameras, scene.feature_dim)
+    out = _ensure_out(config)
     model, history, models = _serving_models(config, scene)
     bandwidth = config.inference.bandwidth(scene.num_cameras)
     reports = run_benchmark(
@@ -312,15 +312,21 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
     return EXIT_OK
 
 
+def _check_central_features(feature_dim: int) -> None:
+    if feature_dim == 0:
+        raise ConfigError("centralized evaluation needs appearance features")
+
+
 def cmd_eval_central(config: RunConfig, dry_run: bool) -> int:
+    if config.scene.generator is not None:
+        _check_central_features(config.scene.generator.feature_dim)
     if dry_run:
         print(f"would rank the merged test gallery visually and jointly "
               f"(simulate seed {config.simulate.seed})")
         return EXIT_OK
-    out = _ensure_out(config)
     scene = _build_scene(config)
-    if scene.feature_dim == 0:
-        raise ConfigError("centralized evaluation needs appearance features")
+    _check_central_features(scene.feature_dim)
+    out = _ensure_out(config)
     _, _, models = _serving_models(config, scene)
     visual, joint = central_rankings(
         scene, models, config.inference.params(), config.simulate.max_queries,
@@ -356,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every section seed")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="override output.dir")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; has no effect")
     common.add_argument("--dry-run", action="store_true",
                         help="validate the config and print the plan only")
     parser = argparse.ArgumentParser(
@@ -392,8 +396,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = dataclasses.replace(config,
                                          output=OutputSection(dir=args.out))
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         check_paths(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

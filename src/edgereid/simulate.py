@@ -83,11 +83,8 @@ class InferenceParams:
 class Models:
     """Learned inputs to the strategies; either may be absent."""
 
-    transition: object | None = None
+    transition: TransitionNet | TransitionTable | None = None
     frequency: strat.FrequencyModel | None = None
-
-
-TABLE_CHUNK = 16384  # deltas per forward pass while tabulating
 
 
 class TransitionTable:
@@ -104,16 +101,9 @@ class TransitionTable:
         self.config = model.config
         self.dt_min = int(dt_min)
         self.dt_max = int(dt_max)
-        c = model.config.num_cameras
-        span = self.dt_max - self.dt_min + 1
-        self.logits = np.empty((c, span, c))
         deltas = np.arange(self.dt_min, self.dt_max + 1, dtype=np.float64)
-        for cam in range(c):
-            for start in range(0, span, TABLE_CHUNK):
-                sl = slice(start, min(start + TABLE_CHUNK, span))
-                self.logits[cam, sl] = model.forward(
-                    np.full(sl.stop - sl.start, cam, dtype=np.int64),
-                    np.zeros(sl.stop - sl.start), deltas[sl], train=False)
+        self.logits = np.stack([model.eval_logits(cam, 0.0, deltas)
+                                for cam in range(model.config.num_cameras)])
         self.probs = softmax(self.logits, axis=2)
 
     def _lookup(self, cameras, t_query, t_target) -> np.ndarray:
@@ -491,12 +481,18 @@ def _desired_index(gallery: Gallery, query_index: int, target_time: int) -> int:
     return int(candidates[keys[0]])
 
 
-def build_transition_table(model: TransitionNet, timestamps: np.ndarray,
-                           max_cells: int = 4_000_000) -> object:
-    """Memoise the model over the scene's delta range when affordable."""
+# Largest TransitionTable, in (camera, delta) cells, that
+# build_transition_table builds; past it the raw model serves.
+TABLE_MAX_CELLS = 4_000_000
+
+
+def build_transition_table(model: TransitionNet, timestamps: np.ndarray
+                           ) -> TransitionNet | TransitionTable:
+    """Memoise the model over the scene's delta range when it takes at most
+    TABLE_MAX_CELLS cells; otherwise return the model itself."""
     span = int(timestamps.max() - timestamps.min())
     cells = model.config.num_cameras * (2 * span + 1)
-    if cells > max_cells:
+    if cells > TABLE_MAX_CELLS:
         return model
     return TransitionTable(model, -span, span)
 
@@ -552,8 +548,8 @@ def _query_outcome(task: QueryTask, query: int, strategy: Strategy,
 
 def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
                   total_bandwidth: int, params: InferenceParams,
-                  query_spec: QuerySpec, rng: np.random.Generator,
-                  threads: int = 1) -> dict[str, RunReport]:
+                  query_spec: QuerySpec, rng: np.random.Generator
+                  ) -> dict[str, RunReport]:
     """Run every strategy over the scene's eligible test queries.
 
     Each query's target time is the timestamp of a seeded-random same-identity
@@ -561,9 +557,7 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     allocation for the learned-budget strategies; everything else reuses the
     query-level plan. Queries run in the outer loop and strategies in the
     inner one, so the sequences and per-pair budgets a query's task memoises
-    are shared by its strategies and freed before the next query. threads
-    is accepted for compatibility and has no effect: a thread pool over the
-    queries measured slower than this single loop.
+    are shared by its strategies and freed before the next query.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")

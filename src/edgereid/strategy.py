@@ -1,9 +1,9 @@
 """Scoring and bandwidth policies built on top of a transition model.
 
 Three ingredients feed the upload strategies: a smoothed frequency table of
-observed camera/delay co-occurrences, bounded spatio-temporal scores from the
-learned transition network (optionally fused with the frequency table), and
-a joint similarity that combines spatio-temporal and visual evidence. The
+observed camera/delay co-occurrences, whose bounded scores can be fused with
+the learned transition network's probabilities, and a joint similarity that
+combines spatio-temporal and visual evidence. The
 bandwidth allocator turns per-camera logits and gallery sizes into integer
 upload budgets.
 """
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
 from .scene import Scene, cross_camera_pairs
-from .transition import TransitionNet
 
 ORIENTATION_MODES = ("consistent", "inverted")
 
@@ -137,19 +136,6 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
 
 
 # -- spatio-temporal scores ----------------------------------------------------
-
-
-def model_scores(model: TransitionNet, source_camera: int, t_query,
-                 dest_cameras, t_gallery) -> np.ndarray:
-    """Probability the identity sits at each gallery item's camera at the
-    item's timestamp, given the query sighting."""
-    dest = np.atleast_1d(np.asarray(dest_cameras, dtype=np.int64))
-    ts = np.atleast_1d(as_f64(t_gallery))
-    if dest.shape != ts.shape:
-        raise ShapeError(f"cameras {dest.shape} and timestamps {ts.shape} differ")
-    probs = model.distribution(np.full(ts.shape, source_camera, dtype=np.int64),
-                               np.full(ts.shape, float(t_query)), ts)
-    return probs[np.arange(dest.size), dest]
 
 
 def frequency_scores(freq: FrequencyModel, source_camera: int, t_query,

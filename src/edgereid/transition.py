@@ -24,7 +24,7 @@ from .nn import Param, as_f64
 from .scene import Observation, Scene, cross_camera_pairs
 
 CHECKPOINT_VERSION = 1
-# Rows per eval-mode forward pass in TransitionNet.distribution. It bounds the
+# Rows per eval-mode forward pass in TransitionNet.eval_logits. It bounds the
 # size of each pass's temporaries; 256 measured faster than 1,024 on long
 # galleries.
 EVAL_ROWS = 256
@@ -337,11 +337,11 @@ class TransitionNet:
         _spatial_backward(self.spatial_weight.grad, weights, order, bounds, ga)
         self._cache = None
 
-    def distribution(self, cameras, t_query, t_target) -> np.ndarray:
-        """Softmax of the eval-mode logits: p(camera at target time).
+    def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
+        """Eval-mode logits of forward, evaluated in blocks of about EVAL_ROWS
+        rows (see _batches).
 
-        Inputs broadcast as in forward. The rows are evaluated in blocks of
-        about EVAL_ROWS (see _batches), which gives the same bits as one
+        Inputs broadcast as in forward. The blocks give the same bits as one
         forward pass over the whole batch; no cache is kept afterwards, so
         backward cannot follow.
         """
@@ -354,28 +354,17 @@ class TransitionNet:
         out = np.empty((cams.shape[0], self.config.num_cameras))
         try:
             for rows in _batches(np.arange(cams.shape[0]), EVAL_ROWS):
-                out[rows] = nn.softmax(
-                    self.forward(cams[rows], tq[rows], td[rows], train=False), axis=1)
+                out[rows] = self.forward(cams[rows], tq[rows], td[rows], train=False)
         finally:
             self._cache = None
         return out
 
+    def distribution(self, cameras, t_query, t_target) -> np.ndarray:
+        """Softmax of eval_logits: p(camera at target time)."""
+        return nn.softmax(self.eval_logits(cameras, t_query, t_target), axis=1)
+
 
 # -- training ----------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class TrainPair:
-    """A same-identity observation pair with query/target roles assigned."""
-
-    query: Observation
-    target: Observation
-
-    def __post_init__(self):
-        if self.query.identity != self.target.identity:
-            raise DataError("train pair mixes identities")
-        if self.query.camera == self.target.camera:
-            raise DataError("train pair must span two cameras")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,61 +395,66 @@ class TrainSchedule:
 
 
 def _cross_camera_pairs(observations: Sequence[Observation]):
-    """Unordered cross-camera observation pairs: (observations, first,
-    second, bounds), where pair k joins observations[first[k]] and
-    observations[second[k]] (scene.cross_camera_pairs order) and the pairs of
-    the i-th identity with any, in ascending identity order, are
-    bounds[i]:bounds[i + 1]."""
+    """A split's unordered cross-camera observation pairs: (cameras,
+    timestamps, first, second, bounds). cameras and timestamps are the split's
+    columns; pair k joins observations first[k] and second[k]
+    (scene.cross_camera_pairs order), and the pairs of the i-th identity with
+    any, in ascending identity order, are bounds[i]:bounds[i + 1]."""
     ids = np.array([o.identity for o in observations], dtype=np.int64)
-    first, second = cross_camera_pairs(
-        ids, np.array([o.camera for o in observations], dtype=np.int64))
+    cams = np.array([o.camera for o in observations], dtype=np.int64)
+    times = np.array([o.timestamp for o in observations], dtype=np.float64)
+    first, second = cross_camera_pairs(ids, cams)
     _, starts = np.unique(ids[first], return_index=True)
-    return observations, first, second, np.append(starts, first.size)
+    return cams, times, first, second, np.append(starts, first.size)
 
 
-def sample_pairs(scene: Scene, rng: np.random.Generator, count: int) -> list[TrainPair]:
-    """Draw training pairs: identity uniform over identities that have any
-    cross-camera pair, then a pair uniform within the identity, then a coin
-    flip for which side is the query."""
+def _pair_batch(pool, query: np.ndarray, target: np.ndarray):
+    """The batch of (query, target) observation index pairs into a pool's
+    split: (source cameras, query times, target times, target cameras)."""
+    cams, times = pool[:2]
+    return cams[query], times[query], times[target], cams[target]
+
+
+def sample_pairs(scene: Scene, rng: np.random.Generator, count: int):
+    """Draw a batch of training pairs (see _pair_batch): identity uniform over
+    identities that have any cross-camera pair, then a pair uniform within
+    the identity, then a coin flip for which side is the query."""
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    return _draw_pairs(_train_pool(scene), rng, count)
+    pool = _train_pool(scene)
+    return _pair_batch(pool, *_draw_pairs(pool, rng, count))
 
 
 def _train_pool(scene: Scene):
     pool = _cross_camera_pairs(scene.train_observations())
-    if pool[1].size == 0:
+    if pool[2].size == 0:
         raise DataError("train split has no cross-camera observation pairs")
     return pool
 
 
-def _draw_pairs(pool, rng: np.random.Generator, count: int) -> list[TrainPair]:
-    observations, first, second, bounds = pool
-    out = []
+def _draw_pairs(pool, rng: np.random.Generator, count: int):
+    """(query, target) observation indices of count pairs drawn as
+    sample_pairs describes, three RNG calls per pair."""
+    _, _, first, second, bounds = pool
+    query = np.empty(count, dtype=np.int64)
+    target = np.empty(count, dtype=np.int64)
     ident_draws = rng.integers(0, bounds.size - 1, size=count)
-    for ident in ident_draws:
+    for i, ident in enumerate(ident_draws):
         lo, hi = int(bounds[ident]), int(bounds[ident + 1])
         k = lo + int(rng.integers(0, hi - lo))
-        a, b = observations[first[k]], observations[second[k]]
+        a, b = first[k], second[k]
         if rng.random() < 0.5:
             a, b = b, a
-        out.append(TrainPair(query=a, target=b))
-    return out
+        query[i], target[i] = a, b
+    return query, target
 
 
-def pairs_to_arrays(pairs: Sequence[TrainPair]):
-    cams = np.array([p.query.camera for p in pairs], dtype=np.int64)
-    tq = np.array([p.query.timestamp for p in pairs], dtype=np.float64)
-    td = np.array([p.target.timestamp for p in pairs], dtype=np.float64)
-    targets = np.array([p.target.camera for p in pairs], dtype=np.int64)
-    return cams, tq, td, targets
-
-
-def training_step(model: TransitionNet, pairs: Sequence[TrainPair], lr: float) -> float:
-    """One Adam step on a batch of pairs; returns the mean cross-entropy."""
-    if not pairs:
+def training_step(model: TransitionNet, batch, lr: float) -> float:
+    """One Adam step on a batch of pairs (see _pair_batch); returns the mean
+    cross-entropy."""
+    cams, tq, td, targets = batch
+    if targets.size == 0:
         raise InputError("empty training batch")
-    cams, tq, td, targets = pairs_to_arrays(pairs)
     model.zero_grads()
     logits = model.forward(cams, tq, td, train=True)
     loss, glogits = nn.cross_entropy(logits, targets)
@@ -469,32 +463,27 @@ def training_step(model: TransitionNet, pairs: Sequence[TrainPair], lr: float) -
     return loss
 
 
-def _holdout_pairs(scene: Scene, rng: np.random.Generator, cap: int) -> list[TrainPair]:
-    """Both orientations of every test-split cross-camera pair, in pair order
-    (first as query, then second), thinned to a seeded sample of cap when
-    there are more; only the kept pairs are built."""
-    observations, first, second, _ = _cross_camera_pairs(scene.test_observations())
+def _holdout_pairs(pool, rng: np.random.Generator, cap: int):
+    """(query, target) observation indices of both orientations of every
+    pair in the pool, in pair order (first as query, then second), thinned
+    to a seeded sample of cap when there are more."""
+    _, _, first, second, _ = pool
     keep = np.arange(2 * first.size)
     if cap and keep.size > cap:
         keep = np.sort(rng.choice(keep.size, size=cap, replace=False))
     pair, flipped = keep // 2, keep % 2 == 1
-    queries = np.where(flipped, second[pair], first[pair])
-    targets = np.where(flipped, first[pair], second[pair])
-    return [TrainPair(query=observations[q], target=observations[t])
-            for q, t in zip(queries, targets)]
+    return (np.where(flipped, second[pair], first[pair]),
+            np.where(flipped, first[pair], second[pair]))
 
 
-def holdout_accuracy(model: TransitionNet, pairs: Sequence[TrainPair]) -> float:
-    """Fraction of pairs whose target camera gets the top eval-mode logit."""
-    if not pairs:
+def holdout_accuracy(model: TransitionNet, batch) -> float:
+    """Fraction of a batch's pairs (see _pair_batch) whose target camera gets
+    the top eval-mode logit."""
+    cams, tq, td, targets = batch
+    if targets.size == 0:
         return float("nan")
-    cams, tq, td, targets = pairs_to_arrays(pairs)
-    correct = 0
-    for start in range(0, len(pairs), 4096):
-        sl = slice(start, start + 4096)
-        logits = model.forward(cams[sl], tq[sl], td[sl], train=False)
-        correct += int((logits.argmax(axis=1) == targets[sl]).sum())
-    return correct / len(pairs)
+    logits = model.eval_logits(cams, tq, td)
+    return int((logits.argmax(axis=1) == targets).sum()) / targets.size
 
 
 def _batches(pairs, batch_size: int) -> list:
@@ -520,7 +509,9 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     model back to the end of the previous epoch and raises DivergenceError.
     """
     pair_rng, eval_rng = rng.spawn(2)
-    holdout = _holdout_pairs(scene, eval_rng, schedule.holdout_pairs)
+    test_pool = _cross_camera_pairs(scene.test_observations())
+    holdout = _pair_batch(
+        test_pool, *_holdout_pairs(test_pool, eval_rng, schedule.holdout_pairs))
     per_epoch = schedule.pairs_per_epoch or max(1, len(scene.train_observations()))
     # zero epochs draw nothing, so they need no cross-camera pairs
     pool = _train_pool(scene) if schedule.epochs else None
@@ -528,11 +519,11 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     snapshot = _snapshot(model)
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
-        pairs = _draw_pairs(pool, pair_rng, per_epoch)
+        pairs = _pair_batch(pool, *_draw_pairs(pool, pair_rng, per_epoch))
         losses = []
-        for batch in _batches(pairs, schedule.batch_size):
+        for rows in _batches(np.arange(per_epoch), schedule.batch_size):
             try:
-                loss = training_step(model, batch, lr)
+                loss = training_step(model, tuple(col[rows] for col in pairs), lr)
             except NumericError:
                 loss = float("nan")
             if not np.isfinite(loss):

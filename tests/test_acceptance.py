@@ -78,14 +78,12 @@ def bench_run():
     spec = QuerySpec(max_queries=config.simulate.max_queries)
     start = time.monotonic()
     reports = run_benchmark(scene, list(Strategy), models, bandwidth, params,
-                            spec, np.random.default_rng(config.simulate.seed),
-                            threads=2)
+                            spec, np.random.default_rng(config.simulate.seed))
     bench_time = time.monotonic() - start
     tc_params = dataclasses.replace(params, time_targeted=True)
     tc_reports = run_benchmark(scene, [Strategy.RERANK], models, bandwidth,
                                tc_params,
-                               spec, np.random.default_rng(config.simulate.seed),
-                               threads=2)
+                               spec, np.random.default_rng(config.simulate.seed))
     return {
         "config": config,
         "scene": scene,
@@ -376,7 +374,7 @@ def test_9_simulate_determinism(capfd, tmp_path):
     code_a = main(["simulate", "--config", str(config_path), "--out",
                    str(out_a)])
     code_b = main(["simulate", "--config", str(config_path), "--out",
-                   str(out_b), "--threads", "2"])
+                   str(out_b)])
     names = sorted(p.name for p in out_a.iterdir())
     same_names = names == sorted(p.name for p in out_b.iterdir())
     identical = same_names and all(

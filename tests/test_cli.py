@@ -97,7 +97,6 @@ def test_missing_ingest_file_exits_1(config_path, capsys):
 def test_bad_flags_exit_1(config_path):
     cfg = config_path(base_config())
     assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 1
-    assert main(["simulate", "--config", cfg, "--threads", "0"]) == 1
 
 
 def test_train_writes_loadable_checkpoint(tmp_path, config_path, capsys):
@@ -150,16 +149,6 @@ def test_simulate_outputs_are_deterministic(tmp_path, config_path):
     body = (out_a / "pairs.csv").read_text().splitlines()
     assert body[0] == "strategy,query_index,target_index,device,rank,budget,tn"
     assert len(body) > 1
-
-
-def test_simulate_thread_count_does_not_change_results(tmp_path, config_path):
-    cfg = config_path(base_config())
-    out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-    assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out_b),
-                 "--threads", "2"]) == 0
-    assert read(out_a / "pairs.csv") == read(out_b / "pairs.csv")
-    assert read(out_a / "report.json") == read(out_b / "report.json")
 
 
 def test_simulate_from_checkpoint_skips_training(tmp_path, config_path):
@@ -276,3 +265,29 @@ def test_eval_central_rejects_a_featureless_scene_before_training(
                  "--out", str(tmp_path / "central")]) == 1
     assert "appearance features" in capsys.readouterr().err
 
+
+def test_eval_central_dry_run_rejects_a_featureless_scene(config_path, capsys):
+    doc = base_config()
+    doc["scene"]["generator"]["feature_dim"] = 0
+    doc["scene"]["generator"]["feature_noise"] = 0.0
+    assert main(["eval-central", "--config", config_path(doc), "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert "appearance features" in captured.err
+    assert "would" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval-central"])
+def test_a_rejected_scene_leaves_no_out_directory(tmp_path, config_path,
+                                                  capsys, command):
+    # an ingested scene passes the config checks and fails once it is read
+    doc = base_config()
+    doc["scene"]["generator"]["feature_dim"] = 0
+    gen_out = tmp_path / "gen"
+    assert main(["gen", "--config", config_path(doc, "gen.json"),
+                 "--out", str(gen_out)]) == 0
+    doc["scene"] = {"ingest": str(gen_out / "scene.csv"), "seed": 3}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", config_path(doc), "--out", str(out)]) == 1
+    assert "appearance features" in capsys.readouterr().err
+    assert not out.exists()

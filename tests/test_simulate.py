@@ -13,7 +13,7 @@ from edgereid import strategy as sg
 from edgereid.errors import ConfigError, DataError, InputError
 from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation,
                             Scene, generate, split_identities)
-from edgereid.transition import TransitionNet, TransitionNetConfig
+from edgereid.transition import EVAL_ROWS, TransitionNet, TransitionNetConfig
 
 
 def unit(vec):
@@ -187,12 +187,26 @@ def test_transition_table_matches_model_exactly():
         sim.TransitionTable(model, 5, 4)
 
 
-def test_build_transition_table_falls_back_when_big():
+def test_transition_table_with_a_one_row_tail_matches_the_model():
+    # 2 * EVAL_ROWS + 1 deltas per camera: without the tail rule the last
+    # block is one row, which a per-node head scores through another BLAS path
+    model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6,
+                                              per_node_classifier=True),
+                          np.random.default_rng(5))
+    table = sim.TransitionTable(model, -EVAL_ROWS, EVAL_ROWS)
+    deltas = np.arange(-EVAL_ROWS, EVAL_ROWS + 1, dtype=np.float64)
+    for cam in range(4):
+        np.testing.assert_array_equal(table.logits[cam],
+                                      model.forward(cam, 0.0, deltas))
+
+
+def test_build_transition_table_falls_back_when_big(monkeypatch):
     model = TransitionNet(TransitionNetConfig(num_cameras=2, embed_dim=4),
                           np.random.default_rng(4))
-    ts = np.array([0, 1000])
-    assert sim.build_transition_table(model, ts, max_cells=10) is model
-    table = sim.build_transition_table(model, np.array([0, 5]), max_cells=1000)
+    monkeypatch.setattr(sim, "TABLE_MAX_CELLS", 10)
+    assert sim.build_transition_table(model, np.array([0, 1000])) is model
+    monkeypatch.setattr(sim, "TABLE_MAX_CELLS", 1000)
+    table = sim.build_transition_table(model, np.array([0, 5]))
     assert isinstance(table, sim.TransitionTable)
     assert table.dt_min == -5 and table.dt_max == 5
 
@@ -295,20 +309,6 @@ def test_bandwidth_reuses_visual_order_and_combined_reuses_joint():
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(pb.budgets, pc.budgets)
         np.testing.assert_array_equal(pv.budgets, pr.budgets)
-
-
-def test_benchmark_is_thread_invariant():
-    scene = featured_scene(seed=8)
-    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
-                          np.random.default_rng(9))
-    models = sim.Models(transition=model)
-    kwargs = dict(scene=scene, strategies=[sim.Strategy.RERANK], models=models,
-                  total_bandwidth=6, params=sim.InferenceParams(),
-                  query_spec=sim.QuerySpec(max_queries=8))
-    a = sim.run_benchmark(rng=np.random.default_rng(10), threads=1, **kwargs)
-    b = sim.run_benchmark(rng=np.random.default_rng(10), threads=3, **kwargs)
-    assert a["rerank"].pairs == b["rerank"].pairs
-    assert a["rerank"].queries == b["rerank"].queries
 
 
 def test_benchmark_input_validation():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from edgereid import strategy as sg
 from edgereid.errors import ConfigError, DataError, InputError, ShapeError
 from edgereid.scene import Observation, Scene
-from edgereid.transition import TransitionNet, TransitionNetConfig
 
 # single gallery item, spatio-temporal softmax collapses to 1, visual gate
 # open at v=1: s = -[1 / (1 + 0.1 e)] / 2, frozen by hand
@@ -78,16 +77,6 @@ def test_frequency_validation():
         freq.prob(0, 9, 1.0)
     with pytest.raises(InputError):
         freq.prob(0, 1, float("nan"))
-
-
-def test_model_scores_pick_the_dest_camera_column():
-    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=4),
-                          np.random.default_rng(0))
-    dest = np.array([2, 0, 1])
-    ts = np.array([10.0, 25.0, 3.0])
-    got = sg.model_scores(model, 1, 0.0, dest, ts)
-    rows = model.distribution(np.array([1, 1, 1]), np.zeros(3), ts)
-    np.testing.assert_array_equal(got, rows[[0, 1, 2], dest])
 
 
 def test_fuse_scores_endpoints_and_blend():

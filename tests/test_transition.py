@@ -315,11 +315,14 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
     td = tq + rng.integers(-5_000, 5_001, n)
-    want = nn.softmax(model.forward(cams, tq, td, train=False), axis=1)
-    assert_bit_equal(model.distribution(cams, tq, td), want)
+    want = model.forward(cams, tq, td, train=False)
+    assert_bit_equal(model.eval_logits(cams, tq, td), want)
+    assert_bit_equal(model.distribution(cams, tq, td), nn.softmax(want, axis=1))
     # one source camera and query time broadcast against many targets
-    want = nn.softmax(model.forward(cams[0], tq[0], td, train=False), axis=1)
-    assert_bit_equal(model.distribution(cams[0], tq[0], td), want)
+    want = model.forward(cams[0], tq[0], td, train=False)
+    assert_bit_equal(model.eval_logits(cams[0], tq[0], td), want)
+    assert_bit_equal(model.distribution(cams[0], tq[0], td),
+                     nn.softmax(want, axis=1))
 
 
 def test_backward_after_distribution_raises():
@@ -345,12 +348,6 @@ def test_schedule_decay_boundaries():
         tr.TrainSchedule(lr_decay=1.5)
 
 
-def test_train_pair_validation():
-    a = ring_scene().observations[0]
-    with pytest.raises(DataError):
-        tr.TrainPair(query=a, target=a)
-
-
 def test_sample_pairs_identity_law():
     # identity 0 has many cross-camera pairs, identity 1 exactly one; the
     # sampler still picks identities uniformly
@@ -360,16 +357,14 @@ def test_sample_pairs_identity_law():
     scene = Scene(num_cameras=3, observations=tuple(obs),
                   train_identities=frozenset({0, 1}),
                   test_identities=frozenset())
-    draws = tr.sample_pairs(scene, np.random.default_rng(12), 20000)
-    counts = {0: 0, 1: 0}
-    for p in draws:
-        counts[p.query.identity] += 1
+    cams, tq, td, _ = tr.sample_pairs(scene, np.random.default_rng(12), 20000)
+    # only identity 1's pair is 9 ticks apart
+    ident1 = np.abs(td - tq) == 9
     # binomial(20000, 0.5): 4 sigma is about 283
-    assert abs(counts[0] - 10000) < 300
-    roles = sum(1 for p in draws
-                if p.query.identity == 1 and p.query.camera == 0)
+    assert abs(int((~ident1).sum()) - 10000) < 300
+    roles = int((ident1 & (cams == 0)).sum())
     # the one pair of identity 1 gets each orientation half the time
-    assert abs(roles - counts[1] / 2) < 300
+    assert abs(roles - ident1.sum() / 2) < 300
 
 
 def test_sample_pairs_needs_cross_camera_data():
@@ -388,8 +383,9 @@ def test_pair_pool_reuse_keeps_the_draws():
     rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
     pool = tr._train_pool(scene)
     for count in (50, 7, 50):
-        assert (tr._draw_pairs(pool, rng_a, count)
-                == tr.sample_pairs(scene, rng_b, count))
+        got = tr._pair_batch(pool, *tr._draw_pairs(pool, rng_a, count))
+        for a, b in zip(got, tr.sample_pairs(scene, rng_b, count)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_train_builds_the_pair_pool_once(monkeypatch):
@@ -440,8 +436,9 @@ def test_training_learns_a_deterministic_ring():
 
 def test_training_step_rejects_empty_batch():
     model = tiny_model()
+    empty = np.empty(0, dtype=np.int64)
     with pytest.raises(InputError):
-        tr.training_step(model, [], 0.01)
+        tr.training_step(model, (empty, empty * 1.0, empty * 1.0, empty), 0.01)
 
 
 def test_divergence_rolls_back_and_raises():
@@ -552,14 +549,25 @@ def reference_pool(observations):
     return pool
 
 
+def observation_pairs(observations, query, target):
+    """(query, target) index arrays as a list of Observation pairs."""
+    return [(observations[q], observations[t]) for q, t in zip(query, target)]
+
+
+def holdout_pairs(scene, rng, cap):
+    observations = scene.test_observations()
+    pool = tr._cross_camera_pairs(observations)
+    return observation_pairs(observations, *tr._holdout_pairs(pool, rng, cap))
+
+
 def reference_holdout_pairs(scene, rng, cap):
     """Build every oriented test pair, then keep a seeded sample of cap."""
     pool = reference_pool(scene.test_observations())
     ordered = []
     for ident in sorted(pool):
         for a, b in pool[ident]:
-            ordered.append(tr.TrainPair(query=a, target=b))
-            ordered.append(tr.TrainPair(query=b, target=a))
+            ordered.append((a, b))
+            ordered.append((b, a))
     if cap and len(ordered) > cap:
         keep = rng.choice(len(ordered), size=cap, replace=False)
         ordered = [ordered[i] for i in sorted(keep)]
@@ -575,7 +583,7 @@ def reference_draw_pairs(pool, rng, count):
         a, b = options[rng.integers(0, len(options))]
         if rng.random() < 0.5:
             a, b = b, a
-        out.append(tr.TrainPair(query=a, target=b))
+        out.append((a, b))
     return out
 
 
@@ -599,17 +607,17 @@ def test_holdout_pairs_match_build_all_then_sample(items, test_share, seed):
     scene = random_split_scene(items, test_share)
     oriented = len(reference_holdout_pairs(scene, None, 0))
     for cap in sorted({0, 1, max(oriented - 1, 0), oriented, oriented + 5}):
-        got = tr._holdout_pairs(scene, np.random.default_rng(seed), cap)
+        got = holdout_pairs(scene, np.random.default_rng(seed), cap)
         want = reference_holdout_pairs(scene, np.random.default_rng(seed), cap)
         assert got == want
 
 
 def test_holdout_pairs_match_build_all_then_sample_on_a_ring():
     scene = ring_scene(num_cameras=4, identities=30, visits=6, seed=41)
-    oriented = len(tr._holdout_pairs(scene, np.random.default_rng(0), 0))
+    oriented = len(holdout_pairs(scene, np.random.default_rng(0), 0))
     assert oriented > 100
     for cap in (0, 7, oriented // 2, oriented - 1, oriented, oriented + 1):
-        got = tr._holdout_pairs(scene, np.random.default_rng(42), cap)
+        got = holdout_pairs(scene, np.random.default_rng(42), cap)
         assert got == reference_holdout_pairs(scene, np.random.default_rng(42), cap)
         assert len(got) == (min(cap, oriented) if cap else oriented)
 
@@ -623,5 +631,29 @@ def test_draw_pairs_match_the_dict_pool(items, count, seed):
         with pytest.raises(DataError):
             tr._train_pool(scene)
         return
-    got = tr._draw_pairs(tr._train_pool(scene), np.random.default_rng(seed), count)
+    observations = scene.train_observations()
+    got = observation_pairs(observations, *tr._draw_pairs(
+        tr._train_pool(scene), np.random.default_rng(seed), count))
     assert got == reference_draw_pairs(ref_pool, np.random.default_rng(seed), count)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scene_items, st.integers(0, 60), st.integers(0, 2 ** 31 - 1))
+def test_every_pair_joins_one_identity_on_two_cameras(items, count, seed):
+    scene = random_split_scene(items, 0.5)
+    rng = np.random.default_rng(seed)
+    splits = []
+    for observations, draw in ((scene.train_observations(), tr._draw_pairs),
+                               (scene.test_observations(), tr._holdout_pairs)):
+        pool = tr._cross_camera_pairs(observations)
+        if pool[2].size:
+            splits.append((observations, pool, draw(pool, rng, count)))
+    for observations, pool, (query, target) in splits:
+        for q, t in zip(query, target):
+            assert observations[q].identity == observations[t].identity
+            assert observations[q].camera != observations[t].camera
+        cams, tq, td, targets = tr._pair_batch(pool, query, target)
+        assert cams.tolist() == [observations[q].camera for q in query]
+        assert tq.tolist() == [observations[q].timestamp for q in query]
+        assert td.tolist() == [observations[t].timestamp for t in target]
+        assert targets.tolist() == [observations[t].camera for t in target]
