@@ -146,9 +146,9 @@ def cmd_train(config: RunConfig, dry_run: bool) -> int:
               f"{config.train.base_lr} (scene seed {config.scene.seed}, "
               f"model seed {config.model.seed}, train seed {config.train.seed})")
         return EXIT_OK
-    out = _ensure_out(config)
     scene = _build_scene(config)
     model, history = _train_model(config, scene)
+    out = _ensure_out(config)
     final_acc = history[-1]["holdout_accuracy"] if history else None
     metadata = {"tool": "edgereid", "version": __version__,
                 "epochs": config.train.epochs}
@@ -261,7 +261,6 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
     scene = _build_scene(config)
     # an ingested scene is known only now, and must pass before any training
     _check_simulate_config(config, scene.num_cameras, scene.feature_dim)
-    out = _ensure_out(config)
     model, history, models = _serving_models(config, scene)
     bandwidth = config.inference.bandwidth(scene.num_cameras)
     reports = run_benchmark(
@@ -270,6 +269,7 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
         QuerySpec(max_queries=config.simulate.max_queries),
         np.random.default_rng(config.simulate.seed))
 
+    out = _ensure_out(config)
     ks = config.simulate.rank_ks
     summaries = [summarize(reports[name], ks)
                  for name in config.simulate.strategies]
@@ -326,11 +326,11 @@ def cmd_eval_central(config: RunConfig, dry_run: bool) -> int:
         return EXIT_OK
     scene = _build_scene(config)
     _check_central_features(scene.feature_dim)
-    out = _ensure_out(config)
     _, _, models = _serving_models(config, scene)
     visual, joint = central_rankings(
         scene, models, config.inference.params(), config.simulate.max_queries,
         np.random.default_rng(config.simulate.seed))
+    out = _ensure_out(config)
     ks = config.simulate.rank_ks
     echo = config.to_dict()
     echo.pop("output")

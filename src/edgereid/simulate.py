@@ -125,6 +125,10 @@ class TransitionTable:
         cams, offsets = self._lookup(cameras, t_query, t_target)
         return self.logits[cams, offsets]
 
+    def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
+        """forward, under the name TransitionNet's blocked eval uses."""
+        return self.forward(cameras, t_query, t_target)
+
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
         cams, offsets = self._lookup(cameras, t_query, t_target)
         return self.probs[cams, offsets]
@@ -170,10 +174,8 @@ class QueryTask:
     """One retrieval request against the distributed gallery.
 
     device_items excludes the query's own observation; target_time is the
-    tick the requester cares about. plan memoises the task's upload sequences,
-    and run_benchmark its learned per-pair budgets, in _memo, keyed by what
-    they depend on besides the task; the models must not change while the
-    task is in use.
+    tick the requester cares about. A task holds no derived state: plan and
+    run_benchmark compute sequences and budgets from it and the models.
     """
 
     gallery: Gallery
@@ -183,8 +185,6 @@ class QueryTask:
     query_feature: np.ndarray | None
     target_time: int
     device_items: tuple[np.ndarray, ...]
-    _memo: dict = dataclasses.field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
 
 
 def make_task(gallery: Gallery, query_index: int, target_time: int) -> QueryTask:
@@ -234,9 +234,28 @@ class ArrivalLog:
     position_of: np.ndarray
 
 
-def _visual_scores(task: QueryTask) -> np.ndarray:
-    if task.gallery.features is None or task.query_feature is None:
+def _check_strategy(strategy: Strategy, gallery: Gallery, total_bandwidth: int,
+                    params: InferenceParams, models: Models) -> None:
+    """Raise the ConfigError a strategy would meet while planning on this
+    gallery with these models, before any work is done."""
+    c = gallery.num_cameras
+    if total_bandwidth < c:
+        raise ConfigError(
+            f"total bandwidth {total_bandwidth} cannot give {c} cameras one "
+            f"slot each")
+    if strategy in LEARNED_BUDGETS and models.transition is None:
+        raise ConfigError("learned budgets need a transition model")
+    kind = SEQUENCE_STRATEGIES[strategy]
+    if kind != "time" and gallery.features is None:
         raise ConfigError("this strategy needs appearance features")
+    if kind == "joint" and models.transition is None:
+        if models.frequency is None:
+            raise ConfigError("this strategy needs a transition or frequency model")
+        if params.time_targeted:
+            raise ConfigError("time-targeted scoring needs a transition model")
+
+
+def _visual_scores(task: QueryTask) -> np.ndarray:
     return task.gallery.features @ task.query_feature
 
 
@@ -301,8 +320,6 @@ def _joint_sequences(task: QueryTask, params: InferenceParams,
         s = strat.joint_similarity(o, visual[items], params.alpha, params.beta,
                                    params.orientation)
         if params.time_targeted:
-            if part is None:
-                raise ConfigError("time-targeted scoring needs a transition model")
             bank = strat.PatternBank(rows=part, target=rows[-1])
             s = strat.time_targeted_scores(s, bank, params.orientation)
         sequences.append(_order(s, items))
@@ -312,23 +329,19 @@ def _joint_sequences(task: QueryTask, params: InferenceParams,
 def _sequences(task: QueryTask, kind: str, params: InferenceParams,
                models: Models) -> tuple[np.ndarray, ...]:
     """Each camera's upload order for a sequence kind ("time", "visual" or
-    "joint"), memoised on the task and read-only."""
-    key = (kind, params, models)
-    if key not in task._memo:
-        if kind == "time":
-            ts = task.gallery.timestamps
-            sequences = [_order(ts[items].astype(np.float64), items)
-                         for items in task.device_items]
-        elif kind == "visual":
-            visual = _visual_scores(task)
-            sequences = [_order(-visual[items], items)
-                         for items in task.device_items]
-        else:
-            sequences = _joint_sequences(task, params, models)
-        for seq in sequences:
-            seq.flags.writeable = False
-        task._memo[key] = tuple(sequences)
-    return task._memo[key]
+    "joint"), as read-only arrays."""
+    if kind == "time":
+        ts = task.gallery.timestamps
+        sequences = [_order(ts[items].astype(np.float64), items)
+                     for items in task.device_items]
+    elif kind == "visual":
+        visual = _visual_scores(task)
+        sequences = [_order(-visual[items], items) for items in task.device_items]
+    else:
+        sequences = _joint_sequences(task, params, models)
+    for seq in sequences:
+        seq.flags.writeable = False
+    return tuple(sequences)
 
 
 def _sizes(task: QueryTask) -> np.ndarray:
@@ -337,27 +350,25 @@ def _sizes(task: QueryTask) -> np.ndarray:
 
 
 def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
-         params: InferenceParams, models: Models) -> UploadPlan:
+         params: InferenceParams, models: Models,
+         sequences: tuple[np.ndarray, ...] | None = None) -> UploadPlan:
     """Build each camera's upload sequence and round budget for a strategy.
 
-    The sequences are computed once per task for each sequence kind, params
-    and models: visual and bandwidth share one order, rerank and combined
-    another. The joint order evaluates the transition model once over all
-    candidates (plus the target time when time-targeted). Sequences are
-    read-only arrays shared between the plans of one task.
+    Visual and bandwidth share one sequence kind, rerank and combined
+    another (SEQUENCE_STRATEGIES). The joint order evaluates the transition
+    model once over all candidates (plus the target time when
+    time-targeted). sequences, when given, must be _sequences of the task
+    for the strategy's kind, params and models: run_benchmark computes each
+    kind once per query and plans every strategy on it. Learned budgets use
+    the model's eval_logits at the target time.
     """
     c = task.gallery.num_cameras
-    if total_bandwidth < c:
-        raise ConfigError(
-            f"total bandwidth {total_bandwidth} cannot give {c} cameras one "
-            f"slot each")
-    sequences = _sequences(task, SEQUENCE_STRATEGIES[strategy], params, models)
+    _check_strategy(strategy, task.gallery, total_bandwidth, params, models)
+    if sequences is None:
+        sequences = _sequences(task, SEQUENCE_STRATEGIES[strategy], params, models)
     if strategy in LEARNED_BUDGETS:
-        if models.transition is None:
-            raise ConfigError("learned budgets need a transition model")
-        logits = models.transition.forward(
-            task.query_camera, float(task.query_time), float(task.target_time),
-            train=False)[0]
+        logits = models.transition.eval_logits(
+            task.query_camera, float(task.query_time), float(task.target_time))[0]
         allocation = strat.allocate_bandwidth(logits, _sizes(task), total_bandwidth,
                                               params.gamma0, params.gamma1)
     else:
@@ -497,53 +508,22 @@ def build_transition_table(model: TransitionNet, timestamps: np.ndarray
     return TransitionTable(model, -span, span)
 
 
-def _pair_budgets(task: QueryTask, partners: np.ndarray, total_bandwidth: int,
-                  params: InferenceParams, models: Models) -> np.ndarray:
-    """Learned budgets [partners, C] with each partner's timestamp as the
-    target time, memoised on the task (whose partners are fixed): bandwidth
-    and combined share them. The partners' logits come from one model call."""
-    key = ("pair_budgets", total_bandwidth, params, models)
-    if key not in task._memo:
-        logits = models.transition.forward(
-            np.full(partners.size, task.query_camera, dtype=np.int64),
-            np.full(partners.size, float(task.query_time)),
-            as_f64(task.gallery.timestamps[partners]), train=False)
-        sizes = _sizes(task)
-        task._memo[key] = np.array([
-            strat.allocate_bandwidth(row, sizes, total_bandwidth, params.gamma0,
-                                     params.gamma1).budgets
-            for row in logits])
-    return task._memo[key]
-
-
-def _query_outcome(task: QueryTask, query: int, strategy: Strategy,
-                   total_bandwidth: int, params: InferenceParams, models: Models,
-                   partners: np.ndarray, desired: int):
-    gallery = task.gallery
-    plan_ = plan(task, strategy, total_bandwidth, params, models)
-    log = run_rounds(plan_, gallery.size)
-    rank_of = np.full(gallery.size, -1, dtype=np.int64)
-    for seq in plan_.sequences:
-        rank_of[seq] = np.arange(1, seq.size + 1)
-    learned = strategy in LEARNED_BUDGETS
-    if learned:
-        pair_budgets = _pair_budgets(task, partners, total_bandwidth, params, models)
-    pair_records = []
-    for k, target in enumerate(partners):
-        device = int(gallery.cameras[target])
-        rank = int(rank_of[target])
-        budgets = pair_budgets[k] if learned else plan_.budgets
-        budget = int(budgets[device])
-        tn = -(-rank // budget)
-        pair_records.append(PairRecord(
-            query_index=query, target_index=int(target), device=device,
-            rank=rank, budget=budget, tn=tn))
-    query_record = QueryRecord(
-        query_index=query, target_time=task.target_time, desired_index=desired,
-        device=int(gallery.cameras[desired]),
-        position=int(log.position_of[desired]),
-        round=int(log.round_of[desired]))
-    return pair_records, query_record
+def _arrival(budgets: np.ndarray, sizes: np.ndarray, device: np.ndarray,
+             position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round and 1-based merged position at which run_rounds delivers the
+    item at 0-based position `position` of camera `device`'s sequence, per
+    row of the budgets and sequence sizes [Q, C], without merging: all
+    arrivals of earlier rounds, then round r's arrivals from lower-indexed
+    cameras, then the item's predecessors on its own camera."""
+    rows = np.arange(device.size)
+    own = budgets[rows, device]
+    rounds = position // own + 1
+    before = np.minimum(sizes, (rounds - 1)[:, None] * budgets)
+    through = np.minimum(sizes, rounds[:, None] * budgets)
+    lower = np.arange(budgets.shape[1]) < device[:, None]
+    merged = (before.sum(axis=1) + np.where(lower, through - before, 0).sum(axis=1)
+              + position - (rounds - 1) * own + 1)
+    return rounds, merged
 
 
 def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
@@ -553,11 +533,16 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     """Run every strategy over the scene's eligible test queries.
 
     Each query's target time is the timestamp of a seeded-random same-identity
-    cross-camera partner. Per-pair transmission numbers use a pair-specific
-    allocation for the learned-budget strategies; everything else reuses the
-    query-level plan. Queries run in the outer loop and strategies in the
-    inner one, so the sequences and per-pair budgets a query's task memoises
-    are shared by its strategies and freed before the next query.
+    cross-camera partner. Every strategy's ConfigError is raised before the
+    first query. The per-query loop computes each sequence kind once, plans
+    each strategy on it (plan), and records each partner's rank and the
+    desired item's position in its camera's sequence. The rest runs on
+    arrays over all queries: the learned-budget strategies' per-pair budgets
+    (each partner's timestamp as the target time) from one eval_logits call
+    and one row-wise allocation, transmission numbers ceil(rank / budget),
+    and the desired item's arrival round and merged position from the
+    query-level budgets in closed form (_arrival), where run_rounds merges.
+    plan plus run_rounds per (query, strategy) is the scalar reference.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
@@ -565,6 +550,8 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
         check_scene_compatible(models.transition, scene)
     strategies = [Strategy.parse(s) if isinstance(s, str) else s for s in strategies]
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
+    for strategy in strategies:
+        _check_strategy(strategy, gallery, total_bandwidth, params, models)
     all_eligible, skipped = eligible_queries(gallery)
     if all_eligible.size == 0:
         raise DataError("no eligible queries in the test split")
@@ -573,23 +560,64 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
         keep = rng.choice(all_eligible.size, size=query_spec.max_queries,
                           replace=False)
         chosen = all_eligible[np.sort(keep)]
-    pairs: list[list[PairRecord]] = [[] for _ in strategies]
-    queries: list[list[QueryRecord]] = [[] for _ in strategies]
-    for q, partners in zip(chosen.tolist(), _partners(gallery, chosen)):
-        target_time = int(gallery.timestamps[partners[rng.integers(0, partners.size)]])
+    partners = _partners(gallery, chosen)
+    pair_row = np.repeat(np.arange(chosen.size), [p.size for p in partners])
+    pair_query = chosen[pair_row]
+    targets = np.concatenate(partners)
+    kinds = list(dict.fromkeys(SEQUENCE_STRATEGIES[s] for s in strategies))
+    target_times, desired, sizes, budgets = [], [], [], []
+    ranks = {kind: [] for kind in kinds}
+    positions = {kind: [] for kind in kinds}
+    rank_of = np.empty(gallery.size, dtype=np.int64)
+    for q, mates in zip(chosen.tolist(), partners):
+        target_time = int(gallery.timestamps[mates[rng.integers(0, mates.size)]])
         task = make_task(gallery, q, target_time)
-        desired = _desired_index(gallery, q, target_time)
-        for k, strategy in enumerate(strategies):
-            pair_records, query_record = _query_outcome(
-                task, q, strategy, total_bandwidth, params, models, partners, desired)
-            pairs[k].extend(pair_records)
-            queries[k].append(query_record)
-    return {strategy.value: RunReport(
-                strategy=strategy.value, total_bandwidth=total_bandwidth,
-                num_cameras=scene.num_cameras, gallery_size=gallery.size,
-                num_queries=chosen.size, num_skipped=skipped,
-                pairs=pairs[k], queries=queries[k])
-            for k, strategy in enumerate(strategies)}
+        target_times.append(target_time)
+        desired.append(_desired_index(gallery, q, target_time))
+        counts = [items.size for items in task.device_items]
+        sizes.append(counts)
+        # 1-based rank within its camera of each item of the concatenated sequences
+        within = np.arange(1, sum(counts) + 1) - np.repeat(np.cumsum(counts) - counts,
+                                                          counts)
+        sequences = {}
+        for kind in kinds:
+            sequences[kind] = _sequences(task, kind, params, models)
+            rank_of[np.concatenate(sequences[kind])] = within
+            ranks[kind].append(rank_of[mates])
+            positions[kind].append(rank_of[desired[-1]] - 1)
+        budgets.append([plan(task, s, total_bandwidth, params, models,
+                             sequences[SEQUENCE_STRATEGIES[s]]).budgets
+                        for s in strategies])
+    sizes, budgets = np.array(sizes), np.array(budgets)
+    devices = gallery.cameras[targets]
+    desired_devices = gallery.cameras[desired]
+    if any(s in LEARNED_BUDGETS for s in strategies):
+        logits = models.transition.eval_logits(gallery.cameras[pair_query],
+                                               gallery.timestamps[pair_query],
+                                               gallery.timestamps[targets])
+        pair_budgets = strat.allocate_bandwidth_rows(
+            logits, sizes[pair_row], total_bandwidth,
+            params.gamma0, params.gamma1)[0][np.arange(targets.size), devices]
+    query_columns = (chosen.tolist(), target_times, desired, desired_devices.tolist())
+    pair_columns = (pair_query.tolist(), targets.tolist(), devices.tolist())
+    reports = {}
+    for k, strategy in enumerate(strategies):
+        kind = SEQUENCE_STRATEGIES[strategy]
+        rank = np.concatenate(ranks[kind])
+        budget = (pair_budgets if strategy in LEARNED_BUDGETS
+                  else budgets[pair_row, k, devices])
+        rounds, merged = _arrival(budgets[:, k], sizes, desired_devices,
+                                  np.array(positions[kind]))
+        reports[strategy.value] = RunReport(
+            strategy=strategy.value, total_bandwidth=total_bandwidth,
+            num_cameras=scene.num_cameras, gallery_size=gallery.size,
+            num_queries=chosen.size, num_skipped=skipped,
+            pairs=[PairRecord(*row) for row in zip(
+                *pair_columns, rank.tolist(), budget.tolist(),
+                (-(-rank // budget)).tolist())],
+            queries=[QueryRecord(*row) for row in zip(
+                *query_columns, merged.tolist(), rounds.tolist())])
+    return reports
 
 
 # -- centralized evaluation ------------------------------------------------------

@@ -260,40 +260,85 @@ class BandwidthAllocation:
             raise InputError("budgets do not sum to the total bandwidth")
 
 
-def largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
-    """Round non-negative real shares (summing to total) to integers >= 1.
+def largest_remainder_rows(shares: np.ndarray, total: int) -> np.ndarray:
+    """Round each row of real shares [R, C] (summing to total) to integers
+    >= 1.
 
-    Floors each share, hands the leftover units to the largest fractional
-    remainders (ties to the lower index), then enforces the floor of one by
-    moving units from the largest budgets."""
+    Floors each share, hands a row's leftover units to its largest
+    fractional remainders (ties to the lower column), or takes a surplus
+    back one unit per positive budget from the smallest remainders; one
+    lexsort keyed by (row, remainder, column) orders every row. Then each
+    empty camera takes one unit from the largest budget (ties to the lower
+    column), computed for all rows at once.
+    """
     shares = as_f64(shares)
-    n = shares.size
+    if shares.ndim != 2:
+        raise ShapeError(f"shares must be [rows, cameras], got {shares.shape}")
+    rows, n = shares.shape
     if total < n:
         raise ConfigError(f"total bandwidth {total} cannot cover {n} cameras")
     base = np.floor(shares).astype(np.int64)
-    remainder = shares - base
-    leftover = int(total - base.sum())
-    if leftover > 0:
-        order = np.lexsort((np.arange(n), -remainder))
-        base[order[:leftover]] += 1
-    elif leftover < 0:
-        order = np.lexsort((np.arange(n), remainder))
-        for idx in order:
-            if leftover == 0:
-                break
-            if base[idx] > 0:
-                base[idx] -= 1
-                leftover += 1
-    while True:
-        needy = np.flatnonzero(base == 0)
-        if needy.size == 0:
-            break
-        donor = int(np.argmax(base))
-        if base[donor] <= 1:
+    leftover = total - base.sum(axis=1)
+    row_ids = np.arange(rows)[:, None]
+    columns = np.arange(n)
+    if leftover.any():
+        short = (leftover > 0)[:, None]
+        key = np.where(short, base - shares, shares - base)
+        order = np.lexsort((np.tile(columns, rows), key.ravel(),
+                            np.repeat(np.arange(rows), n))).reshape(rows, n) % n
+        positive = base[row_ids, order] > 0
+        give = short & (columns < leftover[:, None])
+        take = ~short & positive & (np.cumsum(positive, axis=1) <= -leftover[:, None])
+        base[row_ids, order] += give.astype(np.int64) - take
+    empty = base == 0
+    if empty.any():
+        # Taking units one at a time from the largest budget removes them in
+        # order of level, then column: every unit above some level T, then
+        # one unit at T from each of the `rest` lowest columns holding T.
+        # Only units above one can be given away.
+        wanted = empty.sum(axis=1)
+        if np.any(np.maximum(base - 1, 0).sum(axis=1) < wanted):
             raise ConfigError("cannot give every camera at least one slot")
-        base[donor] -= 1
-        base[needy[0]] += 1
+        top = -np.sort(-base, axis=1)
+        prefix = np.cumsum(top, axis=1)
+        # the m largest budgets give units; T = ceil((their sum - wanted) / m)
+        m = ((prefix - top * (columns + 1)) <= wanted[:, None]).sum(axis=1)
+        level = -((wanted - prefix[np.arange(rows), m - 1]) // m)
+        cut = np.minimum(base, level[:, None])
+        at_level = base >= level[:, None]
+        rest = wanted - (base - cut).sum(axis=1)
+        base = cut - (at_level & (np.cumsum(at_level, axis=1) <= rest[:, None])) + empty
     return base
+
+
+def largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
+    """largest_remainder_rows of one row of shares."""
+    return largest_remainder_rows(as_f64(shares).reshape(1, -1), total)[0]
+
+
+def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
+                            gamma0: float = 0.01, gamma1: float = 0.01):
+    """allocate_bandwidth for each row of logits and gallery sizes [R, C]:
+    returns (budgets, shares), both [R, C]."""
+    y = as_f64(logits)
+    sizes = as_f64(gallery_sizes)
+    if y.shape != sizes.shape or y.ndim != 2:
+        raise ShapeError(f"logits {y.shape} and sizes {sizes.shape} differ")
+    if y.shape[1] < 2:
+        raise InputError("need at least two cameras to allocate")
+    if gamma0 <= 0.0 or gamma1 <= 0.0:
+        raise ConfigError(f"gamma0 and gamma1 must be positive, got "
+                          f"{gamma0}, {gamma1}")
+    if np.any(sizes < 0):
+        raise InputError("gallery sizes must be non-negative")
+    if total < y.shape[1]:
+        raise ConfigError(f"total bandwidth {total} cannot give {y.shape[1]} "
+                          f"cameras one slot each")
+    if not np.all(np.isfinite(y)):
+        raise InputError("logits must be finite")
+    z = softmax(y / gamma0, axis=1) * softmax(sizes, axis=1) / gamma1
+    shares = z / z.sum(axis=1, keepdims=True) * total
+    return largest_remainder_rows(shares, total), shares
 
 
 def allocate_bandwidth(logits, gallery_sizes, total: int, gamma0: float = 0.01,
@@ -303,28 +348,13 @@ def allocate_bandwidth(logits, gallery_sizes, total: int, gamma0: float = 0.01,
     Real-valued shares follow softmax(logits / gamma0) * softmax(sizes) /
     gamma1, renormalised to sum to the total; gamma1 cancels in the
     normalisation but is kept for configurability. Integerisation is largest-
-    remainder with a floor of one slot per camera.
+    remainder with a floor of one slot per camera. This is
+    allocate_bandwidth_rows of one row.
     """
-    y = np.atleast_1d(as_f64(logits))
-    sizes = np.atleast_1d(as_f64(gallery_sizes))
-    if y.shape != sizes.shape or y.ndim != 1:
-        raise ShapeError(f"logits {y.shape} and sizes {sizes.shape} differ")
-    if y.size < 2:
-        raise InputError("need at least two cameras to allocate")
-    if gamma0 <= 0.0 or gamma1 <= 0.0:
-        raise ConfigError(f"gamma0 and gamma1 must be positive, got "
-                          f"{gamma0}, {gamma1}")
-    if np.any(sizes < 0):
-        raise InputError("gallery sizes must be non-negative")
-    if total < y.size:
-        raise ConfigError(
-            f"total bandwidth {total} cannot give {y.size} cameras one slot each")
-    if not np.all(np.isfinite(y)):
-        raise InputError("logits must be finite")
-    z = softmax(y / gamma0) * softmax(sizes) / gamma1
-    shares = z / z.sum() * total
-    budgets = largest_remainder(shares, total)
-    return BandwidthAllocation(budgets=budgets, total=total, shares=shares)
+    budgets, shares = allocate_bandwidth_rows(
+        np.atleast_1d(as_f64(logits))[None], np.atleast_1d(as_f64(gallery_sizes))[None],
+        total, gamma0, gamma1)
+    return BandwidthAllocation(budgets=budgets[0], total=total, shares=shares[0])
 
 
 def uniform_allocation(num_cameras: int, total: int) -> BandwidthAllocation:

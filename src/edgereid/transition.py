@@ -342,8 +342,9 @@ class TransitionNet:
         rows (see _batches).
 
         Inputs broadcast as in forward. The blocks give the same bits as one
-        forward pass over the whole batch; no cache is kept afterwards, so
-        backward cannot follow.
+        forward pass over the whole batch; a one-row call runs as two copies
+        of the row, since a one-row batch can move the last bit (_batches).
+        No cache is kept afterwards, so backward cannot follow.
         """
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
         tq = np.atleast_1d(as_f64(t_query))
@@ -351,13 +352,16 @@ class TransitionNet:
         cams, tq, td = np.broadcast_arrays(cams, tq, td)
         if cams.size == 0:
             raise InputError("empty batch")
+        n = cams.shape[0]
+        if n == 1:
+            cams, tq, td = (np.repeat(a, 2) for a in (cams, tq, td))
         out = np.empty((cams.shape[0], self.config.num_cameras))
         try:
             for rows in _batches(np.arange(cams.shape[0]), EVAL_ROWS):
                 out[rows] = self.forward(cams[rows], tq[rows], td[rows], train=False)
         finally:
             self._cache = None
-        return out
+        return out[:n]
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
         """Softmax of eval_logits: p(camera at target time)."""

@@ -291,3 +291,15 @@ def test_a_rejected_scene_leaves_no_out_directory(tmp_path, config_path,
     assert main([command, "--config", config_path(doc), "--out", str(out)]) == 1
     assert "appearance features" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "eval-central"])
+def test_a_run_that_training_rejects_leaves_no_out_directory(
+        tmp_path, config_path, capsys, command):
+    # one visit per identity: the config and scene checks pass, training fails
+    doc = base_config()
+    doc["scene"]["generator"]["visits"] = 1
+    out = tmp_path / "out"
+    assert main([command, "--config", config_path(doc), "--out", str(out)]) == 2
+    assert "no cross-camera observation pairs" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgereid import simulate as sim
@@ -470,8 +470,6 @@ def test_plan_memo_never_crosses_params_or_models(plan_inputs):
                 fresh = sim.plan(sim.make_task(gallery, int(q), int(t)),
                                  strategy, 7, p, m)
                 assert_same_plan(got, (fresh.sequences, fresh.budgets))
-    # the shared task memoised one entry per sequence kind, params and models
-    assert len(task._memo) == len(models) * len(params) * 3
 
 
 def reference_eligible_queries(gallery):
@@ -506,3 +504,152 @@ def test_eligible_queries_and_partners_match_the_identity_masks(items):
     assert len(partners) == eligible.size
     for q, got in zip(eligible, partners):
         assert got.tolist() == reference_partners(gallery, q).tolist()
+
+
+# -- the array engine against the per-query reference ---------------------------
+
+
+def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
+                            query_spec, rng):
+    """run_benchmark as the per-query loop the array engine replaced: plan and
+    run_rounds per (query, strategy), and one scalar allocation per pair of
+    a learned-budget strategy, from one eval_logits call per query."""
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    eligible, skipped = sim.eligible_queries(gallery)
+    chosen = eligible
+    if query_spec.max_queries is not None and eligible.size > query_spec.max_queries:
+        keep = rng.choice(eligible.size, size=query_spec.max_queries, replace=False)
+        chosen = eligible[np.sort(keep)]
+    pairs = {s: [] for s in strategies}
+    queries = {s: [] for s in strategies}
+    for q, partners in zip(chosen.tolist(), sim._partners(gallery, chosen)):
+        target_time = int(gallery.timestamps[partners[rng.integers(0, partners.size)]])
+        task = sim.make_task(gallery, q, target_time)
+        desired = sim._desired_index(gallery, q, target_time)
+        for strategy in strategies:
+            plan_ = sim.plan(task, strategy, total_bandwidth, params, models)
+            log = sim.run_rounds(plan_, gallery.size)
+            rank_of = np.full(gallery.size, -1, dtype=np.int64)
+            for seq in plan_.sequences:
+                rank_of[seq] = np.arange(1, seq.size + 1)
+            learned = strategy in sim.LEARNED_BUDGETS
+            if learned:
+                logits = models.transition.eval_logits(
+                    np.full(partners.size, task.query_camera),
+                    np.full(partners.size, float(task.query_time)),
+                    gallery.timestamps[partners].astype(float))
+                sizes = np.array([s.size for s in plan_.sequences], dtype=float)
+            for k, target in enumerate(partners.tolist()):
+                device = int(gallery.cameras[target])
+                budgets = plan_.budgets
+                if learned:
+                    budgets = sg.allocate_bandwidth(
+                        logits[k], sizes, total_bandwidth, params.gamma0,
+                        params.gamma1).budgets
+                rank, budget = int(rank_of[target]), int(budgets[device])
+                pairs[strategy].append(sim.PairRecord(
+                    query_index=q, target_index=target, device=device,
+                    rank=rank, budget=budget, tn=-(-rank // budget)))
+            queries[strategy].append(sim.QueryRecord(
+                query_index=q, target_time=target_time, desired_index=desired,
+                device=int(gallery.cameras[desired]),
+                position=int(log.position_of[desired]),
+                round=int(log.round_of[desired])))
+    return {s.value: sim.RunReport(
+                strategy=s.value, total_bandwidth=total_bandwidth,
+                num_cameras=scene.num_cameras, gallery_size=gallery.size,
+                num_queries=chosen.size, num_skipped=skipped,
+                pairs=pairs[s], queries=queries[s])
+            for s in strategies}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(4, 16), st.integers(2, 4),
+       st.sampled_from(["table", "shared", "per-node"]), st.booleans(),
+       st.booleans(), st.integers(0, 6), st.sampled_from([None, 1, 5]),
+       st.integers(0, 2**32 - 1))
+def test_engine_matches_the_per_query_reference(
+        cameras, identities, visits, model_kind, time_targeted, with_frequency,
+        extra_bandwidth, max_queries, seed):
+    scene = featured_scene(seed=seed % 1000, num_cameras=cameras,
+                           identities=identities, visits=visits)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    assume(sim.eligible_queries(gallery)[0].size > 0)
+    # per-node heads are batch-invariant at embed 2 only (see test_transition)
+    config = TransitionNetConfig(num_cameras=cameras,
+                                 embed_dim=2 if model_kind == "per-node" else 6,
+                                 per_node_classifier=model_kind == "per-node")
+    model = TransitionNet(config, np.random.default_rng(seed))
+    transition = model
+    if model_kind == "table":
+        timestamps = np.array([o.timestamp for o in scene.observations])
+        transition = sim.build_transition_table(model, timestamps)
+        assert isinstance(transition, sim.TransitionTable)
+    models = sim.Models(
+        transition=transition,
+        frequency=sg.fit_frequency(scene, bin_width=5) if with_frequency else None)
+    params = sim.InferenceParams(gamma0=0.03 if seed % 2 else 1.0,
+                                 time_targeted=time_targeted)
+    args = (scene, list(sim.Strategy), models, cameras + extra_bandwidth, params,
+            sim.QuerySpec(max_queries=max_queries))
+    got = sim.run_benchmark(*args, np.random.default_rng(seed))
+    want = reference_run_benchmark(*args, np.random.default_rng(seed))
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 7)), min_size=1,
+                max_size=6))
+def test_closed_form_arrival_matches_run_rounds(cameras):
+    budgets = np.array([b for b, _ in cameras], dtype=np.int64)
+    sizes = np.array([n for _, n in cameras], dtype=np.int64)
+    total = int(sizes.sum())
+    assume(total > 0)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    sequences = tuple(np.arange(a, b) for a, b in zip(starts[:-1], starts[1:]))
+    log = sim.run_rounds(sim.UploadPlan(sim.Strategy.VISUAL, sequences, budgets),
+                         total)
+    device = np.repeat(np.arange(sizes.size), sizes)
+    position = np.arange(total) - starts[device]
+    rounds, merged = sim._arrival(np.tile(budgets, (total, 1)),
+                                  np.tile(sizes, (total, 1)), device, position)
+    np.testing.assert_array_equal(rounds, log.round_of)
+    np.testing.assert_array_equal(merged, log.position_of)
+
+
+def test_run_benchmark_raises_config_errors_before_the_first_query(monkeypatch):
+    scene = featured_scene(seed=18)
+    featureless = dataclasses.replace(scene, observations=tuple(
+        dataclasses.replace(o, feature=None) for o in scene.observations))
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(19))
+    frequency = sim.Models(frequency=sg.fit_frequency(scene, bin_width=5))
+    targeted = sim.InferenceParams(time_targeted=True)
+    plain = sim.InferenceParams()
+
+    def no_query(*args):
+        raise AssertionError("a query ran before the config was checked")
+
+    monkeypatch.setattr(sim, "make_task", no_query)
+    cases = [
+        (scene, sim.Strategy.CENTRALIZED, sim.Models(), 2, plain, "one slot each"),
+        (scene, sim.Strategy.BANDWIDTH, frequency, 6, plain, "learned budgets"),
+        (featureless, sim.Strategy.VISUAL, sim.Models(), 6, plain,
+         "appearance features"),
+        (featureless, sim.Strategy.COMBINED, sim.Models(transition=model), 6,
+         plain, "appearance features"),
+        (scene, sim.Strategy.RERANK, sim.Models(), 6, plain,
+         "transition or frequency"),
+        (scene, sim.Strategy.RERANK, frequency, 6, targeted, "time-targeted"),
+    ]
+    for scene_, strategy, models, bandwidth, params, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            sim.run_benchmark(scene_, [sim.Strategy.CENTRALIZED, strategy], models,
+                              bandwidth, params, sim.QuerySpec(),
+                              np.random.default_rng(0))
+    # a valid run reaches the first query
+    with pytest.raises(AssertionError, match="a query ran"):
+        sim.run_benchmark(scene, [sim.Strategy.RERANK], frequency, 6, plain,
+                          sim.QuerySpec(), np.random.default_rng(0))

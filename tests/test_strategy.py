@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgereid import strategy as sg
+from edgereid.nn import softmax
 from edgereid.errors import ConfigError, DataError, InputError, ShapeError
 from edgereid.scene import Observation, Scene
 
@@ -226,6 +227,125 @@ def test_allocation_always_sums_to_total(c, seed):
     alloc = sg.allocate_bandwidth(logits, sizes, total, gamma0=0.5)
     assert alloc.budgets.sum() == total
     assert alloc.budgets.min() >= 1
+
+
+def reference_largest_remainder(shares, total):
+    """The scalar loop largest_remainder_rows replaced, for one row."""
+    shares = np.asarray(shares, dtype=np.float64)
+    n = shares.size
+    if total < n:
+        raise ConfigError(f"total bandwidth {total} cannot cover {n} cameras")
+    base = np.floor(shares).astype(np.int64)
+    remainder = shares - base
+    leftover = int(total - base.sum())
+    if leftover > 0:
+        order = np.lexsort((np.arange(n), -remainder))
+        base[order[:leftover]] += 1
+    elif leftover < 0:
+        order = np.lexsort((np.arange(n), remainder))
+        for idx in order:
+            if leftover == 0:
+                break
+            if base[idx] > 0:
+                base[idx] -= 1
+                leftover += 1
+    while True:
+        needy = np.flatnonzero(base == 0)
+        if needy.size == 0:
+            break
+        donor = int(np.argmax(base))
+        if base[donor] <= 1:
+            raise ConfigError("cannot give every camera at least one slot")
+        base[donor] -= 1
+        base[needy[0]] += 1
+    return base
+
+
+def reference_rows(shares, total):
+    """Each row through the reference, or the first row's ConfigError."""
+    try:
+        return np.array([reference_largest_remainder(row, total) for row in shares])
+    except ConfigError as exc:
+        return exc
+
+
+SHARE_KINDS = ("split", "halves", "free", "peaked")
+
+
+def draw_shares(kind, rows, n, total, rng):
+    """split: shares summing to total; halves: ties at .5 and whole numbers;
+    free: any sum, so both leftover signs; peaked: one camera takes nearly
+    all, so the floor of one must move units."""
+    if kind == "split":
+        return rng.dirichlet(np.ones(n), size=rows) * total
+    if kind == "halves":
+        return rng.integers(-2, 2 * total // n + 3, size=(rows, n)) / 2.0
+    if kind == "free":
+        return rng.uniform(-2.0, 2.0 * total / n + 2.0, size=(rows, n))
+    return rng.dirichlet(np.full(n, 0.05), size=rows) * total
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 30),
+       st.sampled_from(SHARE_KINDS), st.integers(0, 2**32 - 1))
+@example(3, 1, 3, "halves", 0).via("tie at .5 goes to the lower column")
+@example(4, 2, 0, "free", 1).via("negative leftover")
+@example(8, 3, 0, "peaked", 2).via("floor-of-one donations")
+def test_row_wise_largest_remainder_matches_the_scalar_loop(n, rows, extra, kind,
+                                                            seed):
+    total = n + extra
+    shares = draw_shares(kind, rows, n, total, np.random.default_rng(seed))
+    want = reference_rows(shares, total)
+    if isinstance(want, ConfigError):
+        with pytest.raises(ConfigError, match=str(want)):
+            sg.largest_remainder_rows(shares, total)
+        return
+    got = sg.largest_remainder_rows(shares, total)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(sg.largest_remainder(shares[0], total), want[0])
+
+
+def test_row_wise_largest_remainder_cases():
+    # a tie at .5 goes to the lower column; a surplus is taken back from the
+    # smallest remainders; empty cameras take from the largest budgets
+    cases = [([[1.5, 1.5, 3.0]], 6), ([[0.2, 3.9, 3.9]], 7),
+             ([[0.0, 0.0, 9.0, 0.0]], 9), ([[5.0, 0.0, 0.0], [0.0, 1.0, 2.0]], 3)]
+    for shares, total in cases:
+        np.testing.assert_array_equal(sg.largest_remainder_rows(shares, total),
+                                      reference_rows(np.array(shares), total))
+    # four units but two negative shares: the empty cameras find no donor
+    for fn in (sg.largest_remainder_rows, reference_rows):
+        with pytest.raises(ConfigError, match="at least one slot"):
+            out = fn(np.array([[-1.0, -1.0, 0.0, 0.0]]), 4)
+            if isinstance(out, ConfigError):
+                raise out
+    with pytest.raises(ConfigError, match="cannot cover"):
+        sg.largest_remainder_rows(np.ones((2, 3)), 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 40),
+       st.sampled_from([0.01, 0.03, 0.5]), st.integers(0, 2**32 - 1))
+def test_row_wise_allocation_matches_one_row_at_a_time(c, rows, extra, gamma0,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=0.1, size=(rows, c))
+    sizes = rng.integers(0, 500, size=(rows, c)).astype(float)
+    total = c + extra
+    budgets, shares = sg.allocate_bandwidth_rows(logits, sizes, total, gamma0,
+                                                 gamma1=0.01)
+    for k in range(rows):
+        # row-wise softmax rows are the 1-d softmax, bit for bit
+        assert softmax(logits, axis=1)[k].tobytes() == softmax(logits[k]).tobytes()
+        z = softmax(logits[k] / gamma0) * softmax(sizes[k]) / 0.01
+        want = z / z.sum() * total
+        assert shares[k].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(budgets[k],
+                                      reference_largest_remainder(want, total))
+        alloc = sg.allocate_bandwidth(logits[k], sizes[k], total, gamma0)
+        np.testing.assert_array_equal(alloc.budgets, budgets[k])
+        assert alloc.shares.tobytes() == shares[k].tobytes()
 
 
 def test_frequency_scores_batches_by_camera():

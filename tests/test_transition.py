@@ -301,6 +301,15 @@ def eval_model(c, d, per_node, seed):
     return model
 
 
+def one_pass(model, cams, tq, td):
+    """One eval-mode forward pass over the whole batch; a one-row batch runs
+    as two copies of its row, as eval_logits runs it."""
+    if cams.size == 1:
+        return model.forward(*(np.repeat(a, 2) for a in (cams, tq, td)),
+                             train=False)[:1]
+    return model.forward(cams, tq, td, train=False)
+
+
 BLOCK_SIZES = (1, tr.EVAL_ROWS - 1, tr.EVAL_ROWS, tr.EVAL_ROWS + 1,
                3 * tr.EVAL_ROWS + 7)
 
@@ -315,14 +324,29 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
     td = tq + rng.integers(-5_000, 5_001, n)
-    want = model.forward(cams, tq, td, train=False)
+    want = one_pass(model, cams, tq, td)
     assert_bit_equal(model.eval_logits(cams, tq, td), want)
     assert_bit_equal(model.distribution(cams, tq, td), nn.softmax(want, axis=1))
     # one source camera and query time broadcast against many targets
-    want = model.forward(cams[0], tq[0], td, train=False)
+    want = one_pass(model, np.full(n, cams[0]), np.full(n, tq[0]), td)
     assert_bit_equal(model.eval_logits(cams[0], tq[0], td), want)
     assert_bit_equal(model.distribution(cams[0], tq[0], td),
                      nn.softmax(want, axis=1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
+    # a per-node head's one-row linear layer takes numpy's dot path, which
+    # moved the last bit of 1 in 3 rows of this 3-camera, embed-2 model
+    model = eval_model(3, 2, True, seed)
+    rng = np.random.default_rng(seed)
+    cams = rng.integers(0, 3, n)
+    tq = rng.integers(0, 10_000, n).astype(float)
+    td = tq + rng.integers(-5_000, 5_001, n)
+    batch = model.eval_logits(cams, tq, td)
+    for i in rng.choice(n, 5):
+        assert_bit_equal(model.eval_logits(cams[i], tq[i], td[i]), batch[i:i + 1])
 
 
 def test_backward_after_distribution_raises():
