@@ -126,7 +126,8 @@ class TransitionTable:
         return self.logits[cams, offsets]
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
-        """forward, under the name TransitionNet's blocked eval uses."""
+        """The stored logits, as forward returns them; serving code calls
+        eval_logits on either model."""
         return self.forward(cameras, t_query, t_target)
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:

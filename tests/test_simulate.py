@@ -567,12 +567,12 @@ def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
 @given(st.integers(2, 4), st.integers(4, 16), st.integers(2, 4),
        st.sampled_from(["table", "shared", "per-node"]), st.booleans(),
        st.booleans(), st.integers(0, 6), st.sampled_from([None, 1, 5]),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from([0.03, 1.0]), st.integers(0, 2**32 - 1))
 def test_engine_matches_the_per_query_reference(
         cameras, identities, visits, model_kind, time_targeted, with_frequency,
-        extra_bandwidth, max_queries, seed):
-    scene = featured_scene(seed=seed % 1000, num_cameras=cameras,
-                           identities=identities, visits=visits)
+        extra_bandwidth, max_queries, gamma0, seed):
+    scene = featured_scene(seed=seed, num_cameras=cameras, identities=identities,
+                           visits=visits)
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     assume(sim.eligible_queries(gallery)[0].size > 0)
     # per-node heads are batch-invariant at embed 2 only (see test_transition)
@@ -588,8 +588,7 @@ def test_engine_matches_the_per_query_reference(
     models = sim.Models(
         transition=transition,
         frequency=sg.fit_frequency(scene, bin_width=5) if with_frequency else None)
-    params = sim.InferenceParams(gamma0=0.03 if seed % 2 else 1.0,
-                                 time_targeted=time_targeted)
+    params = sim.InferenceParams(gamma0=gamma0, time_targeted=time_targeted)
     args = (scene, list(sim.Strategy), models, cameras + extra_bandwidth, params,
             sim.QuerySpec(max_queries=max_queries))
     got = sim.run_benchmark(*args, np.random.default_rng(seed))
