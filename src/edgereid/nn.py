@@ -71,13 +71,22 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
     for p in params:
         p.step_count += 1
         t = p.step_count
+        # the same operations in the same order as the textbook update,
+        # written into two scratch arrays instead of one temporary each
+        scratch = np.multiply(p.grad, 1.0 - beta1)
         p.m *= beta1
-        p.m += (1.0 - beta1) * p.grad
+        p.m += scratch
+        np.square(p.grad, out=scratch)
+        scratch *= 1.0 - beta2
         p.v *= beta2
-        p.v += (1.0 - beta2) * np.square(p.grad)
-        m_hat = p.m / (1.0 - beta1 ** t)
-        v_hat = p.v / (1.0 - beta2 ** t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.v += scratch
+        np.divide(p.v, 1.0 - beta2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        step = np.divide(p.m, 1.0 - beta1 ** t)
+        step *= lr
+        step /= scratch
+        p.value -= step
 
 
 def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarray:
@@ -109,11 +118,20 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
 
 
 def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None) -> np.ndarray:
-    """y = x @ weight (+ bias). x is [M, K], weight [K, N]."""
+    """y = x @ weight (+ bias). x is [M, K], weight [K, N].
+
+    A one-column weight is applied as a row-wise sum of products, not as a
+    BLAS matrix-vector product, so a row's output does not depend on the
+    other rows: gemv's result for a row moves in the last bit with the
+    row's position in the batch and with the batch size.
+    """
     if x.ndim != 2 or weight.value.ndim != 2 or x.shape[1] != weight.value.shape[0]:
         raise ShapeError(
             f"linear expects [M,K] @ [K,N], got {x.shape} and {weight.value.shape}")
-    y = x @ weight.value
+    if weight.value.shape[1] == 1:
+        y = (x * weight.value[:, 0]).sum(axis=1, keepdims=True)
+    else:
+        y = x @ weight.value
     if bias is not None:
         y = y + bias.value
     return y
@@ -158,15 +176,40 @@ def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param) -> np
     return gx
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian error linear unit, x * Phi(x)."""
-    return x * 0.5 * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray, keep_phi: bool = False):
+    """Exact Gaussian error linear unit, x * Phi(x).
+
+    With keep_phi it returns (gelu(x), Phi(x)), so that gelu_backward can
+    reuse Phi instead of computing erf again.
+    """
+    phi = _normal_cdf(x)
+    out = x * phi
+    return (out, phi) if keep_phi else out
 
 
-def gelu_backward(gy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-    return gy * (phi + x * pdf)
+def gelu_backward(gy: np.ndarray, x: np.ndarray,
+                  phi: np.ndarray | None = None) -> np.ndarray:
+    """Input gradient of gelu; phi is Phi(x) as gelu returned it, or None to
+    compute it here."""
+    if phi is None:
+        phi = _normal_cdf(x)
+    grad = np.square(x)
+    grad *= -0.5
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += phi
+    grad *= gy
+    return grad
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), computed in one array."""
+    phi = np.divide(x, _SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
 
 
 def relu(x: np.ndarray) -> np.ndarray:

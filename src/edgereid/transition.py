@@ -74,7 +74,13 @@ class TransitionNetConfig:
 
 
 class GraphBlock:
-    """One propagation step: adjacency mixing and feature transfer with GELU."""
+    """One propagation step: adjacency mixing and feature transfer with GELU.
+
+    Both products run on BLAS through np.matmul, one [C, C] by [C, D] and
+    one [C, D] by [D, D] product per row, so a row's output does not depend
+    on the rest of its batch. Backward sums the weight gradients over the
+    batch in BLAS products as well.
+    """
 
     def __init__(self, num_cameras: int, width: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(width)
@@ -92,20 +98,26 @@ class GraphBlock:
             f"{prefix}.norm_shift": self.norm_shift,
         }
 
-    def forward(self, a: np.ndarray):
+    def forward(self, a: np.ndarray, train: bool = False):
+        """Block output for a [n, C, D] batch, and the cache for backward; in
+        train mode the cache also keeps GELU's Phi for backward to reuse."""
         normed, ln_cache = nn.layer_norm_forward(a, self.norm_scale, self.norm_shift)
-        mixed = np.einsum("uv,nvd->nud", self.adjacency.value, normed)
+        mixed = np.matmul(self.adjacency.value, normed)
         pre = mixed @ self.transfer.value
-        out = nn.gelu(pre)
-        return out, (normed, ln_cache, mixed, pre)
+        if train:
+            out, phi = nn.gelu(pre, keep_phi=True)
+        else:
+            out, phi = nn.gelu(pre), None
+        return out, (normed, ln_cache, mixed, pre, phi)
 
     def backward(self, gout: np.ndarray, cache) -> np.ndarray:
-        normed, ln_cache, mixed, pre = cache
-        gpre = nn.gelu_backward(gout, pre)
-        self.transfer.grad += np.einsum("nud,nue->de", mixed, gpre)
+        normed, ln_cache, mixed, pre, phi = cache
+        gpre = nn.gelu_backward(gout, pre, phi)
+        n, c, d = gpre.shape
+        self.transfer.grad += mixed.reshape(n * c, d).T @ gpre.reshape(n * c, d)
         gmixed = gpre @ self.transfer.value.T
-        self.adjacency.grad += np.einsum("nud,nvd->uv", gmixed, normed)
-        gnormed = np.einsum("uv,nud->nvd", self.adjacency.value, gmixed)
+        self.adjacency.grad += np.matmul(gmixed, normed.transpose(0, 2, 1)).sum(axis=0)
+        gnormed = np.matmul(self.adjacency.value.T, gmixed)
         return nn.layer_norm_backward(gnormed, ln_cache, self.norm_scale, self.norm_shift)
 
 
@@ -148,10 +160,13 @@ def _group_by_camera(cams: np.ndarray, num_cameras: int):
     return order, bounds
 
 
-# The per-camera contractions below use np.einsum rather than matmul: BLAS
-# switches between matrix-vector and matrix-matrix kernels with the group
-# size, which would make a row's logits depend on the rest of its batch in
-# the last bit.
+# The per-camera contractions below stay on np.einsum, while the graph blocks
+# use matmul. A camera group's size varies with the batch, and BLAS picks its
+# kernel by that size (a one-row group runs as a matrix-vector product): on
+# matmul, the shipped checkpoint's one-row forward differed in the last bit
+# from the same row inside a random batch of 2-600 rows in 198 of 200 cases.
+# A graph block's products have the same shape for every row whatever the
+# batch, so matmul gives each row the same bits there.
 
 
 def _spatial_forward(weight: np.ndarray, weights: np.ndarray, order: np.ndarray,
@@ -285,7 +300,7 @@ class TransitionNet:
 
         block_caches = []
         for block in self.blocks:
-            a, cache = block.forward(a)
+            a, cache = block.forward(a, train)
             block_caches.append(cache)
 
         if cfg.per_node_classifier:
@@ -341,10 +356,10 @@ class TransitionNet:
         """Eval-mode logits of forward, evaluated in blocks of about EVAL_ROWS
         rows (see _batches).
 
-        Inputs broadcast as in forward. The blocks give the same bits as one
-        forward pass over the whole batch; a one-row call runs as two copies
-        of the row, since a one-row batch can move the last bit (_batches).
-        No cache is kept afterwards, so backward cannot follow.
+        Inputs broadcast as in forward. An eval-mode row's logits do not
+        depend on the other rows of its batch, so the blocks give the same
+        bits as one forward pass over the whole batch, or over each row
+        alone. No cache is kept afterwards, so backward cannot follow.
         """
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
         tq = np.atleast_1d(as_f64(t_query))
@@ -352,16 +367,13 @@ class TransitionNet:
         cams, tq, td = np.broadcast_arrays(cams, tq, td)
         if cams.size == 0:
             raise InputError("empty batch")
-        n = cams.shape[0]
-        if n == 1:
-            cams, tq, td = (np.repeat(a, 2) for a in (cams, tq, td))
         out = np.empty((cams.shape[0], self.config.num_cameras))
         try:
             for rows in _batches(np.arange(cams.shape[0]), EVAL_ROWS):
                 out[rows] = self.forward(cams[rows], tq[rows], td[rows], train=False)
         finally:
             self._cache = None
-        return out[:n]
+        return out
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
         """Softmax of eval_logits: p(camera at target time)."""
@@ -438,19 +450,15 @@ def _train_pool(scene: Scene):
 
 def _draw_pairs(pool, rng: np.random.Generator, count: int):
     """(query, target) observation indices of count pairs drawn as
-    sample_pairs describes, three RNG calls per pair."""
+    sample_pairs describes, in three array draws: the identities, a pair
+    within each identity's bounds, and the flips."""
     _, _, first, second, bounds = pool
-    query = np.empty(count, dtype=np.int64)
-    target = np.empty(count, dtype=np.int64)
-    ident_draws = rng.integers(0, bounds.size - 1, size=count)
-    for i, ident in enumerate(ident_draws):
-        lo, hi = int(bounds[ident]), int(bounds[ident + 1])
-        k = lo + int(rng.integers(0, hi - lo))
-        a, b = first[k], second[k]
-        if rng.random() < 0.5:
-            a, b = b, a
-        query[i], target[i] = a, b
-    return query, target
+    ident = rng.integers(0, bounds.size - 1, size=count)
+    lo = bounds[ident]
+    pair = lo + rng.integers(0, bounds[ident + 1] - lo)
+    flip = rng.random(count) < 0.5
+    return (np.where(flip, second[pair], first[pair]),
+            np.where(flip, first[pair], second[pair]))
 
 
 def training_step(model: TransitionNet, batch, lr: float) -> float:
@@ -492,10 +500,8 @@ def holdout_accuracy(model: TransitionNet, batch) -> float:
 
 def _batches(pairs, batch_size: int) -> list:
     """Consecutive batch_size slices of a sequence; a one-item tail joins the
-    batch before it. A batch-norm head cannot train on a batch of one, and in
-    eval mode a one-row batch takes another BLAS path (a dot product, not a
-    matrix-vector product) through a per-node head's linear layer, which can
-    move its logits in the last bit."""
+    batch before it, because a batch-norm head cannot train on a batch of
+    one."""
     starts = list(range(0, len(pairs), batch_size))
     if len(starts) > 1 and len(pairs) - starts[-1] == 1:
         starts.pop()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from edgereid import nn
 from edgereid.errors import ConfigError, InputError, ShapeError
@@ -304,3 +305,90 @@ def test_gradient_check_rejects_bad_step():
 def test_embed_values_stay_bounded(delta):
     out = nn.sinusoidal_embed(delta, 8)
     assert np.all(np.abs(out) <= 1.0 + 1e-15)
+
+
+def reference_adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update one temporary per operation, as it was written before
+    adam_step updated in place."""
+    for p in params:
+        p.step_count += 1
+        t = p.step_count
+        p.m *= beta1
+        p.m += (1.0 - beta1) * p.grad
+        p.v *= beta2
+        p.v += (1.0 - beta2) * np.square(p.grad)
+        m_hat = p.m / (1.0 - beta1 ** t)
+        v_hat = p.v / (1.0 - beta2 ** t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_gelu(x):
+    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def reference_gelu_backward(gy, x):
+    """The GELU input gradient with Phi computed again from x."""
+    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * np.square(x))
+    return gy * (phi + x * pdf)
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+shapes = st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+                  min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(shapes, st.integers(1, 6), st.sampled_from([1e-4, 0.01, 0.3]),
+       st.integers(0, 2**32 - 1))
+def test_adam_in_place_matches_the_per_op_update(shape_list, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    got = [nn.Param(rng.normal(size=s)) for s in shape_list]
+    want = [nn.Param(p.value) for p in got]
+    for _ in range(steps):
+        for a, b in zip(got, want):
+            # a few exact zeros and a wide range of magnitudes
+            grad = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 4, a.shape)
+            grad[rng.random(a.shape) < 0.2] = 0.0
+            a.grad[...] = grad
+            b.grad[...] = grad
+        nn.adam_step(got, lr)
+        reference_adam_step(want, lr)
+    for a, b in zip(got, want):
+        assert a.step_count == b.step_count == steps
+        for name in ("value", "m", "v"):
+            assert_bit_equal(getattr(a, name), getattr(b, name))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.sampled_from([0.1, 1.0, 4.0, 40.0]), st.integers(0, 2**32 - 1))
+def test_gelu_with_kept_phi_matches_the_recomputing_kernels(shape, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=spread, size=shape)
+    gy = rng.normal(size=shape)
+    out, phi = nn.gelu(x, keep_phi=True)
+    assert_bit_equal(out, reference_gelu(x))
+    assert_bit_equal(nn.gelu(x), reference_gelu(x))
+    want = reference_gelu_backward(gy, x)
+    assert_bit_equal(nn.gelu_backward(gy, x, phi), want)
+    assert_bit_equal(nn.gelu_backward(gy, x), want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_one_column_linear_is_row_wise(rows, width, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, width))
+    weight = nn.Param(rng.normal(size=(width, 1)))
+    bias = nn.Param(rng.normal(size=1))
+    y = nn.linear_forward(x, weight, bias)
+    # within 1e-12 of the sum of the products' magnitudes
+    scale = np.abs(x) @ np.abs(weight.value) + np.abs(bias.value)
+    assert np.all(np.abs(y - (x @ weight.value + bias.value)) <= 1e-12 * scale)
+    for i in rng.choice(rows, min(rows, 5), replace=False):
+        assert_bit_equal(nn.linear_forward(x[i:i + 1], weight, bias), y[i:i + 1])

@@ -349,6 +349,124 @@ def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
         assert_bit_equal(model.eval_logits(cams[i], tq[i], td[i]), batch[i:i + 1])
 
 
+def check_batch_invariance(c, d, per_node, seed):
+    """A row's eval-mode logits, evaluated alone through a one-row forward,
+    equal the row's bits in a 2-row batch, inside eval_logits' EVAL_ROWS
+    blocks, and in a shuffled batch."""
+    model = eval_model(c, d, per_node, seed)
+    rng = np.random.default_rng(seed)
+    n = 2 * tr.EVAL_ROWS + int(rng.integers(2, 60))
+    cams = rng.integers(0, c, n)
+    tq = rng.integers(0, 10_000, n).astype(float)
+    td = tq + rng.integers(-5_000, 5_001, n)
+    blocked = model.eval_logits(cams, tq, td)
+    perm = rng.permutation(n)
+    shuffled = np.empty_like(blocked)
+    shuffled[perm] = model.forward(cams[perm], tq[perm], td[perm], train=False)
+    for i, j in rng.choice(n, (4, 2), replace=False):
+        alone = model.forward(cams[i], tq[i], td[i], train=False)
+        pair = model.forward(cams[[i, j]], tq[[i, j]], td[[i, j]], train=False)
+        for other in (pair[:1], blocked[i:i + 1], shuffled[i:i + 1]):
+            assert_bit_equal(other, alone)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 8), st.integers(1, 16), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_a_row_gets_the_same_bits_in_any_batch(c, half_d, per_node, seed):
+    check_batch_invariance(c, 2 * half_d, per_node, seed)
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+@pytest.mark.parametrize("c, d", [(6, 32), (8, 32)])
+def test_a_row_gets_the_same_bits_in_any_batch_fixed_shapes(c, d, per_node):
+    for seed in range(3):
+        check_batch_invariance(c, d, per_node, seed)
+
+
+def einsum_block_forward(block, a):
+    """The graph-block forward pass with its mixing product on np.einsum."""
+    normed, ln_cache = nn.layer_norm_forward(a, block.norm_scale, block.norm_shift)
+    mixed = np.einsum("uv,nvd->nud", block.adjacency.value, normed)
+    pre = mixed @ block.transfer.value
+    return nn.gelu(pre), (normed, ln_cache, mixed, pre)
+
+
+def einsum_block_backward(block, gout, cache):
+    """The graph-block backward pass with its sums over the batch on
+    np.einsum."""
+    normed, ln_cache, mixed, pre = cache
+    gpre = nn.gelu_backward(gout, pre)
+    block.transfer.grad += np.einsum("nud,nue->de", mixed, gpre)
+    gmixed = gpre @ block.transfer.value.T
+    block.adjacency.grad += np.einsum("nud,nvd->uv", gmixed, normed)
+    gnormed = np.einsum("uv,nud->nvd", block.adjacency.value, gmixed)
+    return nn.layer_norm_backward(gnormed, ln_cache, block.norm_scale,
+                                  block.norm_shift)
+
+
+def assert_close_to_sum(got, want, magnitude):
+    """|got - want| within 1e-12 of the sum of the magnitudes of the terms
+    that make up want, so that a sum that cancels to near zero is not held
+    to a tighter bound than its rounding allows."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+
+
+def run_backward(backward, block, gout):
+    """One backward pass from zero gradients: the gradient that reaches the
+    layer norm, and the transfer and adjacency gradients."""
+    nn.zero_grads([block.adjacency, block.transfer, block.norm_scale,
+                   block.norm_shift])
+    gnormed = []
+    layer_norm_backward = nn.layer_norm_backward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "layer_norm_backward",
+                   lambda gy, *rest: gnormed.append(gy)
+                   or layer_norm_backward(gy, *rest))
+        backward(gout)
+    return gnormed[0], block.transfer.grad.copy(), block.adjacency.grad.copy()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 8), st.integers(1, 16), st.integers(1, 300),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_graph_block_matches_the_einsum_block(c, half_d, n, train, seed):
+    d = 2 * half_d
+    rng = np.random.default_rng(seed)
+    block = tr.GraphBlock(c, d, rng)
+    block.norm_scale.value[...] = rng.uniform(0.5, 1.5, d)
+    block.norm_shift.value[...] = rng.normal(size=d)
+    a = rng.normal(size=(n, c, d))
+    gout = rng.normal(size=(n, c, d))
+    abs_adj = np.abs(block.adjacency.value)
+
+    out, cache = block.forward(a, train)
+    want_out, want_cache = einsum_block_forward(block, a)
+    normed, _, mixed, pre = want_cache
+    mixed_size = np.matmul(abs_adj, np.abs(normed))
+    pre_size = mixed_size @ np.abs(block.transfer.value)
+    assert_close_to_sum(cache[2], mixed, mixed_size)
+    # pre and GELU's output (slope under 1.2) inherit mixed's error
+    assert_close_to_sum(cache[3], pre, pre_size)
+    assert_close_to_sum(out, want_out, pre_size)
+
+    # both backward passes start from the reference cache, so that they
+    # differ only in their own sums
+    phi = nn.gelu(pre, keep_phi=True)[1] if train else None
+    got = run_backward(lambda g: block.backward(g, want_cache + (phi,)),
+                       block, gout)
+    want = run_backward(lambda g: einsum_block_backward(block, g, want_cache),
+                        block, gout)
+    gpre = nn.gelu_backward(gout, pre)
+    gmixed = gpre @ block.transfer.value.T
+    assert_close_to_sum(got[0], want[0], np.matmul(abs_adj.T, np.abs(gmixed)))
+    assert_close_to_sum(got[1], want[1],
+                        np.einsum("nud,nue->de", np.abs(mixed), np.abs(gpre)))
+    assert_close_to_sum(got[2], want[2],
+                        np.einsum("nud,nvd->uv", np.abs(gmixed), np.abs(normed)))
+
+
 def test_backward_after_distribution_raises():
     model = tiny_model(num_cameras=3, seed=12)
     cams, tq, td = np.array([0, 1, 2]), np.zeros(3), np.array([5.0, 9.0, 1.0])
@@ -599,13 +717,17 @@ def reference_holdout_pairs(scene, rng, cap):
 
 
 def reference_draw_pairs(pool, rng, count):
+    """Pair by pair from the dict pool, with the same three array draws:
+    every identity, then a pair within each identity's list, then every
+    flip."""
     idents = sorted(pool)
+    options = [pool[idents[i]] for i in rng.integers(0, len(idents), size=count)]
+    picks = rng.integers(0, np.array([len(o) for o in options], dtype=np.int64))
+    flips = rng.random(count)
     out = []
-    ident_draws = rng.integers(0, len(idents), size=count)
-    for k in range(count):
-        options = pool[idents[ident_draws[k]]]
-        a, b = options[rng.integers(0, len(options))]
-        if rng.random() < 0.5:
+    for opts, pick, flip in zip(options, picks, flips):
+        a, b = opts[pick]
+        if flip < 0.5:
             a, b = b, a
         out.append((a, b))
     return out
