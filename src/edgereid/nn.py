@@ -120,18 +120,15 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
 def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None) -> np.ndarray:
     """y = x @ weight (+ bias). x is [M, K], weight [K, N].
 
-    A one-column weight is applied as a row-wise sum of products, not as a
-    BLAS matrix-vector product, so a row's output does not depend on the
-    other rows: gemv's result for a row moves in the last bit with the
-    row's position in the batch and with the batch size.
+    The product is a row-wise sum of products, not a BLAS call, so a row's
+    output does not depend on the other rows: a matrix-vector product's
+    result for a row moves in the last bit with the row's position in the
+    batch and with the batch size.
     """
     if x.ndim != 2 or weight.value.ndim != 2 or x.shape[1] != weight.value.shape[0]:
         raise ShapeError(
             f"linear expects [M,K] @ [K,N], got {x.shape} and {weight.value.shape}")
-    if weight.value.shape[1] == 1:
-        y = (x * weight.value[:, 0]).sum(axis=1, keepdims=True)
-    else:
-        y = x @ weight.value
+    y = (x[:, :, None] * weight.value).sum(axis=1)
     if bias is not None:
         y = y + bias.value
     return y
@@ -187,12 +184,9 @@ def gelu(x: np.ndarray, keep_phi: bool = False):
     return (out, phi) if keep_phi else out
 
 
-def gelu_backward(gy: np.ndarray, x: np.ndarray,
-                  phi: np.ndarray | None = None) -> np.ndarray:
-    """Input gradient of gelu; phi is Phi(x) as gelu returned it, or None to
-    compute it here."""
-    if phi is None:
-        phi = _normal_cdf(x)
+def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Input gradient of gelu; phi is Phi(x) as gelu(x, keep_phi=True)
+    returned it."""
     grad = np.square(x)
     grad *= -0.5
     np.exp(grad, out=grad)

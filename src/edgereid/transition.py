@@ -98,16 +98,13 @@ class GraphBlock:
             f"{prefix}.norm_shift": self.norm_shift,
         }
 
-    def forward(self, a: np.ndarray, train: bool = False):
-        """Block output for a [n, C, D] batch, and the cache for backward; in
-        train mode the cache also keeps GELU's Phi for backward to reuse."""
+    def forward(self, a: np.ndarray):
+        """Block output for a [n, C, D] batch, and the cache for backward,
+        which keeps GELU's Phi for backward to reuse."""
         normed, ln_cache = nn.layer_norm_forward(a, self.norm_scale, self.norm_shift)
         mixed = np.matmul(self.adjacency.value, normed)
         pre = mixed @ self.transfer.value
-        if train:
-            out, phi = nn.gelu(pre, keep_phi=True)
-        else:
-            out, phi = nn.gelu(pre), None
+        out, phi = nn.gelu(pre, keep_phi=True)
         return out, (normed, ln_cache, mixed, pre, phi)
 
     def backward(self, gout: np.ndarray, cache) -> np.ndarray:
@@ -300,7 +297,7 @@ class TransitionNet:
 
         block_caches = []
         for block in self.blocks:
-            a, cache = block.forward(a, train)
+            a, cache = block.forward(a)
             block_caches.append(cache)
 
         if cfg.per_node_classifier:

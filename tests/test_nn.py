@@ -81,7 +81,7 @@ def test_gelu_gradient_matches_finite_difference():
     x = np.linspace(-2.5, 2.5, 21)
     h = 1e-6
     numeric = (nn.gelu(x + h) - nn.gelu(x - h)) / (2 * h)
-    analytic = nn.gelu_backward(np.ones_like(x), x)
+    analytic = nn.gelu_backward(np.ones_like(x), x, nn.gelu(x, keep_phi=True)[1])
     np.testing.assert_allclose(analytic, numeric, atol=1e-9)
 
 
@@ -376,16 +376,16 @@ def test_gelu_with_kept_phi_matches_the_recomputing_kernels(shape, spread, seed)
     assert_bit_equal(nn.gelu(x), reference_gelu(x))
     want = reference_gelu_backward(gy, x)
     assert_bit_equal(nn.gelu_backward(gy, x, phi), want)
-    assert_bit_equal(nn.gelu_backward(gy, x), want)
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
-def test_one_column_linear_is_row_wise(rows, width, seed):
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_linear_is_row_wise(rows, width, columns, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(rows, width))
-    weight = nn.Param(rng.normal(size=(width, 1)))
-    bias = nn.Param(rng.normal(size=1))
+    weight = nn.Param(rng.normal(size=(width, columns)))
+    bias = nn.Param(rng.normal(size=columns))
     y = nn.linear_forward(x, weight, bias)
     # within 1e-12 of the sum of the products' magnitudes
     scale = np.abs(x) @ np.abs(weight.value) + np.abs(bias.value)

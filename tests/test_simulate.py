@@ -188,8 +188,9 @@ def test_transition_table_matches_model_exactly():
 
 
 def test_transition_table_with_a_one_row_tail_matches_the_model():
-    # 2 * EVAL_ROWS + 1 deltas per camera: without the tail rule the last
-    # block is one row, which a per-node head scores through another BLAS path
+    # 2 * EVAL_ROWS + 1 deltas per camera, so eval_logits' blocks end in a
+    # one-row tail, which joins the block before it; the table still holds
+    # the bits of one forward pass over all the deltas
     model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6,
                                               per_node_classifier=True),
                           np.random.default_rng(5))
