@@ -286,9 +286,10 @@ class BatchNorm:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along the given axis."""
     x = as_f64(x)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)  # in place: one [rows, classes] array, not three
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray):

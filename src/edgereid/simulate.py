@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -153,6 +154,13 @@ class Gallery:
     def num_cameras(self) -> int:
         return len(self.device_items)
 
+    @functools.cached_property
+    def time_orders(self) -> tuple[np.ndarray, ...]:
+        """Each camera's items by timestamp, ties by index: the time upload
+        order, sorted once per gallery."""
+        return tuple(_order(self.timestamps[items], items)
+                     for items in self.device_items)
+
 
 def build_gallery(observations: Sequence[Observation], num_cameras: int) -> Gallery:
     if not observations:
@@ -174,36 +182,48 @@ def build_gallery(observations: Sequence[Observation], num_cameras: int) -> Gall
 class QueryTask:
     """One retrieval request against the distributed gallery.
 
-    device_items excludes the query's own observation; target_time is the
-    tick the requester cares about. A task holds no derived state: plan and
-    run_benchmark compute sequences and budgets from it and the models.
+    Gallery item query_index asks for its identity's items, and target_time
+    is the tick the requester cares about; the query's own item is not
+    uploaded (device_items). A task holds no derived state: plan computes
+    sequences and budgets from it and the models.
     """
 
     gallery: Gallery
-    query_identity: int
-    query_camera: int
-    query_time: int
-    query_feature: np.ndarray | None
+    query_index: int
     target_time: int
-    device_items: tuple[np.ndarray, ...]
+
+    @property
+    def query_identity(self) -> int:
+        return int(self.gallery.identities[self.query_index])
+
+    @property
+    def query_camera(self) -> int:
+        return int(self.gallery.cameras[self.query_index])
+
+    @property
+    def query_time(self) -> int:
+        return int(self.gallery.timestamps[self.query_index])
+
+    @property
+    def query_feature(self) -> np.ndarray | None:
+        features = self.gallery.features
+        return None if features is None else features[self.query_index]
+
+    @property
+    def device_items(self) -> tuple[np.ndarray, ...]:
+        """Each camera's gallery items, without the query's own."""
+        items = list(self.gallery.device_items)
+        cam = self.query_camera
+        items[cam] = items[cam][items[cam] != self.query_index]
+        return tuple(items)
 
 
 def make_task(gallery: Gallery, query_index: int, target_time: int) -> QueryTask:
     """Build the task for gallery item query_index, excluding it from upload."""
     if not 0 <= query_index < gallery.size:
         raise InputError(f"query index {query_index} outside the gallery")
-    cam = int(gallery.cameras[query_index])
-    items = list(gallery.device_items)
-    items[cam] = items[cam][items[cam] != query_index]
-    feature = None if gallery.features is None else gallery.features[query_index]
-    return QueryTask(
-        gallery=gallery,
-        query_identity=int(gallery.identities[query_index]),
-        query_camera=cam,
-        query_time=int(gallery.timestamps[query_index]),
-        query_feature=feature,
-        target_time=int(target_time),
-        device_items=tuple(items))
+    return QueryTask(gallery=gallery, query_index=int(query_index),
+                     target_time=int(target_time))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,33 +276,77 @@ def _check_strategy(strategy: Strategy, gallery: Gallery, total_bandwidth: int,
             raise ConfigError("time-targeted scoring needs a transition model")
 
 
-def _visual_scores(task: QueryTask) -> np.ndarray:
-    return task.gallery.features @ task.query_feature
+# Queries per block of the array serving paths (run_benchmark,
+# central_rankings). It bounds the [queries, gallery] scores and the
+# [queries, ticks, cameras] transition rows a block holds, as EVAL_ROWS
+# bounds the network's batches; a module constant rather than a config key,
+# so memory does not follow the config. At 4 the bench's serve and longspan
+# peak memory stays at the per-query loop's; 8 added 2-4%.
+QUERY_CHUNK = 4
 
 
-def _transition_rows(models: Models, task: QueryTask,
-                     times: np.ndarray) -> np.ndarray | None:
-    """p(camera at each tick in times | query sighting), in one model call;
-    None without a transition model."""
+def _chunks(n: int):
+    """Slices of at most QUERY_CHUNK queries covering range(n)."""
+    return (slice(a, min(a + QUERY_CHUNK, n)) for a in range(0, n, QUERY_CHUNK))
+
+
+def _visual_scores(gallery: Gallery, queries: np.ndarray) -> np.ndarray:
+    """Each query's similarity with every gallery item, [Q, G]: one product
+    per query, since one [G, d] x [d, Q] product gives other bits."""
+    return np.stack([gallery.features @ gallery.features[q] for q in queries])
+
+
+def _transition_rows(models: Models, gallery: Gallery, queries: np.ndarray,
+                     target_times: np.ndarray | None = None):
+    """p(camera at a tick | each query's sighting) over the gallery's
+    distinct ticks, from one distribution call: (rows [Q, T, C], tick [G]),
+    where rows[:, tick[i]] is gallery item i's row and, when given, each
+    query's target tick is row T. None without a transition model."""
     if models.transition is None:
         return None
-    return models.transition.distribution(
-        np.full(times.size, task.query_camera, dtype=np.int64),
-        np.full(times.size, float(task.query_time)), as_f64(times))
+    ticks, tick = np.unique(gallery.timestamps, return_inverse=True)
+    times = np.broadcast_to(as_f64(ticks), (queries.size, ticks.size))
+    if target_times is not None:
+        times = np.column_stack((times, target_times))
+    n = times.shape[1]
+    rows = models.transition.distribution(
+        np.repeat(gallery.cameras[queries], n),
+        np.repeat(as_f64(gallery.timestamps[queries]), n), times.ravel())
+    return rows.reshape(queries.size, n, -1), tick
 
 
-def _st_scores(models: Models, params: InferenceParams, task: QueryTask,
-               items: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """Spatio-temporal score of each item; rows are the items' transition
-    rows from _transition_rows."""
-    cams = task.gallery.cameras[items]
-    ts = task.gallery.timestamps[items]
+def _own_camera(transition, gallery: Gallery) -> np.ndarray | None:
+    """p(item's camera at the item's tick | query) of every gallery item,
+    [Q, G], from _transition_rows; None without a transition model."""
+    if transition is None:
+        return None
+    rows, tick = transition
+    return np.ascontiguousarray(rows[:, tick, gallery.cameras])
+
+
+def _gather(values: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """values[r, items[r]] for each row r of values [R, G], C-contiguous:
+    items is [m], shared by every row, or [R, m], one row each."""
+    if items.ndim == 1:
+        return np.take(values, items, axis=1)
+    offsets = values.shape[1] * np.arange(len(values))[:, None]
+    return np.ascontiguousarray(values).ravel()[items + offsets]
+
+
+def _st_scores(models: Models, params: InferenceParams, gallery: Gallery,
+               queries: np.ndarray, items: np.ndarray,
+               own: np.ndarray | None) -> np.ndarray:
+    """Spatio-temporal score of each query's items, [R, m]: items are gallery
+    indices as _gather takes them, own is _own_camera of the queries'
+    transition rows."""
     model_part = freq_part = None
-    if rows is not None:
-        model_part = rows[np.arange(items.size), cams]
+    if own is not None:
+        model_part = _gather(own, items)
     if models.frequency is not None:
         freq_part = strat.frequency_scores(
-            models.frequency, task.query_camera, task.query_time, cams, ts)
+            models.frequency, gallery.cameras[queries][:, None],
+            gallery.timestamps[queries][:, None], gallery.cameras[items],
+            gallery.timestamps[items])
     if model_part is not None and freq_part is not None:
         return strat.fuse_scores(model_part, freq_part, params.mu)
     if model_part is not None:
@@ -293,89 +357,176 @@ def _st_scores(models: Models, params: InferenceParams, task: QueryTask,
 
 
 def _order(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """items sorted by key ascending, original order on ties."""
-    return items[np.lexsort((items, keys))]
+    """items sorted by key ascending, ties by item: items[np.lexsort((items,
+    keys))], row by row for [R, n] keys (items [n], shared, or [R, n]).
 
-
-def _joint_sequences(task: QueryTask, params: InferenceParams,
-                     models: Models) -> list[np.ndarray]:
-    """Joint spatio-temporal/visual order per camera. The transition rows of
-    every candidate, and of the target time when time-targeted, come from
-    one model call; each camera reads its slice as scores and pattern bank."""
-    visual = _visual_scores(task)
-    candidates = np.concatenate(task.device_items)
-    times = as_f64(task.gallery.timestamps[candidates])
-    if params.time_targeted:
-        times = np.append(times, float(task.target_time))
-    rows = _transition_rows(models, task, times) if candidates.size else None
-    sequences = []
-    start = 0
-    for items in task.device_items:
-        stop = start + items.size
-        part = None if rows is None else rows[start:stop]
-        start = stop
-        if items.size == 0:
-            sequences.append(items.copy())  # _sequences freezes it
-            continue
-        o = _st_scores(models, params, task, items, part)
-        s = strat.joint_similarity(o, visual[items], params.alpha, params.beta,
-                                   params.orientation)
-        if params.time_targeted:
-            bank = strat.PatternBank(rows=part, target=rows[-1])
-            s = strat.time_targeted_scores(s, bank, params.orientation)
-        sequences.append(_order(s, items))
-    return sequences
-
-
-def _sequences(task: QueryTask, kind: str, params: InferenceParams,
-               models: Models) -> tuple[np.ndarray, ...]:
-    """Each camera's upload order for a sequence kind ("time", "visual" or
-    "joint"), as read-only arrays."""
-    if kind == "time":
-        ts = task.gallery.timestamps
-        sequences = [_order(ts[items].astype(np.float64), items)
-                     for items in task.device_items]
-    elif kind == "visual":
-        visual = _visual_scores(task)
-        sequences = [_order(-visual[items], items) for items in task.device_items]
+    A quicksort, then each run of equal keys re-sorted by item. NaN keys
+    raise InputError.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    if np.isnan(keys).any():
+        raise InputError("sort keys must not be NaN")
+    perm = np.argsort(keys, axis=-1)
+    flat = perm
+    if keys.ndim == 2:
+        flat = perm + keys.shape[1] * np.arange(len(keys))[:, None]
+    items = np.asarray(items)
+    if items.ndim == 1:
+        ordered = items[perm]
     else:
-        sequences = _joint_sequences(task, params, models)
-    for seq in sequences:
-        seq.flags.writeable = False
-    return tuple(sequences)
+        ordered = np.ascontiguousarray(items).ravel()[flat]
+    ranked = keys.ravel()[flat]
+    tie = ranked[..., 1:] == ranked[..., :-1]
+    if tie.any():
+        member = np.zeros(keys.shape, dtype=bool)
+        member[..., 1:] = tie
+        member[..., :-1] |= tie
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[..., 1:] = ~tie
+        run = np.cumsum(starts.ravel())  # rises at every run and every row
+        where = np.flatnonzero(member)
+        flat_ordered = ordered.reshape(-1)
+        tied = flat_ordered[where]
+        flat_ordered[where] = tied[np.lexsort((tied, run[where]))]
+    return ordered
 
 
-def _sizes(task: QueryTask) -> np.ndarray:
-    """Per-camera upload sizes; every strategy uploads all of a camera's items."""
-    return np.array([items.size for items in task.device_items], dtype=np.float64)
+def _drop(items: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Rows of items ([n], shared, or [R, n]), row r without its one copy of
+    own[r]: [R, n - 1]. Dropping an item keeps the others' order."""
+    items = np.broadcast_to(items, (own.size, np.shape(items)[-1]))
+    return items[items != own[:, None]].reshape(own.size, max(items.shape[1] - 1, 0))
+
+
+def _joint_order(gallery: Gallery, params: InferenceParams, models: Models,
+                 queries: np.ndarray, rows: np.ndarray, items: np.ndarray,
+                 visual: np.ndarray, transition, own: np.ndarray | None
+                 ) -> np.ndarray:
+    """Joint orders [R, m] of items ([m], shared, or [R, m]) for the
+    queries[rows]; visual, transition and own are the block's _visual_scores,
+    _transition_rows and _own_camera."""
+    if items.shape[-1] == 0:
+        return np.broadcast_to(items, (rows.size, 0))
+    o = _st_scores(models, params, gallery, queries[rows], items,
+                   None if own is None else own[rows])
+    s = strat.joint_similarity(o, _gather(visual[rows], items), params.alpha,
+                               params.beta, params.orientation)
+    if params.time_targeted:
+        # one cosine product per (query, camera), as for a block of one query
+        probs, tick = transition
+        per_row = np.broadcast_to(items, s.shape)
+        for k, r in enumerate(rows):
+            bank = strat.PatternBank(rows=probs[r, tick[per_row[k]]],
+                                     target=probs[r, -1])
+            s[k] = strat.time_targeted_scores(s[k], bank, params.orientation)
+    return _order(s, items)
+
+
+def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
+               kind: str, params: InferenceParams, models: Models) -> list:
+    """Each camera's upload orders for a block of queries under a sequence
+    kind ("time", "visual" or "joint"), each query's own item left out.
+
+    Returns one list per camera of (rows, orders) pairs: rows index the
+    queries, and orders[k] is query rows[k]'s sequence of gallery indices.
+    Queries on other cameras order all n of the camera's items, queries on
+    it n - 1. Time and visual keys do not depend on which items are present,
+    so those orders are sorted once over all n items (the time order once
+    per gallery) and a query on the camera drops its own item; the joint
+    score's softmax runs over the items present, so those queries get an
+    n - 1 block of their own. The joint order's transition rows, with the
+    target tick's when time-targeted, come from one model call for the block.
+    """
+    cams = gallery.cameras[queries]
+    if kind != "time":
+        visual = _visual_scores(gallery, queries)
+    if kind == "joint":
+        transition = _transition_rows(models, gallery, queries,
+                                      target_times if params.time_targeted else None)
+        own = _own_camera(transition, gallery)
+    out = []
+    for c, items in enumerate(gallery.device_items):
+        off, on = np.flatnonzero(cams != c), np.flatnonzero(cams == c)
+        if kind == "joint":
+            blocks = [(rows, _joint_order(gallery, params, models, queries, rows, block,
+                                          visual, transition, own))
+                      for rows, block in ((off, items), (on, _drop(items, queries[on])))
+                      if rows.size]
+        else:
+            order = np.broadcast_to(
+                gallery.time_orders[c] if kind == "time"
+                else _order(-_gather(visual, items), items), (queries.size, items.size))
+            blocks = [(rows, block)
+                      for rows, block in ((off, order[off]),
+                                          (on, _drop(order[on], queries[on])))
+                      if rows.size]
+        out.append(blocks)
+    return out
+
+
+def _sizes(gallery: Gallery, queries: np.ndarray) -> np.ndarray:
+    """Per-query, per-camera upload sizes [Q, C]: every camera's items, less
+    the query's own."""
+    counts = np.array([items.size for items in gallery.device_items], dtype=np.int64)
+    return counts - (gallery.cameras[queries][:, None] == np.arange(counts.size))
+
+
+def _budgets(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
+             learned: bool, total_bandwidth: int, params: InferenceParams,
+             models: Models) -> np.ndarray:
+    """Each query's round budgets [Q, C]: learned from the model's
+    eval_logits at the target time (one call and one row-wise allocation for
+    all queries), or else the one uniform allocation."""
+    if not learned:
+        uniform = strat.uniform_allocation(gallery.num_cameras, total_bandwidth)
+        return np.broadcast_to(uniform.budgets, (queries.size, gallery.num_cameras))
+    logits = models.transition.eval_logits(
+        gallery.cameras[queries], gallery.timestamps[queries], target_times)
+    return strat.allocate_bandwidth_rows(logits, _sizes(gallery, queries),
+                                         total_bandwidth, params.gamma0,
+                                         params.gamma1)[0]
+
+
+def _split(blocks: list, count: int) -> list[tuple[np.ndarray, ...]]:
+    """Each of count queries' per-camera sequences, read-only, from the
+    blocks of _sequences."""
+    per_query = [[None] * len(blocks) for _ in range(count)]
+    for c, camera in enumerate(blocks):
+        for rows, orders in camera:
+            for r, seq in zip(rows.tolist(), orders):
+                seq.flags.writeable = False
+                per_query[r][c] = seq
+    return [tuple(sequences) for sequences in per_query]
 
 
 def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
          params: InferenceParams, models: Models,
-         sequences: tuple[np.ndarray, ...] | None = None) -> UploadPlan:
+         sequences: tuple[np.ndarray, ...] | None = None,
+         budgets: np.ndarray | None = None) -> UploadPlan:
     """Build each camera's upload sequence and round budget for a strategy.
 
-    Visual and bandwidth share one sequence kind, rerank and combined
+    This runs run_benchmark's _sequences and _budgets on the task's one
+    query. Visual and bandwidth share one sequence kind, rerank and combined
     another (SEQUENCE_STRATEGIES). The joint order evaluates the transition
-    model once over all candidates (plus the target time when
-    time-targeted). sequences, when given, must be _sequences of the task
-    for the strategy's kind, params and models: run_benchmark computes each
-    kind once per query and plans every strategy on it. Learned budgets use
-    the model's eval_logits at the target time.
+    model once over the gallery's ticks (plus the target time when
+    time-targeted). Learned budgets use the model's eval_logits at the
+    target time. sequences and budgets, when given, must be the task's
+    share of _sequences and _budgets for the strategy's kind, params and
+    models: run_benchmark computes those for blocks of queries and hands
+    each (query, strategy) its own.
     """
-    c = task.gallery.num_cameras
     _check_strategy(strategy, task.gallery, total_bandwidth, params, models)
+    queries = np.array([task.query_index])
+    target_times = np.array([task.target_time])
     if sequences is None:
-        sequences = _sequences(task, SEQUENCE_STRATEGIES[strategy], params, models)
-    if strategy in LEARNED_BUDGETS:
-        logits = models.transition.eval_logits(
-            task.query_camera, float(task.query_time), float(task.target_time))[0]
-        allocation = strat.allocate_bandwidth(logits, _sizes(task), total_bandwidth,
-                                              params.gamma0, params.gamma1)
-    else:
-        allocation = strat.uniform_allocation(c, total_bandwidth)
-    return UploadPlan(strategy=strategy, sequences=sequences,
-                      budgets=allocation.budgets)
+        sequences = _split(_sequences(task.gallery, queries, target_times,
+                                      SEQUENCE_STRATEGIES[strategy], params, models),
+                           1)[0]
+    if budgets is None:
+        budgets = _budgets(task.gallery, queries, target_times,
+                           strategy in LEARNED_BUDGETS, total_bandwidth, params,
+                           models)[0]
+    return UploadPlan(strategy=strategy, sequences=sequences, budgets=budgets)
 
 
 def run_rounds(plan_: UploadPlan, gallery_size: int) -> ArrivalLog:
@@ -535,14 +686,18 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
 
     Each query's target time is the timestamp of a seeded-random same-identity
     cross-camera partner. Every strategy's ConfigError is raised before the
-    first query. The per-query loop computes each sequence kind once, plans
-    each strategy on it (plan), and records each partner's rank and the
-    desired item's position in its camera's sequence. The rest runs on
-    arrays over all queries: the learned-budget strategies' per-pair budgets
-    (each partner's timestamp as the target time) from one eval_logits call
-    and one row-wise allocation, transmission numbers ceil(rank / budget),
-    and the desired item's arrival round and merged position from the
-    query-level budgets in closed form (_arrival), where run_rounds merges.
+    first query. The target-time draws and the tasks are made per query,
+    the rest on arrays. Query-level budgets come
+    from one _budgets call per budget kind (one eval_logits call and one
+    row-wise allocation for the learned ones, the uniform allocation once),
+    and per-pair budgets of the learned strategies (each partner's timestamp
+    as the target time) from one more of each. Sequences come from
+    _sequences in blocks of QUERY_CHUNK queries, once per sequence kind, and
+    give each partner's rank and the desired item's position in its
+    camera's sequence; plan assembles each (query, strategy)'s plan from
+    the block's sequences and the budgets. Transmission numbers are
+    ceil(rank / budget), and the desired item's arrival round and merged
+    position follow in closed form (_arrival), where run_rounds merges.
     plan plus run_rounds per (query, strategy) is the scalar reference.
     """
     if scene.test_identities is None:
@@ -565,50 +720,63 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     pair_row = np.repeat(np.arange(chosen.size), [p.size for p in partners])
     pair_query = chosen[pair_row]
     targets = np.concatenate(partners)
+    target_times = np.empty(chosen.size, dtype=np.int64)
+    desired = np.empty(chosen.size, dtype=np.int64)
+    tasks = []
+    for k, (q, mates) in enumerate(zip(chosen.tolist(), partners)):
+        target_times[k] = gallery.timestamps[mates[rng.integers(0, mates.size)]]
+        tasks.append(make_task(gallery, q, int(target_times[k])))
+        desired[k] = _desired_index(gallery, q, int(target_times[k]))
+    sizes = _sizes(gallery, chosen)
+    budgets = {learned: _budgets(gallery, chosen, target_times, learned,
+                                 total_bandwidth, params, models)
+               for learned in dict.fromkeys(s in LEARNED_BUDGETS for s in strategies)}
     kinds = list(dict.fromkeys(SEQUENCE_STRATEGIES[s] for s in strategies))
-    target_times, desired, sizes, budgets = [], [], [], []
-    ranks = {kind: [] for kind in kinds}
-    positions = {kind: [] for kind in kinds}
-    rank_of = np.empty(gallery.size, dtype=np.int64)
-    for q, mates in zip(chosen.tolist(), partners):
-        target_time = int(gallery.timestamps[mates[rng.integers(0, mates.size)]])
-        task = make_task(gallery, q, target_time)
-        target_times.append(target_time)
-        desired.append(_desired_index(gallery, q, target_time))
-        counts = [items.size for items in task.device_items]
-        sizes.append(counts)
-        # 1-based rank within its camera of each item of the concatenated sequences
-        within = np.arange(1, sum(counts) + 1) - np.repeat(np.cumsum(counts) - counts,
-                                                          counts)
+    ranks = {kind: np.empty(targets.size, dtype=np.int64) for kind in kinds}
+    positions = {kind: np.empty(chosen.size, dtype=np.int64) for kind in kinds}
+    for chunk in _chunks(chosen.size):
+        queries = chosen[chunk]
+        lo, hi = np.searchsorted(pair_row, (chunk.start, chunk.stop))
         sequences = {}
         for kind in kinds:
-            sequences[kind] = _sequences(task, kind, params, models)
-            rank_of[np.concatenate(sequences[kind])] = within
-            ranks[kind].append(rank_of[mates])
-            positions[kind].append(rank_of[desired[-1]] - 1)
-        budgets.append([plan(task, s, total_bandwidth, params, models,
-                             sequences[SEQUENCE_STRATEGIES[s]]).budgets
-                        for s in strategies])
-    sizes, budgets = np.array(sizes), np.array(budgets)
+            blocks = _sequences(gallery, queries, target_times[chunk], kind, params,
+                                models)
+            # 1-based rank of each item within its camera's sequence, per query
+            rank_of = np.zeros((queries.size, gallery.size), dtype=np.int64)
+            for camera in blocks:
+                for rows, orders in camera:
+                    rank_of[rows[:, None], orders] = np.arange(1, orders.shape[-1] + 1)
+            ranks[kind][lo:hi] = rank_of[pair_row[lo:hi] - chunk.start, targets[lo:hi]]
+            positions[kind][chunk] = rank_of[np.arange(queries.size),
+                                             desired[chunk]] - 1
+            sequences[kind] = _split(blocks, queries.size)
+        # plan assembles and checks each (query, strategy)'s upload plan from
+        # the block's sequences and the budgets
+        for k in range(chunk.start, chunk.stop):
+            for strategy in strategies:
+                plan(tasks[k], strategy, total_bandwidth, params, models,
+                     sequences[SEQUENCE_STRATEGIES[strategy]][k - chunk.start],
+                     budgets[strategy in LEARNED_BUDGETS][k])
     devices = gallery.cameras[targets]
     desired_devices = gallery.cameras[desired]
-    if any(s in LEARNED_BUDGETS for s in strategies):
+    if True in budgets:  # a learned-budget strategy runs: per-pair budgets
         logits = models.transition.eval_logits(gallery.cameras[pair_query],
                                                gallery.timestamps[pair_query],
                                                gallery.timestamps[targets])
         pair_budgets = strat.allocate_bandwidth_rows(
             logits, sizes[pair_row], total_bandwidth,
             params.gamma0, params.gamma1)[0][np.arange(targets.size), devices]
-    query_columns = (chosen.tolist(), target_times, desired, desired_devices.tolist())
+    query_columns = (chosen.tolist(), target_times.tolist(), desired.tolist(),
+                     desired_devices.tolist())
     pair_columns = (pair_query.tolist(), targets.tolist(), devices.tolist())
     reports = {}
-    for k, strategy in enumerate(strategies):
+    for strategy in strategies:
         kind = SEQUENCE_STRATEGIES[strategy]
-        rank = np.concatenate(ranks[kind])
-        budget = (pair_budgets if strategy in LEARNED_BUDGETS
-                  else budgets[pair_row, k, devices])
-        rounds, merged = _arrival(budgets[:, k], sizes, desired_devices,
-                                  np.array(positions[kind]))
+        learned = strategy in LEARNED_BUDGETS
+        rank = ranks[kind]
+        budget = pair_budgets if learned else budgets[False][pair_row, devices]
+        rounds, merged = _arrival(budgets[learned], sizes, desired_devices,
+                                  positions[kind])
         reports[strategy.value] = RunReport(
             strategy=strategy.value, total_bandwidth=total_bandwidth,
             num_cameras=scene.num_cameras, gallery_size=gallery.size,
@@ -640,7 +808,11 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
 
     Returns (visual, joint): two lists of RankedQuery over the same queries,
     the first ordered by cosine similarity alone, the second by the joint
-    spatio-temporal/visual similarity.
+    spatio-temporal/visual similarity, each over the gallery without the
+    query and with ties by gallery index. Queries run in blocks of
+    QUERY_CHUNK on the serving kernels: one visual product per query, one
+    transition-model call, one row-form joint similarity and two row-wise
+    orders per block.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
@@ -656,21 +828,22 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
         chosen = eligible[np.sort(keep)]
     visual_lists: list[RankedQuery] = []
     joint_lists: list[RankedQuery] = []
-    for q in chosen:
-        q = int(q)
-        others = np.flatnonzero(np.arange(gallery.size) != q)
-        task = make_task(gallery, q, int(gallery.timestamps[q]))
-        v = (gallery.features @ gallery.features[q])[others]
-        order_v = others[np.lexsort((others, -v))]
-        rows = _transition_rows(models, task, gallery.timestamps[others])
-        o = _st_scores(models, params, task, others, rows)
+    everything = np.arange(gallery.size)
+    for chunk in _chunks(chosen.size):
+        queries = chosen[chunk]
+        others = _drop(everything, queries)
+        v = _gather(_visual_scores(gallery, queries), others)
+        o = _st_scores(models, params, gallery, queries, others,
+                       _own_camera(_transition_rows(models, gallery, queries), gallery))
         s = strat.joint_similarity(o, v, params.alpha, params.beta,
                                    params.orientation)
-        order_s = others[np.lexsort((others, s))]
-        for order, out in ((order_v, visual_lists), (order_s, joint_lists)):
-            out.append(RankedQuery(
-                query_identity=int(gallery.identities[q]),
-                query_camera=int(gallery.cameras[q]),
-                gallery_identities=gallery.identities[order],
-                gallery_cameras=gallery.cameras[order]))
+        del o  # one [queries, gallery] block fewer at the peak
+        for keys, out in ((np.negative(v, out=v), visual_lists), (s, joint_lists)):
+            order = _order(keys, others)
+            out.extend(RankedQuery(query_identity=int(gallery.identities[q]),
+                                   query_camera=int(gallery.cameras[q]),
+                                   gallery_identities=identities,
+                                   gallery_cameras=cameras)
+                       for q, identities, cameras in zip(
+                           queries, gallery.identities[order], gallery.cameras[order]))
     return visual_lists, joint_lists

@@ -45,6 +45,7 @@ class FrequencyModel:
         self.bin_width = bin_width
         self.observed = observed
         self._pair_max = table.max(axis=2)
+        self._pair_min = table.min(axis=2)
 
     @property
     def num_cameras(self) -> int:
@@ -60,29 +61,31 @@ class FrequencyModel:
             raise InputError("delta_t must be finite")
         return np.floor(deltas / self.bin_width).astype(np.int64) - self.bin_offset
 
-    def prob(self, source: int, dest: int, delta_t) -> np.ndarray:
-        """p(dest, bin(delta_t) | source); out-of-range delays get the
-        smallest stored probability for that camera pair."""
-        self._check(source, dest)
-        bins = self._bins(delta_t)
-        slice_ = self.table[source, dest]
-        out = np.full(bins.shape, slice_.min(), dtype=np.float64)
-        ok = (bins >= 0) & (bins < self.num_bins)
-        out[ok] = slice_[bins[ok]]
-        return out
+    def prob(self, source, dest, delta_t) -> np.ndarray:
+        """p(dest, bin(delta_t) | source), with sources, destinations and
+        delays broadcast together; out-of-range delays get the smallest
+        stored probability for that camera pair."""
+        source, dest, bins = np.broadcast_arrays(*self._cameras(source, dest),
+                                                 self._bins(delta_t))
+        inside = (bins >= 0) & (bins < self.num_bins)
+        stored = self.table[source, dest, np.clip(bins, 0, self.num_bins - 1)]
+        return np.where(inside, stored, self._pair_min[source, dest])
 
-    def bounded_score(self, source: int, dest: int, delta_t) -> np.ndarray:
+    def bounded_score(self, source, dest, delta_t) -> np.ndarray:
         """prob rescaled to [0, 1] by the (source, dest) maximum; zero when
         the pair has no observed co-occurrences."""
-        self._check(source, dest)
-        if not self.observed[source, dest]:
-            return np.zeros(np.shape(as_f64(delta_t)), dtype=np.float64)
-        return self.prob(source, dest, delta_t) / self._pair_max[source, dest]
+        source, dest = self._cameras(source, dest)
+        return np.where(self.observed[source, dest],
+                        self.prob(source, dest, delta_t) / self._pair_max[source, dest],
+                        0.0)
 
-    def _check(self, source: int, dest: int) -> None:
+    def _cameras(self, source, dest) -> tuple[np.ndarray, np.ndarray]:
+        source = np.asarray(source, dtype=np.int64)
+        dest = np.asarray(dest, dtype=np.int64)
         c = self.num_cameras
-        if not (0 <= source < c and 0 <= dest < c):
-            raise InputError(f"cameras ({source}, {dest}) outside [0, {c})")
+        if np.any((source < 0) | (source >= c)) or np.any((dest < 0) | (dest >= c)):
+            raise InputError(f"cameras outside [0, {c})")
+        return source, dest
 
 
 def _gaussian_kernel(sigma_bins: float) -> np.ndarray:
@@ -138,19 +141,18 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
 # -- spatio-temporal scores ----------------------------------------------------
 
 
-def frequency_scores(freq: FrequencyModel, source_camera: int, t_query,
+def frequency_scores(freq: FrequencyModel, source_camera, t_query,
                      dest_cameras, t_gallery) -> np.ndarray:
-    """Bounded [0, 1] frequency evidence for each gallery item."""
+    """Bounded [0, 1] frequency evidence for each gallery item.
+
+    The source camera and query time broadcast against the items, so [R, 1]
+    columns against [R, n] items score one query per row.
+    """
     dest = np.atleast_1d(np.asarray(dest_cameras, dtype=np.int64))
     ts = np.atleast_1d(as_f64(t_gallery))
     if dest.shape != ts.shape:
         raise ShapeError(f"cameras {dest.shape} and timestamps {ts.shape} differ")
-    out = np.empty(dest.shape, dtype=np.float64)
-    for cam in np.unique(dest):
-        mask = dest == cam
-        out[mask] = freq.bounded_score(source_camera, int(cam),
-                                       ts[mask] - float(t_query))
-    return out
+    return freq.bounded_score(source_camera, dest, ts - as_f64(t_query))
 
 
 def fuse_scores(model_part: np.ndarray, freq_part: np.ndarray,
@@ -173,23 +175,27 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
 
     s_k = -[1 / (1 + alpha * exp(softmax(-o / beta)_k))]
           * [1 / (1 + exp(g(v_k)))]
-    with the softmax taken over the gallery axis. Orientation controls the
-    visual gate: 'consistent' uses g(v) = -(v - 1) so similar items (v near 1)
-    strengthen the score, while 'inverted' keeps g(v) = v - 1 verbatim.
-    All outputs lie in (-1, 0); smaller means more similar.
+    with the softmax taken over the gallery axis: the last one, so [R, n]
+    scores give one gallery per row, each row the bits of its own 1-D call.
+    Orientation controls the visual gate: 'consistent' uses g(v) = -(v - 1)
+    so similar items (v near 1) strengthen the score, while 'inverted' keeps
+    g(v) = v - 1 verbatim. All outputs lie in (-1, 0); smaller means more
+    similar.
     """
     _check_orientation(orientation)
     if alpha <= 0.0 or beta <= 0.0:
         raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
     o = np.atleast_1d(as_f64(st_scores))
     v = np.atleast_1d(as_f64(visual))
-    if o.shape != v.shape or o.ndim != 1:
+    if o.shape != v.shape or o.ndim > 2:
         raise ShapeError(f"score shapes differ: {o.shape} vs {v.shape}")
-    if o.size == 0:
+    if o.shape[-1] == 0:
         raise InputError("empty gallery")
     if not (np.all(np.isfinite(o)) and np.all(np.isfinite(v))):
         raise InputError("scores must be finite")
-    phi = softmax(-o / beta)
+    # a row's sum in the softmax depends on the memory layout, and fancy
+    # indexing can hand over F-ordered rows
+    phi = softmax(-np.ascontiguousarray(o) / beta)
     spatial = 1.0 / (1.0 + alpha * np.exp(phi))
     gate = (v - 1.0) if orientation == "inverted" else -(v - 1.0)
     visual_term = 1.0 / (1.0 + np.exp(gate))

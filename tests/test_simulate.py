@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,9 +513,10 @@ def test_eligible_queries_and_partners_match_the_identity_masks(items):
 
 def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
                             query_spec, rng):
-    """run_benchmark as the per-query loop the array engine replaced: plan and
-    run_rounds per (query, strategy), and one scalar allocation per pair of
-    a learned-budget strategy, from one eval_logits call per query."""
+    """run_benchmark as the per-query loop the array engine replaced: the
+    per-camera reference_plan and run_rounds per (query, strategy), and one
+    scalar allocation per pair of a learned-budget strategy, from one
+    eval_logits call per query."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     eligible, skipped = sim.eligible_queries(gallery)
     chosen = eligible
@@ -528,7 +530,9 @@ def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
         task = sim.make_task(gallery, q, target_time)
         desired = sim._desired_index(gallery, q, target_time)
         for strategy in strategies:
-            plan_ = sim.plan(task, strategy, total_bandwidth, params, models)
+            sequences, budgets = reference_plan(task, strategy, total_bandwidth,
+                                                params, models)
+            plan_ = sim.UploadPlan(strategy, tuple(sequences), budgets)
             log = sim.run_rounds(plan_, gallery.size)
             rank_of = np.full(gallery.size, -1, dtype=np.int64)
             for seq in plan_.sequences:
@@ -576,9 +580,7 @@ def test_engine_matches_the_per_query_reference(
                            visits=visits)
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     assume(sim.eligible_queries(gallery)[0].size > 0)
-    # per-node heads are batch-invariant at embed 2 only (see test_transition)
-    config = TransitionNetConfig(num_cameras=cameras,
-                                 embed_dim=2 if model_kind == "per-node" else 6,
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
                                  per_node_classifier=model_kind == "per-node")
     model = TransitionNet(config, np.random.default_rng(seed))
     transition = model
@@ -592,11 +594,14 @@ def test_engine_matches_the_per_query_reference(
     params = sim.InferenceParams(gamma0=gamma0, time_targeted=time_targeted)
     args = (scene, list(sim.Strategy), models, cameras + extra_bandwidth, params,
             sim.QuerySpec(max_queries=max_queries))
-    got = sim.run_benchmark(*args, np.random.default_rng(seed))
     want = reference_run_benchmark(*args, np.random.default_rng(seed))
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name] == want[name], name
+    # query blocks of one and three cover block boundaries and one-query tails
+    for chunk in (1, 3, sim.QUERY_CHUNK):
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
+            got = sim.run_benchmark(*args, np.random.default_rng(seed))
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name] == want[name], (chunk, name)
 
 
 @settings(deadline=None, max_examples=200)
@@ -653,3 +658,155 @@ def test_run_benchmark_raises_config_errors_before_the_first_query(monkeypatch):
     with pytest.raises(AssertionError, match="a query ran"):
         sim.run_benchmark(scene, [sim.Strategy.RERANK], frequency, 6, plain,
                           sim.QuerySpec(), np.random.default_rng(0))
+
+
+# -- the tie-exact quicksort order ----------------------------------------------
+
+
+def lexsort_rows(keys, items):
+    """_order's reference: one stable lexsort per row."""
+    keys = np.atleast_2d(keys)
+    items = np.broadcast_to(items, keys.shape)
+    return np.stack([row_items[np.lexsort((row_items, row_keys))]
+                     for row_keys, row_items in zip(keys, items)])
+
+
+# few distinct values, so most keys tie; signed zeros and infinities included
+TIE_POOLS = st.lists(st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 3.0,
+                                      np.inf]) | st.floats(-5, 5),
+                     min_size=2, max_size=3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 4), st.integers(0, 12), st.booleans(),
+       st.sampled_from(["1-D", "shared", "per-row"]))
+def test_order_matches_lexsort(data, rows, n, heavy_ties, layout):
+    if layout == "1-D":
+        rows = 1
+    values = (st.sampled_from(data.draw(TIE_POOLS)) if heavy_ties
+              else st.floats(allow_nan=False))
+    keys = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                       min_size=rows, max_size=rows)),
+                    dtype=np.float64).reshape(rows, n)
+    # distinct items in no particular order, as one row or one per row
+    distinct = st.lists(st.integers(-50, 10**6), min_size=n, max_size=n, unique=True)
+    items = np.array(data.draw(distinct), dtype=np.int64)
+    if layout == "per-row":
+        items = np.array([data.draw(distinct) for _ in range(rows)],
+                         dtype=np.int64).reshape(rows, n)
+    want = lexsort_rows(keys, items)
+    if layout == "1-D":
+        got = sim._order(keys[0], items)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, want[0])
+    else:
+        got = sim._order(keys, items)
+        assert got.shape == (rows, n)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("keys, items, want", [
+    ([], [], []),
+    ([1.0], [7], [7]),
+    ([0.0, -0.0], [9, 3], [3, 9]),
+    ([-0.0, 0.0], [3, 9], [3, 9]),
+    ([2.0, 1.0], [4, 5], [5, 4]),
+    ([np.inf, -np.inf, np.inf], [2, 1, 0], [1, 0, 2]),
+])
+def test_order_short_rows(keys, items, want):
+    got = sim._order(np.array(keys, dtype=np.float64), np.array(items, dtype=np.int64))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, lexsort_rows(np.array(keys), items).ravel())
+
+
+def test_order_rejects_nan_keys():
+    with pytest.raises(InputError, match="NaN"):
+        sim._order(np.array([0.0, np.nan]), np.array([0, 1]))
+    with pytest.raises(InputError, match="NaN"):
+        sim._order(np.array([[1.0, 2.0], [np.nan, 0.0]]), np.array([4, 5]))
+
+
+def test_visual_scores_are_one_product_per_query():
+    # a [G, d] x [d, Q] product of the same features gives other last bits
+    # for some entries, so each query keeps its own matrix-vector product
+    rng = np.random.default_rng(21)
+    features = rng.normal(size=(4000, 3))
+    features /= np.linalg.norm(features, axis=1, keepdims=True)
+    obs = [Observation(i, i % 8, i, f) for i, f in enumerate(features)]
+    gallery = sim.build_gallery(obs, num_cameras=8)
+    queries = rng.choice(gallery.size, size=20, replace=False)
+    got = sim._visual_scores(gallery, queries)
+    for row, q in zip(got, queries):
+        assert row.tobytes() == (gallery.features @ gallery.features[q]).tobytes()
+
+
+# -- central rankings against the per-query reference -----------------------------
+
+
+def reference_central_rankings(scene, models, params, max_queries, rng):
+    """central_rankings as the per-query loop the query blocks replaced: one
+    visual product, one model call and two lexsorts per query."""
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    eligible, _ = sim.eligible_queries(gallery)
+    chosen = eligible
+    if max_queries is not None and eligible.size > max_queries:
+        keep = rng.choice(eligible.size, size=max_queries, replace=False)
+        chosen = eligible[np.sort(keep)]
+    visual_lists, joint_lists = [], []
+    for q in chosen.tolist():
+        others = np.flatnonzero(np.arange(gallery.size) != q)
+        task = sim.make_task(gallery, q, int(gallery.timestamps[q]))
+        v = (gallery.features @ gallery.features[q])[others]
+        o = reference_st_scores(models, params, task, others)
+        s = sg.joint_similarity(o, v, params.alpha, params.beta, params.orientation)
+        for order, out in ((others[np.lexsort((others, -v))], visual_lists),
+                           (others[np.lexsort((others, s))], joint_lists)):
+            out.append(sim.RankedQuery(
+                query_identity=int(gallery.identities[q]),
+                query_camera=int(gallery.cameras[q]),
+                gallery_identities=gallery.identities[order],
+                gallery_cameras=gallery.cameras[order]))
+    return visual_lists, joint_lists
+
+
+def assert_same_rankings(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.query_identity, a.query_camera) == (b.query_identity, b.query_camera)
+        for x, y in ((a.gallery_identities, b.gallery_identities),
+                     (a.gallery_cameras, b.gallery_cameras)):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 4), st.integers(4, 14), st.integers(2, 4),
+       st.sampled_from(["table", "shared", "per-node"]), st.booleans(),
+       st.sampled_from(["consistent", "inverted"]), st.sampled_from([None, 1, 5]),
+       st.integers(0, 2**32 - 1))
+def test_central_rankings_match_the_per_query_reference(
+        cameras, identities, visits, model_kind, with_frequency, orientation,
+        max_queries, seed):
+    scene = featured_scene(seed=seed, num_cameras=cameras, identities=identities,
+                           visits=visits)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    assume(sim.eligible_queries(gallery)[0].size > 0)
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
+                                 per_node_classifier=model_kind == "per-node")
+    model = TransitionNet(config, np.random.default_rng(seed))
+    transition = model
+    if model_kind == "table":
+        timestamps = np.array([o.timestamp for o in scene.observations])
+        transition = sim.build_transition_table(model, timestamps)
+    models = sim.Models(
+        transition=transition,
+        frequency=sg.fit_frequency(scene, bin_width=5) if with_frequency else None)
+    params = sim.InferenceParams(orientation=orientation, mu=0.3)
+    want = reference_central_rankings(scene, models, params, max_queries,
+                                      np.random.default_rng(seed))
+    for chunk in (1, 3, sim.QUERY_CHUNK):
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
+            got = sim.central_rankings(scene, models, params, max_queries,
+                                       np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert_same_rankings(g, w)

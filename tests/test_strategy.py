@@ -306,6 +306,32 @@ def test_row_wise_largest_remainder_matches_the_scalar_loop(n, rows, extra, kind
     np.testing.assert_array_equal(sg.largest_remainder(shares[0], total), want[0])
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 30),
+       st.data(), st.integers(0, 2**32 - 1))
+@example(4, 1, 0, None, 0).via("every unit on one camera")
+@example(8, 3, 2, None, 1).via("many empty cameras")
+def test_largest_remainder_rows_never_raises_when_shares_split_the_total(
+        n, rows, extra, data, seed):
+    # non-negative shares summing to total >= n floor to at most total, and
+    # the units above one then cover every empty camera
+    total = n + extra
+    rng = np.random.default_rng(seed)
+    if data is None:
+        weights = np.zeros((rows, n))
+        weights[:, 0] = 1.0
+    else:
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0]) | st.floats(0, 1e3),
+                     min_size=n, max_size=n),
+            min_size=rows, max_size=rows))).reshape(rows, n)
+        weights[weights.sum(axis=1) == 0.0, rng.integers(0, n)] = 1.0
+    shares = weights / weights.sum(axis=1, keepdims=True) * total
+    budgets = sg.largest_remainder_rows(shares, total)
+    np.testing.assert_array_equal(budgets.sum(axis=1), total)
+    assert budgets.min() >= 1
+
+
 def test_row_wise_largest_remainder_errors():
     # negative shares leave two empty cameras and no budget above one to take
     shares = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, 0.0, 0.0]])
@@ -407,3 +433,66 @@ def test_fit_frequency_matches_the_double_loop(items, bin_width, sigma_bins):
     assert freq.table.shape == table.shape
     assert freq.table.tobytes() == table.tobytes()
     np.testing.assert_array_equal(freq.observed, observed)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(["consistent", "inverted"]), st.sampled_from([0.01, 0.1, 2.0]),
+       st.booleans())
+def test_row_form_joint_similarity_matches_one_row_at_a_time(rows, n, seed,
+                                                             orientation, beta,
+                                                             fancy):
+    rng = np.random.default_rng(seed)
+    if fancy:
+        # columns picked by fancy indexing come back F-ordered
+        wide = n + 5
+        columns = rng.permutation(wide)[:n]
+        o = rng.uniform(0.0, 1.0, size=(rows, wide))[:, columns]
+        v = rng.uniform(-1.0, 1.0, size=(rows, wide))[:, columns]
+    else:
+        o = rng.uniform(0.0, 1.0, size=(rows, n))
+        v = rng.uniform(-1.0, 1.0, size=(rows, n))
+    got = sg.joint_similarity(o, v, 5.0, beta, orientation)
+    assert got.shape == (rows, n)
+    for k in range(rows):
+        want = sg.joint_similarity(np.array(o[k]), np.array(v[k]), 5.0, beta,
+                                   orientation)
+        assert got[k].tobytes() == want.tobytes()
+
+
+def test_fancy_indexed_rows_are_not_c_ordered():
+    # the layout the row-form joint similarity has to undo
+    picked = np.arange(40.0).reshape(4, 10)[:, [3, 1, 4, 0, 9]]
+    assert not picked.flags.c_contiguous
+    got = sg.joint_similarity(picked / 40.0, picked / 40.0, 1.0, 0.1)
+    for k in range(4):
+        want = sg.joint_similarity(picked[k] / 40.0, picked[k] / 40.0, 1.0, 0.1)
+        assert got[k].tobytes() == want.tobytes()
+
+
+def reference_bounded_score(freq, source, dest, delta):
+    """bounded_score of one (source, dest, delay), read off the table."""
+    if not freq.observed[source, dest]:
+        return 0.0
+    row = freq.table[source, dest]
+    b = int(np.floor(delta / freq.bin_width)) - freq.bin_offset
+    return (row[b] if 0 <= b < row.size else row.min()) / row.max()
+
+
+def test_row_form_frequency_scores_match_the_table():
+    freq = two_sighting_scene()
+    rng = np.random.default_rng(3)
+    sources = np.array([0, 1, 2, 0])
+    t_query = np.array([0.0, 13.0, -40.0, 7.0])
+    dest = rng.integers(0, 3, size=(4, 9))
+    ts = rng.integers(-200, 200, size=(4, 9)).astype(float)
+    got = sg.frequency_scores(freq, sources[:, None], t_query[:, None], dest, ts)
+    assert got.shape == (4, 9)
+    for r in range(4):
+        for j in range(9):
+            assert got[r, j] == reference_bounded_score(
+                freq, sources[r], dest[r, j], ts[r, j] - t_query[r])
+        np.testing.assert_array_equal(
+            sg.frequency_scores(freq, sources[r], t_query[r], dest[r], ts[r]), got[r])
+    with pytest.raises(InputError):
+        sg.frequency_scores(freq, 3, 0.0, np.array([1]), np.array([1.0]))
