@@ -64,10 +64,7 @@ def cmc_map(ranked: Sequence[RankedQuery], ks: Sequence[int] = (1, 5, 10, 20)):
     evaluated = 0
     skipped = 0
     for query in ranked:
-        same_id = query.gallery_identities == query.query_identity
-        junk = same_id & (query.gallery_cameras == query.query_camera)
-        keep = ~junk
-        matches = same_id[keep]
+        matches = query.same_identity[~(query.same_identity & query.same_camera)]
         total = int(matches.sum())
         if total == 0:
             skipped += 1

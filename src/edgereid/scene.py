@@ -9,6 +9,7 @@ turned into a closed-form transition oracle for checking learned models.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -210,36 +211,65 @@ def cross_camera_pairs(identities, cameras) -> tuple[np.ndarray, np.ndarray]:
 def generate(spec: GeneratorSpec, rng: np.random.Generator) -> Scene:
     """Simulate every identity's walk and collect the emitted observations.
 
-    Reproducible: the same (spec, seed) always yields the same Scene.
+    Reproducible: the same (spec, seed) always yields the same Scene. Every
+    stored bundle depends on the order of the draws from `rng`, which is,
+    identity by identity:
+
+    1. the start tick, one `integers` draw, when start_spread > 0;
+    2. the mean, `standard_normal(feature_dim)`, when feature_dim > 0;
+    3. then per visit:
+       a. the visibility, one `random` draw, when visibility < 1;
+       b. the noise, `standard_normal(feature_dim)`, when the visit is
+          visible and feature_dim > 0;
+       c. the edge, one `random` draw against the camera's cumulative edge
+          probabilities (the draw `Generator.choice` makes), when the camera
+          has more than one outgoing edge;
+       d. the delay, one `standard_normal` draw, when the edge is log-normal.
+
+    The noise rows are drawn into one buffer, and the features assembled
+    after the walks with the same elementwise arithmetic and one `dot` per
+    norm, so the bits match a per-visit computation.
     """
-    per_camera = [spec.edges_from(c) for c in range(spec.num_cameras)]
-    observations: list[Observation] = []
-    seen_cameras: set[int] = set()
+    per_camera = []
+    for c in range(spec.num_cameras):
+        edges = spec.edges_from(c)
+        cdf = np.array([e.prob for e in edges]).cumsum()
+        cdf /= cdf[-1]
+        per_camera.append((edges, cdf.tolist()))
+    dim = spec.feature_dim
+    always_visible = spec.visibility >= 1.0
+    identities: list[int] = []
+    cameras: list[int] = []
+    ticks: list[int] = []
+    means = np.empty((spec.num_identities, dim))
+    noise = np.empty((spec.num_identities * spec.visits, dim))
     for ident in range(spec.num_identities):
         camera = ident % spec.num_cameras
         t = int(rng.integers(0, spec.start_spread + 1)) if spec.start_spread else 0
-        mean = None
-        if spec.feature_dim:
-            mean = rng.standard_normal(spec.feature_dim)
-            mean /= np.linalg.norm(mean)
+        if dim:
+            mean = rng.standard_normal(out=means[ident])
+            mean /= math.sqrt(mean.dot(mean))
         for _ in range(spec.visits):
-            visible = spec.visibility >= 1.0 or rng.random() < spec.visibility
-            if visible:
-                feature = None
-                if mean is not None:
-                    feature = mean + spec.feature_noise * rng.standard_normal(spec.feature_dim)
-                    feature /= np.linalg.norm(feature)
-                observations.append(Observation(ident, camera, t, feature))
-                seen_cameras.add(camera)
-            edges = per_camera[camera]
-            probs = [e.prob for e in edges]
-            choice = edges[rng.choice(len(edges), p=probs)] if len(edges) > 1 else edges[0]
+            if always_visible or rng.random() < spec.visibility:
+                if dim:
+                    rng.standard_normal(out=noise[len(ticks)])
+                identities.append(ident)
+                cameras.append(camera)
+                ticks.append(t)
+            edges, cdf = per_camera[camera]
+            choice = edges[bisect.bisect_right(cdf, rng.random())] if len(edges) > 1 else edges[0]
             t += choice.delay.sample(rng)
             camera = choice.dest
-    unseen = sorted(set(range(spec.num_cameras)) - seen_cameras)
+    features: list[np.ndarray | None] = [None] * len(ticks)
+    if dim:
+        rows = means[identities] + spec.feature_noise * noise[:len(ticks)]
+        rows /= np.array([math.sqrt(row.dot(row)) for row in rows])[:, None]
+        features = list(rows)
+    unseen = sorted(set(range(spec.num_cameras)) - set(cameras))
     if unseen:
         warnings.warn(f"cameras {unseen} recorded no observations", stacklevel=2)
-    return Scene(num_cameras=spec.num_cameras, observations=tuple(observations),
+    observations = tuple(map(Observation, identities, cameras, ticks, features))
+    return Scene(num_cameras=spec.num_cameras, observations=observations,
                  generator=spec)
 
 

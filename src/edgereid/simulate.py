@@ -794,12 +794,13 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
 
 @dataclasses.dataclass(frozen=True)
 class RankedQuery:
-    """A query with its gallery labels in ranked order (best first)."""
+    """A query and, per ranked gallery item (best first), whether the item
+    has the query's identity and whether it is on the query's camera."""
 
     query_identity: int
     query_camera: int
-    gallery_identities: np.ndarray
-    gallery_cameras: np.ndarray
+    same_identity: np.ndarray
+    same_camera: np.ndarray
 
 
 def central_rankings(scene: Scene, models: Models, params: InferenceParams,
@@ -842,8 +843,9 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
             order = _order(keys, others)
             out.extend(RankedQuery(query_identity=int(gallery.identities[q]),
                                    query_camera=int(gallery.cameras[q]),
-                                   gallery_identities=identities,
-                                   gallery_cameras=cameras)
-                       for q, identities, cameras in zip(
-                           queries, gallery.identities[order], gallery.cameras[order]))
+                                   same_identity=identity, same_camera=camera)
+                       for q, identity, camera in zip(
+                           queries,
+                           gallery.identities[order] == gallery.identities[queries, None],
+                           gallery.cameras[order] == gallery.cameras[queries, None]))
     return visual_lists, joint_lists

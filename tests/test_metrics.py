@@ -25,8 +25,8 @@ def make_report(tns=(), positions=(), strategy="visual"):
 
 def ranked(query_identity, query_camera, ids, cams):
     return RankedQuery(query_identity=query_identity, query_camera=query_camera,
-                       gallery_identities=np.asarray(ids, dtype=np.int64),
-                       gallery_cameras=np.asarray(cams, dtype=np.int64))
+                       same_identity=np.asarray(ids, dtype=np.int64) == query_identity,
+                       same_camera=np.asarray(cams, dtype=np.int64) == query_camera)
 
 
 def test_mtn_is_the_pair_mean():

@@ -1,5 +1,6 @@
 """Scene generation, CSV round trips, splits, and the closed-form oracle."""
 
+import hashlib
 import math
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from edgereid import scene as sc
+from edgereid.config import load_config
 from edgereid.errors import ConfigError, DataError, InputError
 
 
@@ -108,6 +110,115 @@ def test_warns_when_cameras_record_nothing():
     spec = ring_spec(num_cameras=3, num_identities=1, visits=1)
     with pytest.warns(UserWarning, match=r"\[1, 2\]"):
         sc.generate(spec, np.random.default_rng(0))
+
+
+def reference_generate(spec, rng):
+    """generate as the per-visit loop it replaced: `rng.choice` for the edge
+    and `np.linalg.norm` and the feature arithmetic on every visible visit."""
+    per_camera = [spec.edges_from(c) for c in range(spec.num_cameras)]
+    observations = []
+    seen_cameras = set()
+    for ident in range(spec.num_identities):
+        camera = ident % spec.num_cameras
+        t = int(rng.integers(0, spec.start_spread + 1)) if spec.start_spread else 0
+        mean = None
+        if spec.feature_dim:
+            mean = rng.standard_normal(spec.feature_dim)
+            mean /= np.linalg.norm(mean)
+        for _ in range(spec.visits):
+            visible = spec.visibility >= 1.0 or rng.random() < spec.visibility
+            if visible:
+                feature = None
+                if mean is not None:
+                    feature = mean + spec.feature_noise * rng.standard_normal(spec.feature_dim)
+                    feature /= np.linalg.norm(feature)
+                observations.append(sc.Observation(ident, camera, t, feature))
+                seen_cameras.add(camera)
+            edges = per_camera[camera]
+            probs = [e.prob for e in edges]
+            choice = edges[rng.choice(len(edges), p=probs)] if len(edges) > 1 else edges[0]
+            t += choice.delay.sample(rng)
+            camera = choice.dest
+    unseen = sorted(set(range(spec.num_cameras)) - seen_cameras)
+    if unseen:
+        warnings.warn(f"cameras {unseen} recorded no observations", stacklevel=2)
+    return sc.Scene(num_cameras=spec.num_cameras, observations=tuple(observations),
+                    generator=spec)
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs with 2-6 cameras and 1-3 outgoing edges per camera at uneven
+    probabilities, fixed and log-normal delays, partial visibility, features
+    of 0-8 dimensions and start spreads."""
+    num_cameras = draw(st.integers(2, 6))
+    delays = st.one_of(
+        st.builds(sc.FixedDelay, st.integers(1, 30)),
+        st.builds(sc.LogNormalDelay, st.floats(0.0, 4.0), st.floats(0.05, 1.0)))
+    edges = []
+    for source in range(num_cameras):
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        for w in weights:
+            edges.append(sc.Edge(source, draw(st.integers(0, num_cameras - 1)),
+                                 w / sum(weights), draw(delays)))
+    feature_dim = draw(st.sampled_from([0, 0, 1, 2, 3, 5, 8]))
+    return sc.GeneratorSpec(
+        num_cameras=num_cameras, edges=tuple(edges),
+        num_identities=draw(st.integers(1, 12)), visits=draw(st.integers(1, 8)),
+        feature_dim=feature_dim,
+        feature_noise=draw(st.floats(0.0, 1.0)) if feature_dim else 0.0,
+        start_spread=draw(st.sampled_from([0, 0, 1, 7, 200])),
+        visibility=draw(st.sampled_from([1.0, 1.0, 0.9, 0.5, 0.1])))
+
+
+def generate_recording_warnings(generator, spec, seed):
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scene = generator(spec, rng)
+    return scene, rng, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+@settings(deadline=None, max_examples=150)
+@given(generator_specs(), st.integers(0, 2 ** 32 - 1))
+def test_generate_matches_the_per_visit_reference(spec, seed):
+    got, got_rng, got_warnings = generate_recording_warnings(sc.generate, spec, seed)
+    want, want_rng, want_warnings = generate_recording_warnings(
+        reference_generate, spec, seed)
+    assert got_warnings == want_warnings
+    assert got.num_cameras == want.num_cameras and got.generator is spec
+    assert len(got.observations) == len(want.observations)
+    for a, b in zip(got.observations, want.observations):
+        assert (a.identity, a.camera, a.timestamp) == (b.identity, b.camera, b.timestamp)
+        if spec.feature_dim:
+            assert a.feature.dtype == b.feature.dtype
+            assert a.feature.tobytes() == b.feature.tobytes()
+        else:
+            assert a.feature is None and b.feature is None
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def scene_digest(scene):
+    """sha256 over identities, cameras, timestamps and feature bytes, in the
+    scene's order."""
+    digest = hashlib.sha256()
+    digest.update(np.array([(o.identity, o.camera, o.timestamp)
+                            for o in scene.observations], dtype=np.int64).tobytes())
+    for o in scene.observations:
+        digest.update(o.feature.tobytes())
+    return digest.hexdigest()
+
+
+def test_shipped_benchmark_scene_is_pinned():
+    """A change to generate's draw order moves every stored bundle: it fails
+    here first, by name."""
+    config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "configs", "benchmark.json"))
+    gen_rng, _ = np.random.default_rng(config.scene.seed).spawn(2)
+    scene = sc.generate(config.scene.generator, gen_rng)
+    assert len(scene.observations) == 8004
+    assert scene_digest(scene) == (
+        "9d046a1cc396bb1dedc76f7f0991c69c496ca895ca02cd7bfa5bf6791c8461c2")
 
 
 def test_spec_validation():

@@ -342,7 +342,8 @@ def test_central_rankings_cover_every_query():
     assert len(visual) == len(joint) == 6
     size = sim.build_gallery(scene.test_observations(), scene.num_cameras).size
     for rq in visual + joint:
-        assert rq.gallery_identities.size == size - 1
+        assert rq.same_identity.dtype == rq.same_camera.dtype == bool
+        assert rq.same_identity.size == rq.same_camera.size == size - 1
 
 
 # -- plan against the per-camera reference --------------------------------------
@@ -745,7 +746,8 @@ def test_visual_scores_are_one_product_per_query():
 
 def reference_central_rankings(scene, models, params, max_queries, rng):
     """central_rankings as the per-query loop the query blocks replaced: one
-    visual product, one model call and two lexsorts per query."""
+    visual product, one model call and two lexsorts per query. Returns the
+    (visual, joint) RankedQuery lists and the (visual, joint) orders."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     eligible, _ = sim.eligible_queries(gallery)
     chosen = eligible
@@ -753,29 +755,32 @@ def reference_central_rankings(scene, models, params, max_queries, rng):
         keep = rng.choice(eligible.size, size=max_queries, replace=False)
         chosen = eligible[np.sort(keep)]
     visual_lists, joint_lists = [], []
+    visual_orders, joint_orders = [], []
     for q in chosen.tolist():
         others = np.flatnonzero(np.arange(gallery.size) != q)
         task = sim.make_task(gallery, q, int(gallery.timestamps[q]))
         v = (gallery.features @ gallery.features[q])[others]
         o = reference_st_scores(models, params, task, others)
         s = sg.joint_similarity(o, v, params.alpha, params.beta, params.orientation)
-        for order, out in ((others[np.lexsort((others, -v))], visual_lists),
-                           (others[np.lexsort((others, s))], joint_lists)):
+        for order, out, orders in (
+                (others[np.lexsort((others, -v))], visual_lists, visual_orders),
+                (others[np.lexsort((others, s))], joint_lists, joint_orders)):
             out.append(sim.RankedQuery(
                 query_identity=int(gallery.identities[q]),
                 query_camera=int(gallery.cameras[q]),
-                gallery_identities=gallery.identities[order],
-                gallery_cameras=gallery.cameras[order]))
-    return visual_lists, joint_lists
+                same_identity=gallery.identities[order] == gallery.identities[q],
+                same_camera=gallery.cameras[order] == gallery.cameras[q]))
+            orders.append(order)
+    return (visual_lists, joint_lists), (visual_orders, joint_orders)
 
 
 def assert_same_rankings(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.query_identity, a.query_camera) == (b.query_identity, b.query_camera)
-        for x, y in ((a.gallery_identities, b.gallery_identities),
-                     (a.gallery_cameras, b.gallery_cameras)):
-            assert x.dtype == y.dtype
+        for x, y in ((a.same_identity, b.same_identity),
+                     (a.same_camera, b.same_camera)):
+            assert x.dtype == y.dtype == bool
             np.testing.assert_array_equal(x, y)
 
 
@@ -802,11 +807,22 @@ def test_central_rankings_match_the_per_query_reference(
         transition=transition,
         frequency=sg.fit_frequency(scene, bin_width=5) if with_frequency else None)
     params = sim.InferenceParams(orientation=orientation, mu=0.3)
-    want = reference_central_rankings(scene, models, params, max_queries,
-                                      np.random.default_rng(seed))
+    want, want_orders = reference_central_rankings(scene, models, params, max_queries,
+                                                   np.random.default_rng(seed))
+    orders = []  # RankedQuery keeps no item indices: record each block's orders
+    real_order = sim._order
+
+    def recording_order(keys, items):
+        orders.append(real_order(keys, items))
+        return orders[-1]
+
     for chunk in (1, 3, sim.QUERY_CHUNK):
-        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
+        orders.clear()
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk), \
+                mock.patch.object(sim, "_order", recording_order):
             got = sim.central_rankings(scene, models, params, max_queries,
                                        np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert_same_rankings(g, w)
+        for got_orders, w in zip((orders[0::2], orders[1::2]), want_orders):
+            assert np.concatenate(got_orders).tolist() == np.stack(w).tolist()
