@@ -103,8 +103,9 @@ def _obtain_model(config: RunConfig, scene):
 
 
 def _serving_models(config: RunConfig, scene):
-    """Obtain the model and check it covers the scene, then tabulate it and
-    fit the frequency model: (model, history, Models)."""
+    """Obtain the model and check it covers the scene, then wrap it in a
+    transition table that fills its cells as serving asks for them, and fit
+    the frequency model: (model, history, Models)."""
     model, history = _obtain_model(config, scene)
     check_scene_compatible(model, scene)
     timestamps = np.array([o.timestamp for o in scene.observations], dtype=np.int64)

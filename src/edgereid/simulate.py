@@ -20,7 +20,8 @@ from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
 from .scene import Observation, Scene, cross_camera_pairs
-from .transition import TransitionNet, check_scene_compatible
+from .transition import (TransitionNet, check_scene_compatible,
+                         check_source_cameras)
 
 
 class Strategy(enum.Enum):
@@ -82,7 +83,11 @@ class InferenceParams:
 
 @dataclasses.dataclass(frozen=True)
 class Models:
-    """Learned inputs to the strategies; either may be absent."""
+    """Learned inputs to the strategies; either may be absent.
+
+    transition is the network itself or a TransitionTable over it, which
+    fills its cells as lookups ask for them; both give the same bits.
+    """
 
     transition: TransitionNet | TransitionTable | None = None
     frequency: strat.FrequencyModel | None = None
@@ -92,26 +97,39 @@ class TransitionTable:
     """Eval-mode logits of a TransitionNet memoised over integer tick deltas.
 
     Exposes the same forward/distribution interface as the network for
-    integer timestamps within [dt_min, dt_max]; used to avoid re-running the
-    network on repeated (camera, delta) pairs during large benchmarks.
+    integer timestamps within [dt_min, dt_max]. Construction evaluates
+    nothing: it reserves a [C, n, C] array of logits and one of
+    probabilities over the n deltas, and each lookup first fills the
+    (source camera, delta) cells it asks for that no earlier lookup filled,
+    in one eval_logits call over those cells. An eval-mode row's logits do
+    not depend on the rest of its batch, so a cell holds the same bits
+    whichever lookup fills it. The model must not change while the table
+    serves.
     """
 
     def __init__(self, model: TransitionNet, dt_min: int, dt_max: int):
         if dt_max < dt_min:
             raise InputError(f"empty delta range [{dt_min}, {dt_max}]")
+        self.model = model
         self.config = model.config
         self.dt_min = int(dt_min)
         self.dt_max = int(dt_max)
-        deltas = np.arange(self.dt_min, self.dt_max + 1, dtype=np.float64)
-        self.logits = np.stack([model.eval_logits(cam, 0.0, deltas)
-                                for cam in range(model.config.num_cameras)])
-        self.probs = softmax(self.logits, axis=2)
+        c, n = model.config.num_cameras, self.dt_max - self.dt_min + 1
+        self.logits = np.empty((c, n, c))
+        self.probs = np.empty((c, n, c))
+        self.filled = np.zeros((c, n), dtype=bool)
 
     def _lookup(self, cameras, t_query, t_target) -> np.ndarray:
+        """Flat cell indices (source camera x n + delta offset) of a batch,
+        each cell filled."""
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
         tq = np.atleast_1d(as_f64(t_query))
         td = np.atleast_1d(as_f64(t_target))
         cams, tq, td = np.broadcast_arrays(cams, tq, td)
+        if not (np.all(np.isfinite(tq)) and np.all(np.isfinite(td))):
+            raise InputError("timestamps must be finite")
+        c = self.config.num_cameras
+        check_source_cameras(cams, c)
         deltas = td - tq
         idx = np.rint(deltas).astype(np.int64)
         if np.max(np.abs(deltas - idx)) > 1e-9:
@@ -120,11 +138,22 @@ class TransitionTable:
             raise InputError(
                 f"delta range [{idx.min()}, {idx.max()}] outside the table's "
                 f"[{self.dt_min}, {self.dt_max}]")
-        return cams.astype(np.int64), idx - self.dt_min
+        n = self.filled.shape[1]
+        cells = cams * n + (idx - self.dt_min)
+        missing = ~self.filled.reshape(-1)[cells]
+        if missing.any():
+            keys = np.unique(cells[missing])
+            key_cams, key_offsets = np.divmod(keys, n)
+            logits = self.model.eval_logits(
+                key_cams, 0.0, (key_offsets + self.dt_min).astype(np.float64))
+            self.logits.reshape(-1, c)[keys] = logits
+            self.probs.reshape(-1, c)[keys] = softmax(logits, axis=1)
+            self.filled.reshape(-1)[keys] = True
+        return cells
 
     def forward(self, cameras, t_query, t_target, train: bool = False) -> np.ndarray:
-        cams, offsets = self._lookup(cameras, t_query, t_target)
-        return self.logits[cams, offsets]
+        cells = self._lookup(cameras, t_query, t_target)
+        return self.logits.reshape(-1, self.config.num_cameras)[cells]
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
         """The stored logits, as forward returns them; serving code calls
@@ -132,8 +161,8 @@ class TransitionTable:
         return self.forward(cameras, t_query, t_target)
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
-        cams, offsets = self._lookup(cameras, t_query, t_target)
-        return self.probs[cams, offsets]
+        cells = self._lookup(cameras, t_query, t_target)
+        return self.probs.reshape(-1, self.config.num_cameras)[cells]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -645,14 +674,17 @@ def _desired_index(gallery: Gallery, query_index: int, target_time: int) -> int:
 
 
 # Largest TransitionTable, in (camera, delta) cells, that
-# build_transition_table builds; past it the raw model serves.
+# build_transition_table reserves; it bounds the table's memory (two float64
+# arrays of C values per cell), not its work, which follows the cells that
+# lookups ask for. Past it the raw model serves.
 TABLE_MAX_CELLS = 4_000_000
 
 
 def build_transition_table(model: TransitionNet, timestamps: np.ndarray
                            ) -> TransitionNet | TransitionTable:
-    """Memoise the model over the scene's delta range when it takes at most
-    TABLE_MAX_CELLS cells; otherwise return the model itself."""
+    """An empty TransitionTable over the scene's delta range when it takes
+    at most TABLE_MAX_CELLS cells, otherwise the model itself. The table
+    evaluates no cell here: its lookups fill the cells they ask for."""
     span = int(timestamps.max() - timestamps.min())
     cells = model.config.num_cameras * (2 * span + 1)
     if cells > TABLE_MAX_CELLS:

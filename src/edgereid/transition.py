@@ -148,6 +148,16 @@ class _Head:
         return self.bn.backward(gbn, bn_cache)
 
 
+def check_source_cameras(cams: np.ndarray, num_cameras: int) -> None:
+    """Reject an empty batch and source cameras outside [0, num_cameras)."""
+    if cams.size == 0:
+        raise InputError("empty batch")
+    if cams.min() < 0 or cams.max() >= num_cameras:
+        raise InputError(
+            f"source cameras must lie in [0, {num_cameras}), got "
+            f"range [{cams.min()}, {cams.max()}]")
+
+
 def _group_by_camera(cams: np.ndarray, num_cameras: int):
     """Stable sort order of a batch by source camera, and segment bounds:
     the rows of camera s are order[bounds[s]:bounds[s + 1]], in batch order."""
@@ -277,12 +287,7 @@ class TransitionNet:
         cams = cams.astype(np.int64)
         if cams.ndim != 1:
             raise ShapeError("cameras and timestamps must be scalars or 1-d arrays")
-        if cams.size == 0:
-            raise InputError("empty batch")
-        if cams.min() < 0 or cams.max() >= cfg.num_cameras:
-            raise InputError(
-                f"source cameras must lie in [0, {cfg.num_cameras}), got "
-                f"range [{cams.min()}, {cams.max()}]")
+        check_source_cameras(cams, cfg.num_cameras)
         n, c, d = cams.size, cfg.num_cameras, cfg.embed_dim
 
         embed = nn.sinusoidal_embed(deltas, d, cfg.max_period)
@@ -618,20 +623,34 @@ def load_checkpoint(path) -> TransitionNet:
         if data.size != p.value.size:
             raise CheckpointError(f"{path}: {name} has {data.size} values, "
                                   f"expected {p.value.size}")
+        _check_finite(path, name, data)
         p.value[...] = data.reshape(p.value.shape)
         p.grad[...] = 0.0
         p.m[...] = 0.0
         p.v[...] = 0.0
         p.step_count = 0
     try:
-        model.load_bn_states({
-            name: {"running_mean": as_f64(st["running_mean"]),
-                   "running_var": as_f64(st["running_var"])}
-            for name, st in doc["batch_norm"].items()})
+        states = {name: {"running_mean": as_f64(st["running_mean"]),
+                         "running_var": as_f64(st["running_var"])}
+                  for name, st in doc["batch_norm"].items()}
+        model.load_bn_states(states)
     except (KeyError, ShapeError, CheckpointError) as exc:
         raise CheckpointError(f"{path}: bad batch-norm state: {exc}") from None
+    for name, st in states.items():
+        for key, values in st.items():
+            _check_finite(path, f"batch_norm {name}.{key}", values)
+        if np.any(st["running_var"] < 0.0):
+            raise CheckpointError(
+                f"{path}: batch_norm {name}.running_var has negative values")
     model.metadata = dict(doc.get("metadata", {}))
     return model
+
+
+def _check_finite(path, entry: str, values: np.ndarray) -> None:
+    """Reject a checkpoint entry holding NaN or infinite values: the model
+    would load, then fail as NumericError at its first forward pass."""
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError(f"{path}: {entry} has non-finite values")
 
 
 def check_scene_compatible(model: TransitionNet, scene: Scene) -> None:

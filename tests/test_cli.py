@@ -303,3 +303,28 @@ def test_a_run_that_training_rejects_leaves_no_out_directory(
     assert main([command, "--config", config_path(doc), "--out", str(out)]) == 2
     assert "no cross-camera observation pairs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", ["nan_bias", "negative_variance"])
+def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
+        tmp_path, config_path, capsys, corrupt):
+    ckpt_dir = tmp_path / "ckpt"
+    assert main(["train", "--config", config_path(base_config()),
+                 "--out", str(ckpt_dir)]) == 0
+    path = ckpt_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    if corrupt == "nan_bias":
+        doc["params"]["spatial_bias"]["data"][0] = float("nan")
+        entry = "spatial_bias"
+    else:
+        doc["batch_norm"]["head"]["running_var"][0] = -1.0
+        entry = "head.running_var"
+    path.write_text(json.dumps(doc))
+    run = base_config()
+    run["simulate"]["checkpoint"] = str(path)
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert main(["simulate", "--config", config_path(run, "ckpt.json"),
+                 "--out", str(out)]) == 2
+    assert entry in capsys.readouterr().err
+    assert not out.exists()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from edgereid import simulate as sim
 from edgereid import strategy as sg
 from edgereid.errors import ConfigError, DataError, InputError
+from edgereid.nn import softmax
 from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation,
                             Scene, generate, split_identities)
 from edgereid.transition import EVAL_ROWS, TransitionNet, TransitionNetConfig
@@ -188,18 +189,119 @@ def test_transition_table_matches_model_exactly():
         sim.TransitionTable(model, 5, 4)
 
 
+def reference_table(model, dt_min, dt_max):
+    """The eager table: every (camera, delta) cell's eval-mode logits and
+    their softmax, [C, n, C] each, from one eval_logits call per camera."""
+    deltas = np.arange(dt_min, dt_max + 1, dtype=np.float64)
+    logits = np.stack([model.eval_logits(cam, 0.0, deltas)
+                       for cam in range(model.config.num_cameras)])
+    return logits, softmax(logits, axis=2)
+
+
+@pytest.mark.parametrize("cameras, t_query", [
+    (-1, 0.0), (3, 0.0), ([0, 2, 5], 0.0), ([], 0.0), ([0, 1], [0.0, math.nan])])
+def test_transition_table_rejects_what_the_model_rejects(cameras, t_query):
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(3))
+    table = sim.TransitionTable(model, -5, 5)
+    with pytest.raises(InputError) as want:
+        model.forward(cameras, t_query, 2.0)
+    for lookup in (table.forward, table.eval_logits, table.distribution):
+        with pytest.raises(InputError) as got:
+            lookup(cameras, t_query, 2.0)
+        assert str(got.value) == str(want.value)
+    assert not table.filled.any()
+
+
 def test_transition_table_with_a_one_row_tail_matches_the_model():
-    # 2 * EVAL_ROWS + 1 deltas per camera, so eval_logits' blocks end in a
-    # one-row tail, which joins the block before it; the table still holds
-    # the bits of one forward pass over all the deltas
+    # 2 * EVAL_ROWS + 1 deltas per camera, so the one fill of a camera's
+    # cells ends eval_logits' blocks in a one-row tail, which joins the block
+    # before it; the table still holds the bits of one forward pass over all
+    # the deltas
     model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6,
                                               per_node_classifier=True),
                           np.random.default_rng(5))
     table = sim.TransitionTable(model, -EVAL_ROWS, EVAL_ROWS)
     deltas = np.arange(-EVAL_ROWS, EVAL_ROWS + 1, dtype=np.float64)
     for cam in range(4):
-        np.testing.assert_array_equal(table.logits[cam],
+        np.testing.assert_array_equal(table.forward(cam, 0.0, deltas),
                                       model.forward(cam, 0.0, deltas))
+
+
+def counted(monkeypatch, name):
+    """Wrap TransitionNet.<name> to record the rows of each call."""
+    method = getattr(TransitionNet, name)
+    rows = []
+
+    def wrapper(self, cameras, *args, **kwargs):
+        rows.append(np.size(cameras))
+        return method(self, cameras, *args, **kwargs)
+
+    monkeypatch.setattr(TransitionNet, name, wrapper)
+    return rows
+
+
+def test_build_transition_table_evaluates_nothing(monkeypatch):
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(6))
+    forwards = counted(monkeypatch, "forward")
+    table = sim.build_transition_table(model, np.array([3, 40, 17]))
+    assert isinstance(table, sim.TransitionTable)
+    assert forwards == []
+    assert table.logits.shape == (3, 75, 3) and not table.filled.any()
+
+
+def test_a_lookup_evaluates_only_the_cells_no_lookup_filled(monkeypatch):
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(7))
+    table = sim.TransitionTable(model, -20, 20)
+    calls = counted(monkeypatch, "eval_logits")
+    cams = np.array([0, 1, 1, 2, 0])
+    tq = np.array([5.0, 0.0, 4.0, 3.0, 5.0])
+    td = np.array([10.0, -20.0, -16.0, 3.0, 10.0])
+    first = table.distribution(cams, tq, td)
+    assert calls == [3]  # three distinct cells, one call
+    np.testing.assert_array_equal(table.distribution(cams, tq, td), first)
+    table.forward(cams[::-1], tq[::-1], td[::-1])
+    table.eval_logits(1, 0.0, -20.0)
+    assert calls == [3]
+    table.forward([1, 2], [0.0, 0.0], [-20.0, 7.0])
+    assert calls == [3, 1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_lazy_table_matches_the_eager_reference(cameras, per_node, tail, seed,
+                                                data):
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
+                                 per_node_classifier=per_node)
+    model = TransitionNet(config, np.random.default_rng(seed))
+    # a first fill of all 2 * EVAL_ROWS + 1 cells of a camera ends
+    # eval_logits' blocks in a one-row tail
+    span = EVAL_ROWS if tail else 12
+    want = reference_table(model, -span, span)
+    table = sim.TransitionTable(model, -span, span)
+    cell = st.tuples(st.integers(0, cameras - 1), st.integers(-span, span),
+                     st.integers(-50, 50))
+    fills = data.draw(st.lists(st.lists(cell, min_size=1, max_size=30),
+                               min_size=1, max_size=4))
+    if tail:
+        cam = data.draw(st.integers(0, cameras - 1))
+        fills.insert(0, [(cam, d, 0) for d in range(-span, span + 1)])
+    # the last lookup asks for every cell, filling the rest in one call
+    fills.append([(c, d, 0) for c in range(cameras) for d in range(-span, span + 1)])
+    for keys in fills:
+        cams, deltas, t_query = (np.array(col) for col in zip(*keys))
+        lookup = data.draw(st.sampled_from(["forward", "eval_logits",
+                                            "distribution"]))
+        got = getattr(table, lookup)(cams, t_query.astype(np.float64),
+                                     (t_query + deltas).astype(np.float64))
+        stored = want[1] if lookup == "distribution" else want[0]
+        np.testing.assert_array_equal(got, stored[cams, deltas + span])
+    assert table.filled.all()
+    np.testing.assert_array_equal(table.logits, want[0])
+    np.testing.assert_array_equal(table.probs, want[1])
 
 
 def test_build_transition_table_falls_back_when_big(monkeypatch):

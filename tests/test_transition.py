@@ -660,6 +660,26 @@ def test_checkpoint_rejects_tampering(tmp_path):
         tr.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("section, name, key, value, match", [
+    ("params", "spatial_bias", "data", math.nan, "spatial_bias has non-finite"),
+    ("params", "block0.transfer", "data", -math.inf, "block0.transfer has non-finite"),
+    ("batch_norm", "head", "running_mean", math.inf, "head.running_mean has non-finite"),
+    ("batch_norm", "head", "running_var", math.nan, "head.running_var has non-finite"),
+    ("batch_norm", "head", "running_var", -1.0, "head.running_var has negative"),
+])
+def test_checkpoint_rejects_values_a_forward_pass_cannot_use(
+        tmp_path, section, name, key, value, match):
+    # without the check the model loads and its first forward pass raises
+    # NumericError
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(tiny_model(seed=24), path)
+    doc = json.loads(path.read_text())
+    doc[section][name][key][1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=match):
+        tr.load_checkpoint(path)
+
+
 def test_scene_compatibility_check():
     model = tiny_model(num_cameras=2)
     scene = ring_scene(num_cameras=3, identities=10, visits=3)
