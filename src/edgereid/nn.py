@@ -5,6 +5,14 @@ run its own backpropagation without an autodiff framework. All arrays are
 C-contiguous float64; gradients accumulate into Param.grad until zero_grads
 is called. Nothing here keeps hidden global state: random initialisation and
 stochastic training draw from caller-owned numpy Generators.
+
+The layer kernels write their large arrays into the buffers of a Workspace
+passed by the caller, so that a training loop reuses the same memory every
+step instead of allocating (and page-faulting) a fresh set of temporaries.
+Called without one, a kernel allocates every array afresh. A workspace, and
+every array a kernel returned from it, belongs to one caller at a time: the
+next call that uses the workspace overwrites them, and two threads sharing
+one would write into each other's temporaries.
 """
 
 from __future__ import annotations
@@ -54,13 +62,39 @@ class Param:
         return f"Param(shape={self.value.shape}, steps={self.step_count})"
 
 
+class Workspace:
+    """Reusable float64 work buffers, keyed by name.
+
+    get(name, shape) returns a C-contiguous view of the buffer stored under
+    name, allocating it only when it is missing or smaller than shape asks.
+    scope(prefix) is a view of the same buffers whose names carry the prefix,
+    so that the arrays one layer keeps for its backward pass do not collide
+    with another layer's.
+    """
+
+    def __init__(self, buffers: dict | None = None, prefix: str = ""):
+        self._buffers = {} if buffers is None else buffers
+        self._prefix = prefix
+
+    def get(self, name: str, shape) -> np.ndarray:
+        key = self._prefix + name
+        size = math.prod(shape)
+        flat = self._buffers.get(key)
+        if flat is None or flat.size < size:
+            flat = self._buffers[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def scope(self, prefix: str) -> "Workspace":
+        return Workspace(self._buffers, f"{self._prefix}{prefix}.")
+
+
 def zero_grads(params) -> None:
     for p in params:
         p.grad[...] = 0.0
 
 
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              eps: float = 1e-8, work: Workspace | None = None) -> None:
     """Apply one bias-corrected Adam update to each parameter in place.
 
     With zero gradients and fresh moments the values are untouched while
@@ -68,12 +102,14 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
     """
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
+    work = work or Workspace()
     for p in params:
         p.step_count += 1
         t = p.step_count
         # the same operations in the same order as the textbook update,
         # written into two scratch arrays instead of one temporary each
-        scratch = np.multiply(p.grad, 1.0 - beta1)
+        scratch = np.multiply(p.grad, 1.0 - beta1,
+                              out=work.get("adam.scratch", p.shape))
         p.m *= beta1
         p.m += scratch
         np.square(p.grad, out=scratch)
@@ -83,7 +119,7 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
         np.divide(p.v, 1.0 - beta2 ** t, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += eps
-        step = np.divide(p.m, 1.0 - beta1 ** t)
+        step = np.divide(p.m, 1.0 - beta1 ** t, out=work.get("adam.step", p.shape))
         step *= lr
         step /= scratch
         p.value -= step
@@ -117,7 +153,8 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
     return out
 
 
-def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None) -> np.ndarray:
+def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None,
+                   work: Workspace | None = None) -> np.ndarray:
     """y = x @ weight (+ bias). x is [M, K], weight [K, N].
 
     The product is a row-wise sum of products, not a BLAS call, so a row's
@@ -128,23 +165,27 @@ def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None) -> n
     if x.ndim != 2 or weight.value.ndim != 2 or x.shape[1] != weight.value.shape[0]:
         raise ShapeError(
             f"linear expects [M,K] @ [K,N], got {x.shape} and {weight.value.shape}")
-    y = (x[:, :, None] * weight.value).sum(axis=1)
+    product = (work or Workspace()).get("linear.product",
+                                        x.shape + weight.value.shape[1:])
+    y = np.multiply(x[:, :, None], weight.value, out=product).sum(axis=1)
     if bias is not None:
-        y = y + bias.value
+        y += bias.value
     return y
 
 
 def linear_backward(gy: np.ndarray, x: np.ndarray, weight: Param,
-                    bias: Param | None = None) -> np.ndarray:
+                    bias: Param | None = None,
+                    work: Workspace | None = None) -> np.ndarray:
     """Accumulate weight/bias gradients and return the input gradient."""
     weight.grad += x.T @ gy
     if bias is not None:
         bias.grad += gy.sum(axis=0)
-    return gy @ weight.value.T
+    gx = (work or Workspace()).get("linear_backward.grad", x.shape)
+    return np.matmul(gy, weight.value.T, out=gx)
 
 
 def layer_norm_forward(x: np.ndarray, scale: Param, shift: Param,
-                       eps: float = 1e-5):
+                       eps: float = 1e-5, work: Workspace | None = None):
     """Normalise each row of x over its last axis, then scale and shift.
 
     Returns (y, cache); pass the cache to layer_norm_backward.
@@ -153,41 +194,55 @@ def layer_norm_forward(x: np.ndarray, scale: Param, shift: Param,
         raise ShapeError(
             f"layer_norm feature width {x.shape[-1]} does not match "
             f"scale {scale.value.shape} / shift {shift.value.shape}")
+    work = work or Workspace()
+    x_hat = work.get("layer_norm.x_hat", x.shape)
+    y = work.get("layer_norm.out", x.shape)
     mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    var = np.mean(np.square(centred), axis=-1, keepdims=True)
+    centred = np.subtract(x, mean, out=x_hat)
+    var = np.mean(np.square(centred, out=y), axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centred * inv_std
-    y = x_hat * scale.value + shift.value
+    x_hat *= inv_std
+    np.multiply(x_hat, scale.value, out=y)
+    y += shift.value
     cache = (x_hat, inv_std)
     return y, cache
 
 
-def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param) -> np.ndarray:
+def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param,
+                        work: Workspace | None = None) -> np.ndarray:
     x_hat, inv_std = cache
-    scale.grad += np.sum(gy * x_hat, axis=tuple(range(gy.ndim - 1)))
-    shift.grad += np.sum(gy, axis=tuple(range(gy.ndim - 1)))
-    g_hat = gy * scale.value
-    gx = (g_hat - g_hat.mean(axis=-1, keepdims=True)
-          - x_hat * np.mean(g_hat * x_hat, axis=-1, keepdims=True)) * inv_std
-    return gx
+    work = work or Workspace()
+    tmp = work.get("layer_norm_backward.tmp", gy.shape)
+    g_hat = work.get("layer_norm_backward.grad", gy.shape)
+    axes = tuple(range(gy.ndim - 1))
+    scale.grad += np.sum(np.multiply(gy, x_hat, out=tmp), axis=axes)
+    shift.grad += np.sum(gy, axis=axes)
+    np.multiply(gy, scale.value, out=g_hat)
+    # (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) * inv_std, in g_hat
+    proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=-1, keepdims=True)
+    g_hat -= g_hat.mean(axis=-1, keepdims=True)
+    g_hat -= np.multiply(x_hat, proj, out=tmp)
+    g_hat *= inv_std
+    return g_hat
 
 
-def gelu(x: np.ndarray, keep_phi: bool = False):
+def gelu(x: np.ndarray, keep_phi: bool = False, work: Workspace | None = None):
     """Exact Gaussian error linear unit, x * Phi(x).
 
     With keep_phi it returns (gelu(x), Phi(x)), so that gelu_backward can
     reuse Phi instead of computing erf again.
     """
-    phi = _normal_cdf(x)
-    out = x * phi
+    work = work or Workspace()
+    phi = _normal_cdf(x, work.get("gelu.phi", x.shape))
+    out = np.multiply(x, phi, out=work.get("gelu.out", x.shape))
     return (out, phi) if keep_phi else out
 
 
-def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray,
+                  work: Workspace | None = None) -> np.ndarray:
     """Input gradient of gelu; phi is Phi(x) as gelu(x, keep_phi=True)
     returned it."""
-    grad = np.square(x)
+    grad = np.square(x, out=(work or Workspace()).get("gelu_backward.grad", x.shape))
     grad *= -0.5
     np.exp(grad, out=grad)
     grad *= _INV_SQRT_2PI
@@ -197,21 +252,26 @@ def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), computed in one array."""
-    phi = np.divide(x, _SQRT2)
+def _normal_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), computed in out."""
+    phi = np.divide(x, _SQRT2, out=out)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     return phi
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=(work or Workspace()).get("relu.out", x.shape))
 
 
-def relu_backward(gy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, gy, 0.0)
+def relu_backward(gy: np.ndarray, x: np.ndarray,
+                  work: Workspace | None = None) -> np.ndarray:
+    """gy where x > 0, else 0."""
+    grad = (work or Workspace()).get("relu_backward.grad", gy.shape)
+    grad[...] = 0.0
+    np.copyto(grad, gy, where=x > 0.0)
+    return grad
 
 
 class BatchNorm:
@@ -236,39 +296,50 @@ class BatchNorm:
     def params(self):
         return [self.scale, self.shift]
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool, work: Workspace | None = None):
         if x.ndim != 2 or x.shape[1] != self.scale.value.shape[0]:
             raise ShapeError(
                 f"batch norm expects [B,{self.scale.value.shape[0]}], got {x.shape}")
+        work = work or Workspace()
+        x_hat = work.get("batch_norm.x_hat", x.shape)
+        y = work.get("batch_norm.out", x.shape)
         if train:
             n = x.shape[0]
             if n < 2:
                 raise ConfigError(
                     f"batch norm needs at least 2 rows in train mode, got {n}")
             mean = x.mean(axis=0)
-            centred = x - mean
-            var = np.mean(np.square(centred), axis=0)
+            centred = np.subtract(x, mean, out=x_hat)
+            var = np.mean(np.square(centred, out=y), axis=0)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = centred * inv_std
+            x_hat *= inv_std
             self.running_mean += self.momentum * (mean - self.running_mean)
             unbiased = var * n / (n - 1)
             self.running_var += self.momentum * (unbiased - self.running_var)
-            cache = (True, x_hat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = (x - self.running_mean) * inv_std
-            cache = (False, x_hat, inv_std)
-        return x_hat * self.scale.value + self.shift.value, cache
+            np.subtract(x, self.running_mean, out=x_hat)
+            x_hat *= inv_std
+        np.multiply(x_hat, self.scale.value, out=y)
+        y += self.shift.value
+        return y, (train, x_hat, inv_std)
 
-    def backward(self, gy: np.ndarray, cache) -> np.ndarray:
+    def backward(self, gy: np.ndarray, cache,
+                 work: Workspace | None = None) -> np.ndarray:
         train, x_hat, inv_std = cache
-        self.scale.grad += np.sum(gy * x_hat, axis=0)
+        work = work or Workspace()
+        tmp = work.get("batch_norm_backward.tmp", gy.shape)
+        g_hat = work.get("batch_norm_backward.grad", gy.shape)
+        self.scale.grad += np.sum(np.multiply(gy, x_hat, out=tmp), axis=0)
         self.shift.grad += np.sum(gy, axis=0)
-        g_hat = gy * self.scale.value
-        if not train:
-            return g_hat * inv_std
-        return (g_hat - g_hat.mean(axis=0)
-                - x_hat * np.mean(g_hat * x_hat, axis=0)) * inv_std
+        np.multiply(gy, self.scale.value, out=g_hat)
+        if train:
+            # g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat), in g_hat
+            proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=0)
+            g_hat -= g_hat.mean(axis=0)
+            g_hat -= np.multiply(x_hat, proj, out=tmp)
+        g_hat *= inv_std
+        return g_hat
 
     def state(self) -> dict:
         return {"running_mean": self.running_mean.copy(),

@@ -5,7 +5,8 @@ a per-source-camera weight block into one feature row per camera, refines the
 rows with graph propagation blocks (layer norm, learned adjacency mixing,
 feature transfer, GELU), and scores each camera's row with a shared
 batch-norm/ReLU/linear head. Forward, backward, and Adam updates are all
-explicit; no autodiff.
+explicit; no autodiff. The layers write their large arrays into the model's
+nn.Workspace, which training keeps from step to step.
 """
 
 from __future__ import annotations
@@ -98,24 +99,36 @@ class GraphBlock:
             f"{prefix}.norm_shift": self.norm_shift,
         }
 
-    def forward(self, a: np.ndarray):
+    def forward(self, a: np.ndarray, work: nn.Workspace | None = None):
         """Block output for a [n, C, D] batch, and the cache for backward,
-        which keeps GELU's Phi for backward to reuse."""
-        normed, ln_cache = nn.layer_norm_forward(a, self.norm_scale, self.norm_shift)
-        mixed = np.matmul(self.adjacency.value, normed)
-        pre = mixed @ self.transfer.value
-        out, phi = nn.gelu(pre, keep_phi=True)
+        which keeps GELU's Phi for backward to reuse. The arrays live in
+        work, the block's scope of the model's workspace."""
+        work = work or nn.Workspace()
+        normed, ln_cache = nn.layer_norm_forward(a, self.norm_scale,
+                                                 self.norm_shift, work=work)
+        mixed = np.matmul(self.adjacency.value, normed,
+                          out=work.get("mixed", normed.shape))
+        pre = np.matmul(mixed, self.transfer.value, out=work.get("pre", mixed.shape))
+        out, phi = nn.gelu(pre, keep_phi=True, work=work)
         return out, (normed, ln_cache, mixed, pre, phi)
 
-    def backward(self, gout: np.ndarray, cache) -> np.ndarray:
+    def backward(self, gout: np.ndarray, cache,
+                 work: nn.Workspace | None = None) -> np.ndarray:
         normed, ln_cache, mixed, pre, phi = cache
-        gpre = nn.gelu_backward(gout, pre, phi)
+        work = work or nn.Workspace()
+        gpre = nn.gelu_backward(gout, pre, phi, work=work)
         n, c, d = gpre.shape
         self.transfer.grad += mixed.reshape(n * c, d).T @ gpre.reshape(n * c, d)
-        gmixed = gpre @ self.transfer.value.T
-        self.adjacency.grad += np.matmul(gmixed, normed.transpose(0, 2, 1)).sum(axis=0)
-        gnormed = np.matmul(self.adjacency.value.T, gmixed)
-        return nn.layer_norm_backward(gnormed, ln_cache, self.norm_scale, self.norm_shift)
+        gmixed = np.matmul(gpre, self.transfer.value.T,
+                           out=work.get("graph_block_backward.gmixed", gpre.shape))
+        gadjacency = np.matmul(
+            gmixed, normed.transpose(0, 2, 1),
+            out=work.get("graph_block_backward.gadjacency", (n, c, c)))
+        self.adjacency.grad += gadjacency.sum(axis=0)
+        # gpre is not read again, so gnormed takes its buffer
+        gnormed = np.matmul(self.adjacency.value.T, gmixed, out=gpre)
+        return nn.layer_norm_backward(gnormed, ln_cache, self.norm_scale,
+                                      self.norm_shift, work)
 
 
 class _Head:
@@ -135,17 +148,20 @@ class _Head:
             f"{prefix}.fc_bias": self.fc_bias,
         }
 
-    def forward(self, rows: np.ndarray, train: bool):
-        bn_out, bn_cache = self.bn.forward(rows, train)
-        hidden = nn.relu(bn_out)
-        logits = nn.linear_forward(hidden, self.fc_weight, self.fc_bias)
+    def forward(self, rows: np.ndarray, train: bool, work: nn.Workspace | None = None):
+        """Fresh [rows, 1] logits, and the cache for backward."""
+        bn_out, bn_cache = self.bn.forward(rows, train, work)
+        hidden = nn.relu(bn_out, work)
+        logits = nn.linear_forward(hidden, self.fc_weight, self.fc_bias, work)
         return logits, (bn_cache, bn_out, hidden)
 
-    def backward(self, glogits: np.ndarray, cache) -> np.ndarray:
+    def backward(self, glogits: np.ndarray, cache,
+                 work: nn.Workspace | None = None) -> np.ndarray:
         bn_cache, bn_out, hidden = cache
-        ghidden = nn.linear_backward(glogits, hidden, self.fc_weight, self.fc_bias)
-        gbn = nn.relu_backward(ghidden, bn_out)
-        return self.bn.backward(gbn, bn_cache)
+        ghidden = nn.linear_backward(glogits, hidden, self.fc_weight, self.fc_bias,
+                                     work)
+        gbn = nn.relu_backward(ghidden, bn_out, work)
+        return self.bn.backward(gbn, bn_cache, work)
 
 
 def check_source_cameras(cams: np.ndarray, num_cameras: int) -> None:
@@ -177,26 +193,32 @@ def _group_by_camera(cams: np.ndarray, num_cameras: int):
 
 
 def _spatial_forward(weight: np.ndarray, weights: np.ndarray, order: np.ndarray,
-                     bounds: np.ndarray) -> np.ndarray:
+                     bounds: np.ndarray,
+                     work: nn.Workspace | None = None) -> np.ndarray:
     """out[i] = weights[i] contracted with weight[cams[i]] -> [n, C, D], one
     contraction per camera group of _group_by_camera."""
     c, d = weight.shape[:2]
     blocks = weight.reshape(c, d, c * d)
     sorted_weights = weights[order]
-    out = np.empty((order.size, c * d))
+    out = (work or nn.Workspace()).get("spatial.out", (order.size, c, d))
+    flat = out.reshape(-1, c * d)
     for s in np.flatnonzero(np.diff(bounds)):
         rows = slice(bounds[s], bounds[s + 1])
-        out[order[rows]] = np.einsum("nj,jk->nk", sorted_weights[rows], blocks[s])
-    return out.reshape(-1, c, d)
+        flat[order[rows]] = np.einsum("nj,jk->nk", sorted_weights[rows], blocks[s])
+    return out
 
 
 def _spatial_backward(weight_grad: np.ndarray, weights: np.ndarray,
-                      order: np.ndarray, bounds: np.ndarray, ga: np.ndarray) -> None:
+                      order: np.ndarray, bounds: np.ndarray, ga: np.ndarray,
+                      work: nn.Workspace | None = None) -> None:
     """weight_grad[s] += sum over camera s's rows i, in batch order, of
     outer(weights[i], ga[i])."""
     c, d = weight_grad.shape[:2]
     sorted_weights = weights[order]
-    sorted_ga = ga.reshape(-1, c * d)[order]
+    # mode="clip" (order is in range) keeps np.take from buffering its output
+    sorted_ga = np.take(ga.reshape(-1, c * d), order, axis=0, mode="clip",
+                        out=(work or nn.Workspace()).get("spatial_backward.ga",
+                                                         (order.size, c * d)))
     for s in np.flatnonzero(np.diff(bounds)):
         rows = slice(bounds[s], bounds[s + 1])
         weight_grad[s] += np.einsum("nj,nk->jk", sorted_weights[rows],
@@ -211,6 +233,14 @@ class TransitionNet:
     camera once per forward pass, so each block is applied to its rows in one
     contraction and its gradient is summed over those rows in one more; no
     per-row copy of a weight block is made.
+
+    forward, backward and Adam write their large arrays into one
+    nn.Workspace the model owns. Forward arrays are kept per layer until
+    backward has read them; backward temporaries are shared by the blocks and
+    the heads. The buffers stay from one training step to the next, and
+    train and eval_logits release them when they return. So a model is used
+    by one caller at a time, never shared across threads: a second caller's
+    forward pass would overwrite the first one's cache.
     """
 
     def __init__(self, config: TransitionNetConfig, rng: np.random.Generator):
@@ -226,6 +256,24 @@ class TransitionNet:
             self.heads = [_Head(d, rng)]
         self.metadata: dict = {}
         self._cache = None
+        self._work: nn.Workspace | None = None
+
+    def __getstate__(self):
+        # copies, pickles and snapshots carry the parameters, never the
+        # work buffers or a pending forward cache
+        state = self.__dict__.copy()
+        state["_cache"] = state["_work"] = None
+        return state
+
+    def _workspace(self) -> nn.Workspace:
+        if self._work is None:
+            self._work = nn.Workspace()
+        return self._work
+
+    def _release_buffers(self) -> None:
+        """Drop the work buffers and any forward cache that refers to them."""
+        self._cache = None
+        self._work = None
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -276,9 +324,10 @@ class TransitionNet:
         """Score each camera for a batch of (source camera, time pair) inputs.
 
         cameras, t_query, t_target broadcast to a common batch shape [n];
-        returns logits [n, C] and retains the cache consumed by backward,
-        which reuses the batch's grouping by source camera for the
-        spatial-weight gradient.
+        returns fresh logits [n, C] and retains the cache consumed by
+        backward, which reuses the batch's grouping by source camera for the
+        spatial-weight gradient. The cache lives in the model's work buffers,
+        which the next forward pass overwrites.
         """
         cfg = self.config
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
@@ -296,25 +345,27 @@ class TransitionNet:
         den = sign * np.maximum(np.abs(raw_den), cfg.denominator_floor)
         weights = embed / den[:, None]
 
+        work = self._workspace()
         order, bounds = _group_by_camera(cams, c)
-        a = (_spatial_forward(self.spatial_weight.value, weights, order, bounds)
-             + self.spatial_bias.value)
+        a = _spatial_forward(self.spatial_weight.value, weights, order, bounds, work)
+        a += self.spatial_bias.value
 
         block_caches = []
-        for block in self.blocks:
-            a, cache = block.forward(a)
+        for i, block in enumerate(self.blocks):
+            a, cache = block.forward(a, work.scope(f"block{i}"))
             block_caches.append(cache)
 
         if cfg.per_node_classifier:
             logits = np.empty((n, c))
             head_caches = []
             for node, head in enumerate(self.heads):
-                col, cache = head.forward(a[:, node, :], train)
+                col, cache = head.forward(a[:, node, :], train,
+                                          work.scope(f"head{node}"))
                 logits[:, node] = col[:, 0]
                 head_caches.append(cache)
         else:
             rows = a.reshape(n * c, d)
-            flat, cache = self.heads[0].forward(rows, train)
+            flat, cache = self.heads[0].forward(rows, train, work.scope("head"))
             logits = flat.reshape(n, c)
             head_caches = [cache]
 
@@ -338,20 +389,24 @@ class TransitionNet:
         if glogits.shape != (n, c):
             raise ShapeError(f"gradient shape {glogits.shape} != ({n}, {c})")
 
+        # backward temporaries are shared by the blocks and the heads: each
+        # layer's are dead once the next layer down has read its output
+        work = self._workspace()
         if cfg.per_node_classifier:
-            ga = np.empty((n, c, d))
+            ga = work.get("head_backward.ga", (n, c, d))
             for node, head in enumerate(self.heads):
                 ga[:, node, :] = head.backward(glogits[:, node:node + 1],
-                                               head_caches[node])
+                                               head_caches[node], work)
         else:
-            grows = self.heads[0].backward(glogits.reshape(n * c, 1), head_caches[0])
+            grows = self.heads[0].backward(glogits.reshape(n * c, 1), head_caches[0],
+                                           work)
             ga = grows.reshape(n, c, d)
 
         for block, cache in zip(reversed(self.blocks), reversed(block_caches)):
-            ga = block.backward(ga, cache)
+            ga = block.backward(ga, cache, work)
 
         self.spatial_bias.grad += ga.sum(axis=0)
-        _spatial_backward(self.spatial_weight.grad, weights, order, bounds, ga)
+        _spatial_backward(self.spatial_weight.grad, weights, order, bounds, ga, work)
         self._cache = None
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
@@ -361,7 +416,8 @@ class TransitionNet:
         Inputs broadcast as in forward. An eval-mode row's logits do not
         depend on the other rows of its batch, so the blocks give the same
         bits as one forward pass over the whole batch, or over each row
-        alone. No cache is kept afterwards, so backward cannot follow.
+        alone. The blocks share one set of work buffers, released (with the
+        forward cache) on return, so backward cannot follow.
         """
         cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
         tq = np.atleast_1d(as_f64(t_query))
@@ -370,11 +426,13 @@ class TransitionNet:
         if cams.size == 0:
             raise InputError("empty batch")
         out = np.empty((cams.shape[0], self.config.num_cameras))
+        # a training step's buffers would only add to the blocks' peak memory
+        self._release_buffers()
         try:
             for rows in _batches(np.arange(cams.shape[0]), EVAL_ROWS):
                 out[rows] = self.forward(cams[rows], tq[rows], td[rows], train=False)
         finally:
-            self._cache = None
+            self._release_buffers()
         return out
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
@@ -473,7 +531,7 @@ def training_step(model: TransitionNet, batch, lr: float) -> float:
     logits = model.forward(cams, tq, td, train=True)
     loss, glogits = nn.cross_entropy(logits, targets)
     model.backward(glogits)
-    nn.adam_step(model.params(), lr)
+    nn.adam_step(model.params(), lr, work=model._workspace())
     return loss
 
 
@@ -492,12 +550,23 @@ def _holdout_pairs(pool, rng: np.random.Generator, cap: int):
 
 def holdout_accuracy(model: TransitionNet, batch) -> float:
     """Fraction of a batch's pairs (see _pair_batch) whose target camera gets
-    the top eval-mode logit."""
-    cams, tq, td, targets = batch
+    the top eval-mode logit.
+
+    An eval-mode row's logits depend only on its (source camera, target time
+    - query time) key, whatever else is in the batch, so each distinct key is
+    evaluated once, at its first row, and its rows gather its logits."""
+    cams, tq, td, targets = (np.asarray(col) for col in batch)
     if targets.size == 0:
         return float("nan")
-    logits = model.eval_logits(cams, tq, td)
-    return int((logits.argmax(axis=1) == targets).sum()) / targets.size
+    # keyed on the bits of the delta forward computes, so that rows share a
+    # key only when the network sees the same input
+    keys = np.column_stack([cams.astype(np.int64),
+                            model._deltas(tq, td).view(np.int64)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    logits = model.eval_logits(cams[first], tq[first], td[first])
+    hits = logits.argmax(axis=1)[inverse.reshape(-1)] == targets
+    return int(hits.sum()) / targets.size
 
 
 def _batches(pairs, batch_size: int) -> list:
@@ -519,6 +588,8 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     deterministic sample of test-split pairs. Each epoch draws its pairs from
     one pool of cross-camera pairs built per call. A non-finite loss rolls the
     model back to the end of the previous epoch and raises DivergenceError.
+    The model's work buffers persist from step to step and are released on
+    return.
     """
     pair_rng, eval_rng = rng.spawn(2)
     test_pool = _cross_camera_pairs(scene.test_observations())
@@ -529,26 +600,29 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     pool = _train_pool(scene) if schedule.epochs else None
     history: list[dict] = []
     snapshot = _snapshot(model)
-    for epoch in range(schedule.epochs):
-        lr = schedule.lr_at(epoch)
-        pairs = _pair_batch(pool, *_draw_pairs(pool, pair_rng, per_epoch))
-        losses = []
-        for rows in _batches(np.arange(per_epoch), schedule.batch_size):
-            try:
-                loss = training_step(model, tuple(col[rows] for col in pairs), lr)
-            except NumericError:
-                loss = float("nan")
-            if not np.isfinite(loss):
-                _restore(model, snapshot)
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}; rolled back to epoch "
-                    f"{epoch - 1}")
-            losses.append(loss)
-        acc = holdout_accuracy(model, holdout)
-        history.append({"epoch": epoch, "lr": lr,
-                        "loss": float(np.mean(losses)),
-                        "holdout_accuracy": acc})
-        snapshot = _snapshot(model)
+    try:
+        for epoch in range(schedule.epochs):
+            lr = schedule.lr_at(epoch)
+            pairs = _pair_batch(pool, *_draw_pairs(pool, pair_rng, per_epoch))
+            losses = []
+            for rows in _batches(np.arange(per_epoch), schedule.batch_size):
+                try:
+                    loss = training_step(model, tuple(col[rows] for col in pairs), lr)
+                except NumericError:
+                    loss = float("nan")
+                if not np.isfinite(loss):
+                    _restore(model, snapshot)
+                    raise DivergenceError(
+                        f"non-finite loss in epoch {epoch}; rolled back to epoch "
+                        f"{epoch - 1}")
+                losses.append(loss)
+            acc = holdout_accuracy(model, holdout)
+            history.append({"epoch": epoch, "lr": lr,
+                            "loss": float(np.mean(losses)),
+                            "holdout_accuracy": acc})
+            snapshot = _snapshot(model)
+    finally:
+        model._release_buffers()
     return history
 
 

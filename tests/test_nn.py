@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+import allocating_kernels as ref
 from edgereid import nn
 from edgereid.errors import ConfigError, InputError, ShapeError
 
@@ -392,3 +393,151 @@ def test_linear_is_row_wise(rows, width, columns, seed):
     assert np.all(np.abs(y - (x @ weight.value + bias.value)) <= 1e-12 * scale)
     for i in rng.choice(rows, min(rows, 5), replace=False):
         assert_bit_equal(nn.linear_forward(x[i:i + 1], weight, bias), y[i:i + 1])
+
+
+# -- workspace kernels against the allocating references ----------------------
+#
+# Each case runs a kernel twice or more through one shared workspace, with
+# batch sizes that grow and shrink, so that the buffers are reused both at
+# their allocated size and as smaller views.
+
+
+def test_workspace_reuses_and_grows_buffers():
+    work = nn.Workspace()
+    a = work.get("x", (4, 3))
+    assert a.shape == (4, 3) and a.flags.c_contiguous
+    b = work.get("x", (2, 3))
+    assert np.shares_memory(a, b)
+    c = work.get("x", (5, 3))
+    assert c.shape == (5, 3) and not np.shares_memory(a, c)
+    assert np.shares_memory(work.get("x", (1, 2)), c)
+    block = work.scope("block0")
+    assert not np.shares_memory(block.get("x", (2, 3)), c)
+    assert np.shares_memory(block.get("x", (2, 3)), work.scope("block0").get("x", (1,)))
+    # without a workspace a kernel allocates: two calls share nothing
+    x = np.ones((3, 2))
+    assert not np.shares_memory(nn.relu(x), nn.relu(x))
+
+
+def twin_params(*params):
+    return [nn.Param(p.value) for p in params]
+
+
+def assert_params_bit_equal(got, want):
+    for a, b in zip(got, want):
+        for name in ("value", "grad", "m", "v"):
+            assert_bit_equal(getattr(a, name), getattr(b, name))
+        assert a.step_count == b.step_count
+
+
+batch_sizes = st.lists(st.integers(1, 40), min_size=2, max_size=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch_sizes, st.lists(st.integers(1, 6), max_size=1), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_layer_norm_with_a_workspace_matches_the_allocating_kernel(
+        sizes, middle, width, seed):
+    rng = np.random.default_rng(seed)
+    work = nn.Workspace()
+    params = [nn.Param(rng.uniform(0.5, 1.5, width)), nn.Param(rng.normal(size=width))]
+    twins = twin_params(*params)
+    for n in sizes:
+        shape = (n, *middle, width)
+        x = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0]), size=shape)
+        gy = rng.normal(size=shape)
+        y, cache = nn.layer_norm_forward(x, *params, work=work)
+        want_y, want_cache = ref.layer_norm_forward(x, *twins)
+        assert_bit_equal(y, want_y)
+        for got, want in zip(cache, want_cache):
+            assert_bit_equal(got, want)
+        assert_bit_equal(nn.layer_norm_backward(gy, cache, *params, work),
+                         ref.layer_norm_backward(gy, want_cache, *twins))
+        assert_params_bit_equal(params, twins)
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch_sizes, st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_batch_norm_with_a_workspace_matches_the_allocating_kernel(
+        sizes, width, strided, seed):
+    rng = np.random.default_rng(seed)
+    work = nn.Workspace()
+    bn, twin = nn.BatchNorm(width), nn.BatchNorm(width)
+    for got, want in ((bn.scale, twin.scale), (bn.shift, twin.shift)):
+        got.value[...] = want.value[...] = rng.normal(size=width)
+    for n in sizes:
+        for train in (n >= 2, False):
+            x = rng.normal(loc=3.0, size=(n, 3, width))
+            # a per-node head normalises one camera's column of a block output
+            x = x[:, 1, :] if strided else np.ascontiguousarray(x[:, 1, :])
+            gy = rng.normal(size=(n, width))
+            y, cache = bn.forward(x, train, work)
+            want_y, want_cache = ref.batch_norm_forward(twin, x, train)
+            assert_bit_equal(y, want_y)
+            assert cache[0] == want_cache[0]
+            for got, want in zip(cache[1:], want_cache[1:]):
+                assert_bit_equal(got, want)
+            for name in ("running_mean", "running_var"):
+                assert_bit_equal(getattr(bn, name), getattr(twin, name))
+            assert_bit_equal(bn.backward(gy, cache, work),
+                             ref.batch_norm_backward(twin, gy, want_cache))
+            assert_params_bit_equal(bn.params(), twin.params())
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch_sizes, st.integers(1, 9), st.sampled_from([0.1, 1.0, 4.0, 40.0]),
+       st.integers(0, 2**32 - 1))
+def test_gelu_with_a_workspace_matches_the_allocating_kernel(sizes, width, spread,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    work = nn.Workspace()
+    for n in sizes:
+        x = rng.normal(scale=spread, size=(n, width))
+        gy = rng.normal(size=(n, width))
+        out, phi = nn.gelu(x, keep_phi=True, work=work)
+        want_out, want_phi = ref.gelu(x, keep_phi=True)
+        assert_bit_equal(out, want_out)
+        assert_bit_equal(phi, want_phi)
+        assert_bit_equal(nn.gelu_backward(gy, x, phi, work),
+                         ref.gelu_backward(gy, x, want_phi))
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch_sizes, st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_relu_and_linear_with_a_workspace_match_the_allocating_kernels(
+        sizes, width, columns, seed):
+    rng = np.random.default_rng(seed)
+    work = nn.Workspace()
+    weight = nn.Param(rng.normal(size=(width, columns)))
+    bias = nn.Param(rng.normal(size=columns))
+    twins = twin_params(weight, bias)
+    for n in sizes:
+        x = rng.normal(size=(n, width))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        gy = rng.normal(size=(n, columns))
+        hidden = nn.relu(x, work)
+        assert_bit_equal(hidden, ref.relu(x))
+        assert_bit_equal(nn.linear_forward(hidden, weight, bias, work),
+                         ref.linear_forward(hidden, *twins))
+        ghidden = nn.linear_backward(gy, hidden, weight, bias, work)
+        want = ref.linear_backward(gy, hidden, *twins)
+        assert_bit_equal(ghidden, want)
+        assert_bit_equal(nn.relu_backward(ghidden, x, work), ref.relu_backward(want, x))
+        assert_params_bit_equal([weight, bias], twins)
+
+
+@settings(deadline=None, max_examples=40)
+@given(shapes, st.integers(1, 6), st.sampled_from([1e-4, 0.01, 0.3]),
+       st.integers(0, 2**32 - 1))
+def test_adam_with_a_workspace_matches_the_allocating_update(shape_list, steps, lr,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    work = nn.Workspace()
+    got = [nn.Param(rng.normal(size=s)) for s in shape_list]
+    want = twin_params(*got)
+    for _ in range(steps):
+        for a, b in zip(got, want):
+            a.grad[...] = b.grad[...] = rng.normal(size=a.shape)
+        nn.adam_step(got, lr, work=work)
+        ref.adam_step(want, lr)
+    assert_params_bit_equal(got, want)

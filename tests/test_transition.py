@@ -1,13 +1,17 @@
 """Transition network: forward oracle, gradients, training, checkpoints."""
 
+import copy
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allocating_kernels as ref
 from edgereid import nn
 from edgereid import transition as tr
 from edgereid.errors import (CheckpointError, ConfigError, DataError,
@@ -146,12 +150,13 @@ def test_zero_parameters_give_uniform_loss():
     assert abs(loss - math.log(4.0)) < 1e-12
 
 
-def gather_forward(weight, weights, order, bounds):
-    """The reference spatial contraction over a per-row copy of the blocks."""
+def gather_forward(weight, weights, order, bounds, work=None):
+    """The reference spatial contraction over a per-row copy of the blocks;
+    it allocates its output instead of using the workspace."""
     return np.einsum("nj,njcd->ncd", weights, weight[cameras_of(order, bounds)])
 
 
-def add_at_backward(weight_grad, weights, order, bounds, ga):
+def add_at_backward(weight_grad, weights, order, bounds, ga, work=None):
     """The reference spatial-weight gradient, scattered row by row."""
     np.add.at(weight_grad, cameras_of(order, bounds),
               np.einsum("nj,ncd->njcd", weights, ga))
@@ -824,3 +829,162 @@ def test_every_pair_joins_one_identity_on_two_cameras(items, count, seed):
         assert tq.tolist() == [observations[q].timestamp for q in query]
         assert td.tolist() == [observations[t].timestamp for t in target]
         assert targets.tolist() == [observations[t].camera for t in target]
+
+
+# -- work buffers ----------------------------------------------------------------
+
+
+def random_batch(rng, n, c, spread=300):
+    tq = rng.integers(0, 500, n).astype(float)
+    return (rng.integers(0, c, n), tq, tq + rng.integers(-spread, spread + 1, n),
+            rng.integers(0, c, n))
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_a_repeated_training_step_allocates_no_layer_arrays(per_node):
+    n, c, d = 128, 8, 32
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=3,
+                       per_node_classifier=per_node)
+    batch = random_batch(np.random.default_rng(4), n, c)
+    tr.training_step(model, batch, 0.01)  # sizes the work buffers
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.training_step(model, batch, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one [n, C, D] float64 array is 256 KiB
+    assert peak < 2 * n * c * d * 8
+
+
+def model_state(model):
+    """Every array training touches: values, gradients, Adam moments, step
+    counts and batch-norm running statistics."""
+    state = {}
+    for name, p in model.named_params().items():
+        for key in ("value", "grad", "m", "v"):
+            state[f"{name}.{key}"] = getattr(p, key).copy()
+        state[f"{name}.steps"] = np.array(p.step_count)
+    for name, st_ in model.bn_states().items():
+        state.update({f"{name}.{k}": v for k, v in st_.items()})
+    return state
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_training_matches_the_allocating_layers(per_node):
+    # 45 pairs in batches of 16 leave a 13-pair tail, and each epoch's
+    # hold-out evaluation changes the batch shape between training steps
+    scene = ring_scene(num_cameras=3, identities=40, visits=5, seed=40)
+    schedule = tr.TrainSchedule(epochs=3, pairs_per_epoch=45, batch_size=16,
+                                holdout_pairs=300)
+    runs = []
+    for reference in (False, True):
+        model = tiny_model(num_cameras=3, embed_dim=8, num_blocks=2, seed=41,
+                           per_node_classifier=per_node)
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                ref.installed(mp)
+            history = tr.train(model, scene, schedule, np.random.default_rng(42))
+            # one more step straight after the hold-out evaluation
+            batch = random_batch(np.random.default_rng(43), 16, 3)
+            tr.training_step(model, batch, 0.01)
+        runs.append((history, model_state(model)))
+    (got_history, got), (want_history, want) = runs
+    assert got_history == want_history
+    assert got.keys() == want.keys()
+    for name in want:
+        assert_bit_equal(got[name], want[name])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 6), st.integers(1, 6), st.lists(st.integers(2, 40), min_size=2,
+                                                      max_size=4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_forward_and_backward_match_the_allocating_layers(c, half_d, sizes, per_node,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    got_model, want_model = (
+        tiny_model(num_cameras=c, embed_dim=2 * half_d, num_blocks=2, seed=seed,
+                   per_node_classifier=per_node) for _ in range(2))
+    for n in sizes:
+        cams, tq, td, _ = random_batch(rng, n, c)
+        glogits = rng.normal(size=(n, c))
+        for train in (True, False):
+            results = []
+            for model, reference in ((got_model, False), (want_model, True)):
+                model.zero_grads()
+                with pytest.MonkeyPatch.context() as mp:
+                    if reference:
+                        ref.installed(mp)
+                    logits = model.forward(cams, tq, td, train=train)
+                    model.backward(glogits)
+                results.append((logits, model_state(model)))
+            (got, got_state), (want, want_state) = results
+            assert_bit_equal(got, want)
+            for name in want_state:
+                assert_bit_equal(got_state[name], want_state[name])
+
+
+def test_returned_logits_are_not_overwritten_by_later_calls():
+    model = tiny_model(num_cameras=4, embed_dim=8, num_blocks=2, seed=5)
+    rng = np.random.default_rng(6)
+    first, second = random_batch(rng, 20, 4), random_batch(rng, 20, 4)
+    logits = model.forward(*first[:3], train=True)
+    kept = logits.copy()
+    model.backward(rng.normal(size=logits.shape))
+    model.forward(*second[:3], train=True)
+    tr.training_step(model, second, 0.01)
+    assert_bit_equal(logits, kept)
+    evaluated = model.eval_logits(*first[:3])
+    kept = evaluated.copy()
+    model.eval_logits(*second[:3])
+    model.forward(*second[:3], train=False)
+    tr.training_step(model, second, 0.01)
+    assert_bit_equal(evaluated, kept)
+
+
+def test_train_and_eval_logits_release_the_work_buffers(tmp_path):
+    scene = ring_scene(num_cameras=3, identities=30, visits=4, seed=7)
+    model = tiny_model(num_cameras=3, embed_dim=8, seed=8)
+    tr.train(model, scene, tr.TrainSchedule(epochs=2, pairs_per_epoch=40,
+                                            batch_size=16), np.random.default_rng(9))
+    assert model._work is None and model._cache is None
+    # a step outside train keeps its buffers, for the next step to reuse
+    batch = random_batch(np.random.default_rng(10), 16, 3)
+    tr.training_step(model, batch, 0.01)
+    assert model._work is not None
+    clone = copy.deepcopy(model)
+    assert clone._work is None and clone._cache is None
+    assert pickle.loads(pickle.dumps(model))._work is None
+    values, states = tr._snapshot(model)
+    assert values.keys() == model.named_params().keys()
+    assert states.keys() == model.bn_states().keys()
+    tr.save_checkpoint(model, tmp_path / "held.json")
+    model.eval_logits(*batch[:3])
+    assert model._work is None and model._cache is None
+    tr.save_checkpoint(model, tmp_path / "released.json")
+    assert ((tmp_path / "held.json").read_bytes()
+            == (tmp_path / "released.json").read_bytes())
+    # a divergence leaves no buffers behind either
+    model.heads[0].fc_weight.value[...] = 1e308
+    with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+        tr.train(model, scene, tr.TrainSchedule(epochs=1, pairs_per_epoch=40),
+                 np.random.default_rng(11))
+    assert model._work is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.integers(1, 120), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_holdout_accuracy_on_distinct_keys_matches_the_per_row_argmax(
+        c, n, deltas, per_node, seed):
+    model = eval_model(c, 4, per_node, seed)
+    rng = np.random.default_rng(seed)
+    # few cameras and deltas, so that keys repeat, at shifted query times
+    cams = rng.integers(0, c, n)
+    tq = rng.integers(0, 1_000, n).astype(float)
+    td = tq + rng.choice(rng.integers(-400, 401, deltas), n)
+    targets = rng.integers(0, c, n)
+    per_row = model.eval_logits(cams, tq, td).argmax(axis=1) == targets
+    assert tr.holdout_accuracy(model, (cams, tq, td, targets)) == per_row.sum() / n
