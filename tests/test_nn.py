@@ -350,19 +350,24 @@ def test_adam_in_place_matches_the_per_op_update(shape_list, steps, lr, seed):
     rng = np.random.default_rng(seed)
     got = [nn.Param(rng.normal(size=s)) for s in shape_list]
     want = [nn.Param(p.value) for p in got]
+    # the same update through one workspace, reused by every parameter and step
+    shared, work = [nn.Param(p.value) for p in got], nn.Workspace()
     for _ in range(steps):
-        for a, b in zip(got, want):
+        for a, b, c in zip(got, want, shared):
             # a few exact zeros and a wide range of magnitudes
             grad = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 4, a.shape)
             grad[rng.random(a.shape) < 0.2] = 0.0
             a.grad[...] = grad
             b.grad[...] = grad
+            c.grad[...] = grad
         nn.adam_step(got, lr)
         reference_adam_step(want, lr)
-    for a, b in zip(got, want):
-        assert a.step_count == b.step_count == steps
+        nn.adam_step(shared, lr, work=work)
+    for a, b, c in zip(got, want, shared):
+        assert a.step_count == b.step_count == c.step_count == steps
         for name in ("value", "m", "v"):
             assert_bit_equal(getattr(a, name), getattr(b, name))
+            assert_bit_equal(getattr(c, name), getattr(b, name))
 
 
 @settings(deadline=None, max_examples=60)
@@ -524,20 +529,3 @@ def test_relu_and_linear_with_a_workspace_match_the_allocating_kernels(
         assert_bit_equal(ghidden, want)
         assert_bit_equal(nn.relu_backward(ghidden, x, work), ref.relu_backward(want, x))
         assert_params_bit_equal([weight, bias], twins)
-
-
-@settings(deadline=None, max_examples=40)
-@given(shapes, st.integers(1, 6), st.sampled_from([1e-4, 0.01, 0.3]),
-       st.integers(0, 2**32 - 1))
-def test_adam_with_a_workspace_matches_the_allocating_update(shape_list, steps, lr,
-                                                            seed):
-    rng = np.random.default_rng(seed)
-    work = nn.Workspace()
-    got = [nn.Param(rng.normal(size=s)) for s in shape_list]
-    want = twin_params(*got)
-    for _ in range(steps):
-        for a, b in zip(got, want):
-            a.grad[...] = b.grad[...] = rng.normal(size=a.shape)
-        nn.adam_step(got, lr, work=work)
-        ref.adam_step(want, lr)
-    assert_params_bit_equal(got, want)
