@@ -13,6 +13,11 @@ Called without one, a kernel allocates every array afresh. A workspace, and
 every array a kernel returned from it, belongs to one caller at a time: the
 next call that uses the workspace overwrites them, and two threads sharing
 one would write into each other's temporaries.
+
+An eval-only pass needs no cache, so layer norm, GELU and eval-mode batch
+norm also come in-place (layer_norm_in_place, gelu_in_place,
+BatchNorm.eval_in_place): they overwrite their input with the bits the
+cached kernel returns.
 """
 
 from __future__ import annotations
@@ -167,6 +172,14 @@ def linear_forward(x: np.ndarray, weight: Param, bias: Param | None = None,
             f"linear expects [M,K] @ [K,N], got {x.shape} and {weight.value.shape}")
     product = (work or Workspace()).get("linear.product",
                                         x.shape + weight.value.shape[1:])
+    return linear_rows(x, weight, bias, product)
+
+
+def linear_rows(x: np.ndarray, weight: Param, bias: Param | None,
+                product: np.ndarray) -> np.ndarray:
+    """linear_forward's fresh output, with the [M, K, N] products written
+    into product, which must be C-contiguous: the sum over K reads its
+    layout, and the bits with it."""
     y = np.multiply(x[:, :, None], weight.value, out=product).sum(axis=1)
     if bias is not None:
         y += bias.value
@@ -197,15 +210,35 @@ def layer_norm_forward(x: np.ndarray, scale: Param, shift: Param,
     work = work or Workspace()
     x_hat = work.get("layer_norm.x_hat", x.shape)
     y = work.get("layer_norm.out", x.shape)
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = np.subtract(x, mean, out=x_hat)
-    var = np.mean(np.square(centred, out=y), axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat *= inv_std
+    inv_std = _standardize(x, x_hat, y, eps)
     np.multiply(x_hat, scale.value, out=y)
     y += shift.value
     cache = (x_hat, inv_std)
     return y, cache
+
+
+def layer_norm_in_place(x: np.ndarray, scale: Param, shift: Param,
+                        scratch: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """layer_norm_forward's output written over x, by the same operations in
+    the same order (so the same bits) and with no cache; scratch, an array
+    of x's shape, takes the squares."""
+    _standardize(x, x, scratch, eps)
+    x *= scale.value
+    x += shift.value
+    return x
+
+
+def _standardize(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 eps: float) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) over the last axis, written into out
+    (which may be x itself), with the squares in scratch; returns the
+    1 / sqrt(var + eps) factors."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centred = np.subtract(x, mean, out=out)
+    var = np.mean(np.square(centred, out=scratch), axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    out *= inv_std
+    return inv_std
 
 
 def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param,
@@ -236,6 +269,13 @@ def gelu(x: np.ndarray, keep_phi: bool = False, work: Workspace | None = None):
     phi = _normal_cdf(x, work.get("gelu.phi", x.shape))
     out = np.multiply(x, phi, out=work.get("gelu.out", x.shape))
     return (out, phi) if keep_phi else out
+
+
+def gelu_in_place(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """gelu(x) written over x, by the same operations; scratch, an array of
+    x's shape, takes Phi(x)."""
+    x *= _normal_cdf(x, scratch)
+    return x
 
 
 def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray,
@@ -323,6 +363,15 @@ class BatchNorm:
         np.multiply(x_hat, self.scale.value, out=y)
         y += self.shift.value
         return y, (train, x_hat, inv_std)
+
+    def eval_in_place(self, x: np.ndarray) -> np.ndarray:
+        """forward(x, train=False)'s output written over x, by the same
+        operations in the same order (so the same bits) and with no cache."""
+        x -= self.running_mean
+        x *= 1.0 / np.sqrt(self.running_var + self.eps)
+        x *= self.scale.value
+        x += self.shift.value
+        return x
 
     def backward(self, gy: np.ndarray, cache,
                  work: Workspace | None = None) -> np.ndarray:

@@ -20,8 +20,7 @@ from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
 from .scene import Observation, Scene, cross_camera_pairs
-from .transition import (TransitionNet, check_scene_compatible,
-                         check_source_cameras)
+from .transition import TransitionNet, batch_inputs, check_scene_compatible
 
 
 class Strategy(enum.Enum):
@@ -122,14 +121,8 @@ class TransitionTable:
     def _lookup(self, cameras, t_query, t_target) -> np.ndarray:
         """Flat cell indices (source camera x n + delta offset) of a batch,
         each cell filled."""
-        cams = np.atleast_1d(np.asarray(cameras, dtype=np.int64))
-        tq = np.atleast_1d(as_f64(t_query))
-        td = np.atleast_1d(as_f64(t_target))
-        cams, tq, td = np.broadcast_arrays(cams, tq, td)
-        if not (np.all(np.isfinite(tq)) and np.all(np.isfinite(td))):
-            raise InputError("timestamps must be finite")
         c = self.config.num_cameras
-        check_source_cameras(cams, c)
+        cams, tq, td = batch_inputs(cameras, t_query, t_target, c)
         deltas = td - tq
         idx = np.rint(deltas).astype(np.int64)
         if np.max(np.abs(deltas - idx)) > 1e-9:

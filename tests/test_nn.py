@@ -529,3 +529,26 @@ def test_relu_and_linear_with_a_workspace_match_the_allocating_kernels(
         assert_bit_equal(ghidden, want)
         assert_bit_equal(nn.relu_backward(ghidden, x, work), ref.relu_backward(want, x))
         assert_params_bit_equal([weight, bias], twins)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 40), st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_in_place_kernels_match_the_allocating_kernels(n, width, strided, seed):
+    rng = np.random.default_rng(seed)
+    scale = nn.Param(rng.uniform(0.5, 1.5, width))
+    shift = nn.Param(rng.normal(size=width))
+    x = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0]), size=(n, 3, width))
+    got = x.copy()
+    assert_bit_equal(nn.layer_norm_in_place(got, scale, shift, np.empty_like(x)),
+                     ref.layer_norm_forward(x, scale, shift)[0])
+    got = x.copy()
+    assert_bit_equal(nn.gelu_in_place(got, np.empty_like(x)), ref.gelu(x))
+    bn = nn.BatchNorm(width)
+    bn.scale.value[...] = rng.normal(size=width)
+    bn.shift.value[...] = rng.normal(size=width)
+    bn.load_state({"running_mean": rng.normal(size=width),
+                   "running_var": rng.uniform(0.5, 2.0, width)})
+    # a per-node head normalises one camera's column of a block output
+    got = x.copy()[:, 1, :] if strided else x[:, 1, :].copy()
+    assert_bit_equal(bn.eval_in_place(got),
+                     ref.batch_norm_forward(bn, x[:, 1, :], False)[0])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from edgereid import simulate as sim
 from edgereid import strategy as sg
-from edgereid.errors import ConfigError, DataError, InputError
+from edgereid.errors import ConfigError, DataError, InputError, ShapeError
 from edgereid.nn import softmax
 from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation,
                             Scene, generate, split_identities)
@@ -187,6 +187,26 @@ def test_transition_table_matches_model_exactly():
         table.forward([0], [0.0], [3.5])
     with pytest.raises(InputError):
         sim.TransitionTable(model, 5, 4)
+
+
+@pytest.mark.parametrize("cameras, t_query, error", [
+    ([0.99], 0.0, InputError), ([1, 2.5], 0.0, InputError),
+    ([0, 1], [0.0, 1.0, 2.0], ShapeError), ([0, 1, 2], [0.0, 1.0], ShapeError)])
+def test_transition_table_rejects_fractional_cameras_and_bad_shapes(
+        cameras, t_query, error):
+    # a fractional camera used to be truncated to the camera below it, and
+    # a shape mismatch escaped as numpy's own ValueError
+    model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
+                          np.random.default_rng(3))
+    table = sim.TransitionTable(model, -5, 5)
+    with pytest.raises(error) as want:
+        model.forward(cameras, t_query, 2.0)
+    for lookup in (table.forward, table.eval_logits, table.distribution,
+                   model.eval_logits):
+        with pytest.raises(error) as got:
+            lookup(cameras, t_query, 2.0)
+        assert str(got.value) == str(want.value)
+    assert not table.filled.any()
 
 
 def reference_table(model, dt_min, dt_max):

@@ -15,7 +15,8 @@ import allocating_kernels as ref
 from edgereid import nn
 from edgereid import transition as tr
 from edgereid.errors import (CheckpointError, ConfigError, DataError,
-                             DivergenceError, InputError, NumericError)
+                             DivergenceError, InputError, NumericError,
+                             ShapeError)
 from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation, Scene,
                             generate, split_identities)
 
@@ -295,9 +296,9 @@ def test_distribution_rows_are_probabilities():
     assert np.all(rows > 0.0)
 
 
-def eval_model(c, d, per_node, seed):
+def eval_model(c, d, per_node, seed, num_blocks=2):
     """A model whose batch-norm running statistics are not the identity."""
-    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed,
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=seed,
                        per_node_classifier=per_node)
     rng = np.random.default_rng(seed)
     model.load_bn_states({name: {"running_mean": rng.normal(size=d),
@@ -322,10 +323,10 @@ BLOCK_SIZES = (1, tr.EVAL_ROWS - 1, tr.EVAL_ROWS, tr.EVAL_ROWS + 1,
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 8), st.integers(1, 8), st.sampled_from(BLOCK_SIZES),
-       st.booleans(), st.integers(0, 2**32 - 1))
+       st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
-                                                       seed):
-    model = eval_model(c, 2 * half_d, per_node, seed)
+                                                       num_blocks, seed):
+    model = eval_model(c, 2 * half_d, per_node, seed, num_blocks)
     rng = np.random.default_rng(seed)
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
@@ -338,6 +339,74 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
     assert_bit_equal(model.eval_logits(cams[0], tq[0], td), want)
     assert_bit_equal(model.distribution(cams[0], tq[0], td),
                      nn.softmax(want, axis=1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(2, 8), st.integers(1, 16),
+       st.sampled_from(BLOCK_SIZES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_eval_logits_matches_the_allocating_forward_pass(num_blocks, c, half_d, n,
+                                                         per_node, seed):
+    # the cache-free pass against the forward pass as it was before any
+    # work buffers: every array allocated afresh, nothing overwritten
+    model = eval_model(c, 2 * half_d, per_node, seed, num_blocks)
+    rng = np.random.default_rng(seed)
+    cams = rng.integers(0, c, n)
+    tq = rng.integers(0, 10_000, n).astype(float)
+    td = tq + rng.integers(-5_000, 5_001, n)
+    assert_bit_equal(model.eval_logits(cams, tq, td),
+                     ref.net_forward(model, cams, tq, td, train=False))
+    # one source camera and query time broadcast against many targets
+    assert_bit_equal(model.eval_logits(cams[0], tq[0], td),
+                     ref.net_forward(model, cams[0], tq[0], td, train=False))
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_eval_logits_keeps_two_row_blocks_of_memory(per_node):
+    c, d = 8, 32
+    n = 3 * tr.EVAL_ROWS + 7
+    model = eval_model(c, d, per_node, seed=3)
+    cams, tq, td, _ = random_batch(np.random.default_rng(4), n, c)
+    model.eval_logits(cams[:2], tq[:2], td[:2])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.eval_logits(cams, tq, td)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the pass holds two [EVAL_ROWS, C, D] arrays (512 KiB each); a forward
+    # pass with a backward cache holds about seventeen
+    assert peak < 4 * tr.EVAL_ROWS * c * d * 8
+
+
+def rejected(error, call):
+    with pytest.raises(error) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("cameras", [[1.9], 2.7, [0.99], [0, 1.5], [math.nan],
+                                     [math.inf], ["1"]])
+def test_cameras_that_are_not_whole_numbers_are_rejected(cameras):
+    model = tiny_model(num_cameras=3, seed=2)
+    messages = {rejected(InputError, lambda: call(cameras, 0.0, 7.0))
+                for call in (model.forward, model.eval_logits, model.distribution)}
+    assert len(messages) == 1 and "whole numbers" in messages.pop()
+    # whole numbers stored as floats are cameras
+    assert_bit_equal(model.eval_logits([2.0, 0.0], 0.0, [7.0, 9.0]),
+                     model.eval_logits([2, 0], 0.0, [7.0, 9.0]))
+
+
+@pytest.mark.parametrize("cameras, t_query, t_target", [
+    ([0, 1], [0.0, 1.0, 2.0], 5.0),
+    ([0, 1, 2], 0.0, [1.0, 2.0]),
+    (0, [0.0, 1.0], [1.0, 2.0, 3.0]),
+])
+def test_inputs_that_do_not_broadcast_raise_shape_error(cameras, t_query, t_target):
+    model = tiny_model(num_cameras=3, seed=2)
+    messages = {rejected(ShapeError, lambda: call(cameras, t_query, t_target))
+                for call in (model.forward, model.eval_logits, model.distribution)}
+    assert len(messages) == 1 and "do not broadcast" in messages.pop()
 
 
 @settings(deadline=None, max_examples=40)
@@ -356,11 +425,11 @@ def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
         assert_bit_equal(model.eval_logits(cams[i], tq[i], td[i]), batch[i:i + 1])
 
 
-def check_batch_invariance(c, d, per_node, seed):
+def check_batch_invariance(c, d, per_node, seed, num_blocks=2):
     """A row's eval-mode logits, evaluated alone through a one-row forward,
     equal the row's bits in a 2-row batch, inside eval_logits' EVAL_ROWS
     blocks, and in a shuffled batch."""
-    model = eval_model(c, d, per_node, seed)
+    model = eval_model(c, d, per_node, seed, num_blocks)
     rng = np.random.default_rng(seed)
     n = 2 * tr.EVAL_ROWS + int(rng.integers(2, 60))
     cams = rng.integers(0, c, n)
@@ -378,10 +447,11 @@ def check_batch_invariance(c, d, per_node, seed):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(2, 8), st.integers(1, 16), st.booleans(),
+@given(st.integers(2, 8), st.integers(1, 16), st.booleans(), st.integers(1, 3),
        st.integers(0, 2**32 - 1))
-def test_a_row_gets_the_same_bits_in_any_batch(c, half_d, per_node, seed):
-    check_batch_invariance(c, 2 * half_d, per_node, seed)
+def test_a_row_gets_the_same_bits_in_any_batch(c, half_d, per_node, num_blocks,
+                                               seed):
+    check_batch_invariance(c, 2 * half_d, per_node, seed, num_blocks)
 
 
 @pytest.mark.parametrize("per_node", [False, True])
@@ -608,6 +678,17 @@ def test_forward_flags_nonfinite_logits():
     model.heads[0].bn.shift.value[...] = 1.0  # keeps relu output positive
     with pytest.raises(NumericError), np.errstate(over="ignore"):
         model.forward([0], [0.0], [5.0])
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_eval_logits_flags_nonfinite_logits(per_node):
+    model = tiny_model(per_node_classifier=per_node)
+    for head in model.heads:
+        head.fc_weight.value[...] = 1e308
+        head.bn.shift.value[...] = 1.0
+    for call in (model.eval_logits, model.distribution):
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            call([0, 1], 0.0, [5.0, 6.0])
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
@@ -961,11 +1042,15 @@ def test_train_and_eval_logits_release_the_work_buffers(tmp_path):
     assert values.keys() == model.named_params().keys()
     assert states.keys() == model.bn_states().keys()
     tr.save_checkpoint(model, tmp_path / "held.json")
+    # eval_logits evaluates in arrays of its own: it leaves the training
+    # buffers in place and clears only a pending forward cache
+    work = model._work
+    model.forward(*batch[:3], train=False)
     model.eval_logits(*batch[:3])
-    assert model._work is None and model._cache is None
-    tr.save_checkpoint(model, tmp_path / "released.json")
+    assert model._work is work and model._cache is None
+    tr.save_checkpoint(model, tmp_path / "evaluated.json")
     assert ((tmp_path / "held.json").read_bytes()
-            == (tmp_path / "released.json").read_bytes())
+            == (tmp_path / "evaluated.json").read_bytes())
     # a divergence leaves no buffers behind either
     model.heads[0].fc_weight.value[...] = 1e308
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
