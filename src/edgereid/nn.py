@@ -12,7 +12,9 @@ step instead of allocating (and page-faulting) a fresh set of temporaries.
 Called without one, a kernel allocates every array afresh. A workspace, and
 every array a kernel returned from it, belongs to one caller at a time: the
 next call that uses the workspace overwrites them, and two threads sharing
-one would write into each other's temporaries.
+one would write into each other's temporaries. The in-place kernels below
+only read their parameters, so threads may run them at once on disjoint
+arrays: TransitionNet.eval_logits' workers each do so on their own rows.
 
 An eval-only pass needs no cache, so layer norm, GELU and eval-mode batch
 norm also come in-place (layer_norm_in_place, gelu_in_place,
@@ -142,13 +144,26 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
         dim: embedding width, positive and even.
         max_period: geometric progression base for the wavelengths, > 1.
     """
+    delta = as_f64(delta_t)
+    check_embed_args(delta, dim, max_period)
+    return sinusoidal_embed_unchecked(delta, dim, max_period)
+
+
+def check_embed_args(delta: np.ndarray, dim: int, max_period: float) -> None:
+    """sinusoidal_embed's checks: an even positive dim, max_period above 1
+    and finite float64 deltas."""
     if dim <= 0 or dim % 2 != 0:
         raise ConfigError(f"embedding dim must be positive and even, got {dim}")
     if max_period <= 1.0:
         raise ConfigError(f"max_period must exceed 1, got {max_period}")
-    delta = as_f64(delta_t)
     if not np.all(np.isfinite(delta)):
         raise InputError("delta_t must be finite")
+
+
+def sinusoidal_embed_unchecked(delta: np.ndarray, dim: int,
+                               max_period: float) -> np.ndarray:
+    """sinusoidal_embed of arguments that check_embed_args has passed, so
+    that a batch checked once can be embedded in parts."""
     half = dim // 2
     divisors = max_period ** (2.0 * np.arange(half) / dim)
     args = delta[..., None] / divisors

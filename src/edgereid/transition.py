@@ -11,9 +11,12 @@ nn.Workspace, which training keeps from step to step.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import dataclasses
 import json
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -25,11 +28,14 @@ from .nn import Param, as_f64
 from .scene import Observation, Scene, cross_camera_pairs
 
 CHECKPOINT_VERSION = 1
-# Rows per group of TransitionNet.eval_logits' cache-free pass. It sets the
-# size of the pass's two [rows, C, D] arrays, 512 KiB each at C=8, D=32. On
-# bench longspan (2 cores, three 20 s runs per size) 256 rows gave a median
-# 62.0 ops/s against 59.3 at 128 rows and 57.3 at 512, at peak RSS within
-# 1.2 MiB of each other.
+# Rows of TransitionNet.eval_logits' two [rows, C, D] arrays, 512 KiB each at
+# C=8, D=32, shared by its workers: each runs groups of EVAL_ROWS // workers
+# rows, so the pass's memory does not grow with the worker count. On bench
+# longspan (2 cores, BLAS on one thread, three 20 s runs per size) one
+# worker gave a median 62.0 ops/s at 256 rows against 59.3 at 128 and 57.3
+# at 512, at peak RSS within 1.2 MiB of each other. Two workers of 128 rows
+# each then read 54.8 -> 88.0 ops/s (1.61x, ten alternating 30 s pairs) at a
+# median peak RSS of 71.1 -> 72.1 MiB.
 EVAL_ROWS = 256
 
 
@@ -278,6 +284,56 @@ def _spatial_backward(weight_grad: np.ndarray, weights: np.ndarray,
                                     sorted_ga[rows]).reshape(d, c, d)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _eval_workers(n: int) -> int:
+    """Workers for an n-row eval pass: one per available CPU, fewer when n
+    rows would leave a worker without one full group of EVAL_ROWS // workers
+    rows."""
+    workers = min(_available_cpus(), EVAL_ROWS)
+    while workers > 1 and n < workers * (EVAL_ROWS // workers):
+        workers -= 1
+    return workers
+
+
+def _run_in_threads(task, count: int) -> None:
+    """task(0) in the calling thread and task(1), ..., task(count - 1) each
+    in a thread of its own, started here and joined before returning or
+    raising. numpy's and scipy's kernels release the GIL, so the tasks run
+    at once. Each thread runs in a copy of the caller's context, so that the
+    caller's np.errstate holds there too. The first task's error (by index)
+    is re-raised."""
+    errors: list[BaseException | None] = [None] * count
+
+    def guarded(i):
+        try:
+            task(i)
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, i), name=f"eval_logits-{i}")
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 class TransitionNet:
     """Maps (source camera, signed time difference) to per-camera logits.
 
@@ -295,8 +351,12 @@ class TransitionNet:
     a time, never shared across threads: a second caller's forward pass would
     overwrite the first one's cache.
 
-    eval_logits keeps no cache: it runs each group of EVAL_ROWS rows through
-    two arrays of its own, dropped on return, and leaves the workspace alone.
+    eval_logits keeps no cache and leaves the workspace alone: it splits its
+    batch over one worker per available CPU, the calling thread and threads
+    of its own that it joins before returning, and each worker runs its
+    groups of rows through its own rows of two arrays, dropped on return.
+    The workers only read the model and write disjoint slices, so the
+    logits have the same bits whatever their number.
     """
 
     def __init__(self, config: TransitionNetConfig, rng: np.random.Generator):
@@ -379,13 +439,12 @@ class TransitionNet:
                                     self.config.num_cameras)
         return cams, self._deltas(tq, td)
 
-    def _spatial(self, cams: np.ndarray, deltas: np.ndarray, out: np.ndarray):
-        """The prologue of both passes: the normalised time embedding, the
-        batch's grouping by source camera, and the spatial contraction plus
-        bias written into out, a C-contiguous [n, C, D] array. Returns
-        (spatial output, order, bounds, weights)."""
+    def _spatial(self, cams: np.ndarray, embed: np.ndarray, out: np.ndarray):
+        """The prologue of both passes, from the batch's time embedding: its
+        normalisation, the batch's grouping by source camera, and the
+        spatial contraction plus bias written into out, a C-contiguous
+        [n, C, D] array. Returns (spatial output, order, bounds, weights)."""
         cfg = self.config
-        embed = nn.sinusoidal_embed(deltas, cfg.embed_dim, cfg.max_period)
         raw_den = embed.sum(axis=1)
         sign = np.where(raw_den < 0.0, -1.0, 1.0)
         den = sign * np.maximum(np.abs(raw_den), cfg.denominator_floor)
@@ -408,7 +467,8 @@ class TransitionNet:
         cams, deltas = self._inputs(cameras, t_query, t_target)
         n, c, d = cams.size, cfg.num_cameras, cfg.embed_dim
         work = self._workspace()
-        a, order, bounds, weights = self._spatial(cams, deltas,
+        embed = nn.sinusoidal_embed(deltas, d, cfg.max_period)
+        a, order, bounds, weights = self._spatial(cams, embed,
                                                   work.get("spatial.out", (n, c, d)))
 
         block_caches = []
@@ -471,43 +531,67 @@ class TransitionNet:
         self._cache = None
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
-        """Eval-mode logits of forward, evaluated EVAL_ROWS rows at a time by
-        a pass that keeps no cache.
+        """Eval-mode logits of forward, evaluated by a pass that keeps no
+        cache, on every CPU the process may run on.
 
-        Inputs broadcast and are checked as in forward. Each group of rows
-        runs through two [rows, C, D] arrays, a and b, reused from group to
-        group and dropped on return: the spatial output goes into a, each
-        graph block and the heads overwrite a with b as scratch, and the
-        linear products go into b. The operations are forward's, in
-        forward's order, and an eval-mode row's logits do not depend on the
-        other rows of its batch, so the result has the same bits as one
-        forward pass over the whole batch, or over each row alone. The
-        model's work buffers are left alone; a pending forward cache is
-        cleared, so backward cannot follow.
+        Inputs broadcast and are checked as in forward, before any worker
+        starts. The batch is cut into one contiguous slice per worker
+        (_eval_workers); the calling thread runs the first slice and threads
+        started for the call run the others (_run_in_threads). A worker runs
+        its slice in groups of EVAL_ROWS // workers rows through its own rows
+        of two arrays, a and b, dropped on return: the spatial output goes
+        into a, each graph block and the heads overwrite a with b as
+        scratch, and the linear products go into b. The operations are
+        forward's, in forward's order, and an eval-mode row's logits do not
+        depend on the other rows of its batch, so the result has the same
+        bits as one forward pass over the whole batch, or over each row
+        alone, whatever the worker count. A non-finite logit raises
+        NumericError. The model's work buffers are left alone; a pending
+        forward cache is cleared, so backward cannot follow.
         """
         cfg = self.config
         cams, deltas = self._inputs(cameras, t_query, t_target)
-        c, d = cfg.num_cameras, cfg.embed_dim
+        # checked once here, so that the workers embed unchecked and call
+        # nothing a profiler wraps: bench/tracer.py keeps one span stack,
+        # which threads would interleave
+        nn.check_embed_args(deltas, cfg.embed_dim, cfg.max_period)
+        n, c, d = cams.size, cfg.num_cameras, cfg.embed_dim
         self._cache = None
-        out = np.empty((cams.size, c))
-        # the first group is the largest, so the two arrays never grow
-        work = nn.Workspace()
-        for start in range(0, cams.size, EVAL_ROWS):
-            rows = slice(start, start + EVAL_ROWS)
-            shape = (cams[rows].size, c, d)
-            a, _, _, _ = self._spatial(cams[rows], deltas[rows], work.get("a", shape))
-            b = work.get("b", shape)
+        out = np.empty((n, c))
+        workers = _eval_workers(n)
+        rows = min(EVAL_ROWS // workers, n)
+        a, b = np.empty((workers, rows, c, d)), np.empty((workers, rows, c, d))
+        bounds = [n * i // workers for i in range(workers + 1)]
+
+        def run(i):
+            part = slice(bounds[i], bounds[i + 1])
+            self._eval_slice(cams[part], deltas[part], out[part], a[i], b[i])
+
+        _run_in_threads(run, workers)
+        return out
+
+    def _eval_slice(self, cams, deltas, out, a, b) -> None:
+        """eval_logits' pass over one worker's slice, written into out, in
+        groups of a's rows, with a and b, arrays of one shape, as its
+        buffers."""
+        cfg = self.config
+        c, d = cfg.num_cameras, cfg.embed_dim
+        for start in range(0, cams.size, a.shape[0]):
+            rows = slice(start, start + a.shape[0])
+            m = cams[rows].size
+            x, scratch = a[:m], b[:m]
+            embed = nn.sinusoidal_embed_unchecked(deltas[rows], d, cfg.max_period)
+            self._spatial(cams[rows], embed, x)
             for block in self.blocks:
-                block.eval_in_place(a, b)
+                block.eval_in_place(x, scratch)
             if cfg.per_node_classifier:
                 for node, head in enumerate(self.heads):
-                    out[rows, node] = head.eval_in_place(a[:, node, :], b)[:, 0]
+                    out[rows, node] = head.eval_in_place(x[:, node, :], scratch)[:, 0]
             else:
                 out[rows] = self.heads[0].eval_in_place(
-                    a.reshape(-1, d), b).reshape(-1, c)
+                    x.reshape(-1, d), scratch).reshape(-1, c)
             if not np.all(np.isfinite(out[rows])):
                 raise NumericError("non-finite logits; check inputs and learning rate")
-        return out
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
         """Softmax of eval_logits: p(camera at target time)."""

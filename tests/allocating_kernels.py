@@ -224,6 +224,19 @@ def net_forward(model, cameras, t_query, t_target, train=False):
     return logits
 
 
+def net_eval_logits(model, cameras, t_query, t_target):
+    """eval_logits on one thread: each group of EVAL_ROWS rows runs through
+    the allocating forward pass in eval mode."""
+    cams, tq, td = tr.batch_inputs(cameras, t_query, t_target,
+                                   model.config.num_cameras)
+    out = np.empty((cams.size, model.config.num_cameras))
+    for start in range(0, cams.size, tr.EVAL_ROWS):
+        rows = slice(start, start + tr.EVAL_ROWS)
+        out[rows] = net_forward(model, cams[rows], tq[rows], td[rows])
+    model._cache = None
+    return out
+
+
 def net_backward(model, glogits):
     if model._cache is None:
         raise InputError("backward called before forward")
@@ -262,3 +275,4 @@ def installed(mp):
     mp.setattr(tr, "_spatial_backward", spatial_backward)
     mp.setattr(tr.TransitionNet, "forward", net_forward)
     mp.setattr(tr.TransitionNet, "backward", net_backward)
+    mp.setattr(tr.TransitionNet, "eval_logits", net_eval_logits)

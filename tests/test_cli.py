@@ -8,8 +8,13 @@ import sys
 import pytest
 
 import edgereid
+from edgereid import transition
 from edgereid.cli import main
 from edgereid.transition import load_checkpoint
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+BUNDLE = ("report.json", "report.txt", "pairs.csv", "history.json",
+          "checkpoint.json")
 
 RING = {
     "num_cameras": 3,
@@ -138,9 +143,7 @@ def test_simulate_outputs_are_deterministic(tmp_path, config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
-    names = ["report.json", "report.txt", "pairs.csv", "history.json",
-             "checkpoint.json"]
-    for name in names:
+    for name in BUNDLE:
         assert read(out_a / name) == read(out_b / name), name
     report = json.loads((out_a / "report.json").read_text())
     assert set(report["strategies"]) == {"centralized", "visual", "combined"}
@@ -149,6 +152,32 @@ def test_simulate_outputs_are_deterministic(tmp_path, config_path):
     body = (out_a / "pairs.csv").read_text().splitlines()
     assert body[0] == "strategy,query_index,target_index,device,rank,budget,tn"
     assert len(body) > 1
+
+
+def test_simulate_bundle_is_the_same_on_one_or_two_eval_workers(
+        tmp_path, config_path, eval_workers):
+    # the shipped cycle config, with appearance features so that every
+    # strategy runs, and start times spread so that table fills evaluate
+    # batches of a few hundred rows, enough for two workers
+    doc = json.loads(read(os.path.join(CONFIG_DIR, "cycle.json")))
+    doc["scene"]["generator"].update(feature_dim=8, start_spread=400)
+    cfg = config_path(doc)
+    used = []
+    choose = transition._eval_workers
+
+    def counted(n):
+        used.append(choose(n))
+        return used[-1]
+
+    outs = []
+    for workers in (1, 2):
+        outs.append(tmp_path / f"w{workers}")
+        with eval_workers(workers), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transition, "_eval_workers", counted)
+            assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert max(used) == workers
+    for name in BUNDLE:
+        assert read(outs[0] / name) == read(outs[1] / name), name
 
 
 def test_simulate_from_checkpoint_skips_training(tmp_path, config_path):

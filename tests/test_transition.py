@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -341,41 +343,142 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
                      nn.softmax(want, axis=1))
 
 
-@settings(deadline=None, max_examples=40)
+def worker_sizes(workers):
+    """Batch sizes around a worker's group of EVAL_ROWS // workers rows,
+    and sizes that give each worker a slice with a short last group."""
+    group = tr.EVAL_ROWS // workers
+    return (1, group - 1, group, group + 1, 150, 300, tr.EVAL_ROWS + 1,
+            3 * tr.EVAL_ROWS + 7)
+
+
+@settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(2, 8), st.integers(1, 16),
-       st.sampled_from(BLOCK_SIZES), st.booleans(), st.integers(0, 2**32 - 1))
-def test_eval_logits_matches_the_allocating_forward_pass(num_blocks, c, half_d, n,
-                                                         per_node, seed):
-    # the cache-free pass against the forward pass as it was before any
-    # work buffers: every array allocated afresh, nothing overwritten
+       st.sampled_from((1, 2, 3)), st.data(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_eval_logits_matches_the_allocating_forward_pass(
+        eval_workers, num_blocks, c, half_d, workers, data, per_node, seed):
+    # the cache-free pass on 1, 2 or 3 workers against the forward pass as
+    # it was before any work buffers: every array allocated afresh, nothing
+    # overwritten, one thread
+    n = data.draw(st.sampled_from(worker_sizes(workers)), label="n")
     model = eval_model(c, 2 * half_d, per_node, seed, num_blocks)
     rng = np.random.default_rng(seed)
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
     td = tq + rng.integers(-5_000, 5_001, n)
-    assert_bit_equal(model.eval_logits(cams, tq, td),
-                     ref.net_forward(model, cams, tq, td, train=False))
-    # one source camera and query time broadcast against many targets
-    assert_bit_equal(model.eval_logits(cams[0], tq[0], td),
+    with eval_workers(workers):
+        got = model.eval_logits(cams, tq, td)
+        # one source camera and query time broadcast against many targets
+        broadcast = model.eval_logits(cams[0], tq[0], td)
+    assert_bit_equal(got, ref.net_forward(model, cams, tq, td, train=False))
+    assert_bit_equal(broadcast,
                      ref.net_forward(model, cams[0], tq[0], td, train=False))
 
 
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("per_node", [False, True])
-def test_eval_logits_keeps_two_row_blocks_of_memory(per_node):
+def test_workers_at_the_shipped_width_match_the_reference(eval_workers, workers,
+                                                          per_node):
+    # at C=8, D=32 a group's kernels run long enough to overlap across
+    # threads, and a short switch interval interleaves the rest, so workers
+    # sharing rows of the arrays or of the output would show here
+    model = eval_model(8, 32, per_node, seed=6)
+    cams, tq, td, _ = random_batch(np.random.default_rng(7), 3 * tr.EVAL_ROWS + 7, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with eval_workers(workers):
+            got = model.eval_logits(cams, tq, td)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bit_equal(got, ref.net_forward(model, cams, tq, td, train=False))
+
+
+@pytest.mark.parametrize("cpus, n, workers", [
+    (1, 10_000, 1), (2, 255, 1), (2, 256, 2), (3, 254, 1), (3, 255, 3),
+    (4, 255, 3), (4, 256, 4), (64, 300, 64), (500, 300, 256),
+])
+def test_every_eval_worker_gets_a_full_group(eval_workers, cpus, n, workers):
+    with eval_workers(cpus):
+        assert tr._eval_workers(n) == workers
+
+
+def nonfinite_tail_model(c, per_node):
+    """A model whose rows from source camera c - 1 have non-finite logits."""
+    model = eval_model(c, 4, per_node, seed=5)
+    model.spatial_weight.value[c - 1] = np.inf
+    return model
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_a_nonfinite_row_in_the_last_slice_raises_and_joins_every_worker(
+        eval_workers, workers, per_node):
+    c, n = 3, 3 * tr.EVAL_ROWS + 7
+    model = nonfinite_tail_model(c, per_node)
+    cams = np.zeros(n, dtype=np.int64)
+    cams[-1] = c - 1
+    tq = np.zeros(n)
+    td = np.arange(n, dtype=float)
+    threads = threading.active_count()
+    with eval_workers(workers), np.errstate(invalid="ignore", over="ignore"):
+        assert model.eval_logits(cams[:-1], tq[:-1], td[:-1]).shape == (n - 1, c)
+        assert threading.active_count() == threads
+        message = rejected(NumericError, lambda: model.eval_logits(cams, tq, td))
+    assert message == "non-finite logits; check inputs and learning rate"
+    # the caller's errstate holds in every worker
+    with eval_workers(workers), np.errstate(all="raise"):
+        rejected(FloatingPointError, lambda: model.eval_logits(cams, tq, td))
+    assert threading.active_count() == threads
+
+
+def test_the_first_failing_slice_is_the_one_raised():
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i:
+            raise ValueError(i)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        tr._run_in_threads(task, 4)
+    assert info.value.args == (1,) and sorted(ran) == [0, 1, 2, 3]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("bad_column", [0, 1])
+def test_bad_inputs_raise_before_any_worker_starts(eval_workers, bad_column):
+    n = 3 * tr.EVAL_ROWS + 7
+    model = tiny_model(num_cameras=3, seed=2)
+    columns = [np.zeros(n, dtype=np.int64), np.arange(n, dtype=float)]
+    # the last row has camera 3 of 3, or a NaN target time
+    columns[bad_column][-1] = (3, np.nan)[bad_column]
+    with eval_workers(2), pytest.MonkeyPatch.context() as mp:
+        started = []
+        mp.setattr(tr, "_run_in_threads", lambda task, count: started.append(count))
+        rejected(InputError, lambda: model.eval_logits(columns[0], 0.0, columns[1]))
+    assert started == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers, per_node):
     c, d = 8, 32
     n = 3 * tr.EVAL_ROWS + 7
     model = eval_model(c, d, per_node, seed=3)
     cams, tq, td, _ = random_batch(np.random.default_rng(4), n, c)
-    model.eval_logits(cams[:2], tq[:2], td[:2])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        model.eval_logits(cams, tq, td)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the pass holds two [EVAL_ROWS, C, D] arrays (512 KiB each); a forward
-    # pass with a backward cache holds about seventeen
+    with eval_workers(workers):
+        model.eval_logits(cams[:2], tq[:2], td[:2])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.eval_logits(cams, tq, td)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    # the pass holds two [EVAL_ROWS, C, D] arrays (512 KiB each), shared by
+    # the workers; a forward pass with a backward cache holds about seventeen
     assert peak < 4 * tr.EVAL_ROWS * c * d * 8
 
 
