@@ -145,13 +145,11 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
         max_period: geometric progression base for the wavelengths, > 1.
     """
     delta = as_f64(delta_t)
-    check_embed_args(delta, dim, max_period)
-    return sinusoidal_embed_unchecked(delta, dim, max_period)
+    _check_embed(delta, dim, max_period)
+    return _embed(delta, dim, max_period)
 
 
-def check_embed_args(delta: np.ndarray, dim: int, max_period: float) -> None:
-    """sinusoidal_embed's checks: an even positive dim, max_period above 1
-    and finite float64 deltas."""
+def _check_embed(delta: np.ndarray, dim: int, max_period: float) -> None:
     if dim <= 0 or dim % 2 != 0:
         raise ConfigError(f"embedding dim must be positive and even, got {dim}")
     if max_period <= 1.0:
@@ -160,9 +158,8 @@ def check_embed_args(delta: np.ndarray, dim: int, max_period: float) -> None:
         raise InputError("delta_t must be finite")
 
 
-def sinusoidal_embed_unchecked(delta: np.ndarray, dim: int,
-                               max_period: float) -> np.ndarray:
-    """sinusoidal_embed of arguments that check_embed_args has passed, so
+def _embed(delta: np.ndarray, dim: int, max_period: float) -> np.ndarray:
+    """sinusoidal_embed of float64 deltas that _check_embed has passed, so
     that a batch checked once can be embedded in parts."""
     half = dim // 2
     divisors = max_period ** (2.0 * np.arange(half) / dim)

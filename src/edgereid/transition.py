@@ -11,7 +11,6 @@ nn.Workspace, which training keeps from step to step.
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import dataclasses
 import json
@@ -37,6 +36,15 @@ CHECKPOINT_VERSION = 1
 # each then read 54.8 -> 88.0 ops/s (1.61x, ten alternating 30 s pairs) at a
 # median peak RSS of 71.1 -> 72.1 MiB.
 EVAL_ROWS = 256
+# eval_logits runs on at most EVAL_MAX_WORKERS workers, the one count measured
+# (2 cores), and gives each at least EVAL_WORKER_ROWS rows. On the shipped
+# checkpoint, with calls alternating between one and two workers (30-40
+# calls each per size, three runs), two workers read 1.5-1.7x at 2,048 rows
+# and above in every run, but 0.9-1.6x from one run to the next at 256-1,024
+# rows: a 128-row group's kernels are short, so the two threads' GIL
+# hand-offs can cost what the second core gains.
+EVAL_MAX_WORKERS = 2
+EVAL_WORKER_ROWS = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,35 +302,32 @@ def _available_cpus() -> int:
 
 
 def _eval_workers(n: int) -> int:
-    """Workers for an n-row eval pass: one per available CPU, fewer when n
-    rows would leave a worker without one full group of EVAL_ROWS // workers
-    rows."""
-    workers = min(_available_cpus(), EVAL_ROWS)
-    while workers > 1 and n < workers * (EVAL_ROWS // workers):
-        workers -= 1
-    return workers
+    """Workers for an n-row eval pass: one per available CPU, but at most
+    EVAL_MAX_WORKERS and none with fewer than EVAL_WORKER_ROWS rows."""
+    return max(1, min(_available_cpus(), EVAL_MAX_WORKERS, n // EVAL_WORKER_ROWS))
 
 
 def _run_in_threads(task, count: int) -> None:
     """task(0) in the calling thread and task(1), ..., task(count - 1) each
     in a thread of its own, started here and joined before returning or
     raising. numpy's and scipy's kernels release the GIL, so the tasks run
-    at once. Each thread runs in a copy of the caller's context, so that the
-    caller's np.errstate holds there too. The first task's error (by index)
-    is re-raised."""
+    at once. Every task runs under the caller's np.errstate, which numpy
+    1.x keeps per thread. The first task's error (by index) is re-raised."""
     errors: list[BaseException | None] = [None] * count
+    state, call = np.geterr(), np.geterrcall()
 
     def guarded(i):
         try:
-            task(i)
+            with np.errstate(call=call, **state):
+                task(i)
         except BaseException as exc:
             errors[i] = exc
 
     threads = []
     try:
         for i in range(1, count):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(guarded, i), name=f"eval_logits-{i}")
+            thread = threading.Thread(target=guarded, args=(i,),
+                                      name=f"eval_logits-{i}")
             thread.start()
             threads.append(thread)
         guarded(0)
@@ -351,12 +356,12 @@ class TransitionNet:
     a time, never shared across threads: a second caller's forward pass would
     overwrite the first one's cache.
 
-    eval_logits keeps no cache and leaves the workspace alone: it splits its
-    batch over one worker per available CPU, the calling thread and threads
-    of its own that it joins before returning, and each worker runs its
-    groups of rows through its own rows of two arrays, dropped on return.
-    The workers only read the model and write disjoint slices, so the
-    logits have the same bits whatever their number.
+    eval_logits keeps no cache and leaves the workspace alone: it splits a
+    large batch over up to EVAL_MAX_WORKERS workers, the calling thread and
+    threads of its own that it joins before returning, and each worker runs
+    its groups of rows through its own rows of two arrays, dropped on
+    return. The workers only read the model and write disjoint slices, so
+    the logits have the same bits whatever their number.
     """
 
     def __init__(self, config: TransitionNetConfig, rng: np.random.Generator):
@@ -532,7 +537,7 @@ class TransitionNet:
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
         """Eval-mode logits of forward, evaluated by a pass that keeps no
-        cache, on every CPU the process may run on.
+        cache, on up to EVAL_MAX_WORKERS of the CPUs the process may run on.
 
         Inputs broadcast and are checked as in forward, before any worker
         starts. The batch is cut into one contiguous slice per worker
@@ -554,7 +559,7 @@ class TransitionNet:
         # checked once here, so that the workers embed unchecked and call
         # nothing a profiler wraps: bench/tracer.py keeps one span stack,
         # which threads would interleave
-        nn.check_embed_args(deltas, cfg.embed_dim, cfg.max_period)
+        nn._check_embed(deltas, cfg.embed_dim, cfg.max_period)
         n, c, d = cams.size, cfg.num_cameras, cfg.embed_dim
         self._cache = None
         out = np.empty((n, c))
@@ -580,7 +585,7 @@ class TransitionNet:
             rows = slice(start, start + a.shape[0])
             m = cams[rows].size
             x, scratch = a[:m], b[:m]
-            embed = nn.sinusoidal_embed_unchecked(deltas[rows], d, cfg.max_period)
+            embed = nn._embed(deltas[rows], d, cfg.max_period)
             self._spatial(cams[rows], embed, x)
             for block in self.blocks:
                 block.eval_in_place(x, scratch)

@@ -157,25 +157,24 @@ def test_simulate_outputs_are_deterministic(tmp_path, config_path):
 def test_simulate_bundle_is_the_same_on_one_or_two_eval_workers(
         tmp_path, config_path, eval_workers):
     # the shipped cycle config, with appearance features so that every
-    # strategy runs, and start times spread so that table fills evaluate
-    # batches of a few hundred rows, enough for two workers
+    # strategy runs
     doc = json.loads(read(os.path.join(CONFIG_DIR, "cycle.json")))
-    doc["scene"]["generator"].update(feature_dim=8, start_spread=400)
+    doc["scene"]["generator"]["feature_dim"] = 8
     cfg = config_path(doc)
-    used = []
-    choose = transition._eval_workers
-
-    def counted(n):
-        used.append(choose(n))
-        return used[-1]
-
+    run_in_threads = transition._run_in_threads
     outs = []
     for workers in (1, 2):
+        counts = []
+
+        def recorded(task, count):
+            counts.append(count)
+            run_in_threads(task, count)
+
         outs.append(tmp_path / f"w{workers}")
         with eval_workers(workers), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transition, "_eval_workers", counted)
+            mp.setattr(transition, "_run_in_threads", recorded)
             assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
-        assert max(used) == workers
+        assert counts and set(counts) == {workers}
     for name in BUNDLE:
         assert read(outs[0] / name) == read(outs[1] / name), name
 

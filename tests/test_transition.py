@@ -395,12 +395,13 @@ def test_workers_at_the_shipped_width_match_the_reference(eval_workers, workers,
 
 
 @pytest.mark.parametrize("cpus, n, workers", [
-    (1, 10_000, 1), (2, 255, 1), (2, 256, 2), (3, 254, 1), (3, 255, 3),
-    (4, 255, 3), (4, 256, 4), (64, 300, 64), (500, 300, 256),
+    (1, 100_000, 1), (2, 1, 1), (2, 2 * tr.EVAL_WORKER_ROWS - 1, 1),
+    (2, 2 * tr.EVAL_WORKER_ROWS, 2), (64, 2 * tr.EVAL_WORKER_ROWS - 1, 1),
+    (64, 100_000, tr.EVAL_MAX_WORKERS),
 ])
-def test_every_eval_worker_gets_a_full_group(eval_workers, cpus, n, workers):
-    with eval_workers(cpus):
-        assert tr._eval_workers(n) == workers
+def test_eval_workers_are_capped_and_get_enough_rows(monkeypatch, cpus, n, workers):
+    monkeypatch.setattr(tr, "_available_cpus", lambda: cpus)
+    assert tr._eval_workers(n) == workers
 
 
 def nonfinite_tail_model(c, per_node):
