@@ -33,8 +33,8 @@ CHECKPOINT_VERSION = 1
 # longspan (2 cores, BLAS on one thread, three 20 s runs per size) one
 # worker gave a median 62.0 ops/s at 256 rows against 59.3 at 128 and 57.3
 # at 512, at peak RSS within 1.2 MiB of each other. Two workers of 128 rows
-# each then read 54.8 -> 88.0 ops/s (1.61x, ten alternating 30 s pairs) at a
-# median peak RSS of 71.1 -> 72.1 MiB.
+# each then read 55.2 -> 87.4 ops/s (1.58x, ten alternating 30 s pairs) at a
+# median peak RSS of 71.8 -> 71.5 MiB.
 EVAL_ROWS = 256
 # eval_logits runs on at most EVAL_MAX_WORKERS workers, the one count measured
 # (2 cores), and gives each at least EVAL_WORKER_ROWS rows. On the shipped
