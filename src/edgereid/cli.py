@@ -295,9 +295,9 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
 
     lines = ["strategy,query_index,target_index,device,rank,budget,tn"]
     for name in config.simulate.strategies:
-        for pair in reports[name].pairs:
-            lines.append(f"{name},{pair.query_index},{pair.target_index},"
-                         f"{pair.device},{pair.rank},{pair.budget},{pair.tn}")
+        columns = reports[name].pair_columns
+        lines.extend(f"{name}," + ",".join(map(str, row))
+                     for row in zip(*(c.tolist() for c in columns)))
     _write_text(os.path.join(out, "pairs.csv"), "\n".join(lines) + "\n")
 
     _write_json(os.path.join(out, "history.json"), history)

@@ -21,40 +21,42 @@ from .simulate import RankedQuery, RunReport
 
 def mtn(report: RunReport) -> float:
     """Mean transmission number over all recorded (query, target) pairs."""
-    if not report.pairs:
+    tn = report.pair_columns.tn
+    if tn.size == 0:
         raise DataError("report has no pair records")
-    return float(np.mean([p.tn for p in report.pairs]))
+    return float(np.mean(tn))
+
+
+def _positions(report: RunReport) -> np.ndarray:
+    """Each query's 1-based merged arrival position of its target-time item."""
+    positions = report.query_columns.position
+    if positions.size == 0:
+        raise DataError("report has no query records")
+    if np.any(positions < 1):
+        raise DataError("a target-time item was never delivered")
+    return positions
 
 
 def precise_rank_k(report: RunReport, k: int) -> float:
     """Fraction of queries whose target-time item arrived within the first k."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    if not report.queries:
-        raise DataError("report has no query records")
-    positions = np.array([q.position for q in report.queries])
-    if np.any(positions < 1):
-        raise DataError("a target-time item was never delivered")
-    return float(np.mean(positions <= k))
+    return float(np.mean(_positions(report) <= k))
 
 
 def mean_precise_rank(report: RunReport) -> float:
     """Average 1-based merged arrival position of the target-time item."""
-    if not report.queries:
-        raise DataError("report has no query records")
-    positions = np.array([q.position for q in report.queries])
-    if np.any(positions < 1):
-        raise DataError("a target-time item was never delivered")
-    return float(positions.mean())
+    return float(_positions(report).mean())
 
 
 def cmc_map(ranked: Sequence[RankedQuery], ks: Sequence[int] = (1, 5, 10, 20)):
     """Cumulative match characteristic and mean average precision.
 
-    Per query, gallery entries with the query's identity and camera are
-    treated as distractors and removed before ranking statistics; queries
-    with no cross-camera match left are skipped. Returns (cmc, mean_ap,
-    evaluated, skipped) where cmc maps each k to the rank-k rate.
+    Per query, matches on the query's camera are treated as distractors and
+    removed before ranking statistics, which moves every later item up one
+    place; queries with no cross-camera match left are skipped. Returns
+    (cmc, mean_ap, evaluated, skipped) where cmc maps each k to the rank-k
+    rate.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -64,13 +66,13 @@ def cmc_map(ranked: Sequence[RankedQuery], ks: Sequence[int] = (1, 5, 10, 20)):
     evaluated = 0
     skipped = 0
     for query in ranked:
-        matches = query.same_identity[~(query.same_identity & query.same_camera)]
-        total = int(matches.sum())
+        keep = ~query.on_query_camera
+        total = int(keep.sum())
         if total == 0:
             skipped += 1
             continue
         evaluated += 1
-        positions = np.flatnonzero(matches) + 1
+        positions = query.positions[keep] - np.flatnonzero(keep) + np.arange(total)
         first = positions[0]
         for i, k in enumerate(ks):
             if first <= k:
@@ -115,6 +117,6 @@ def summarize(report: RunReport, ks: Sequence[int] = (1, 5, 10, 20)) -> MetricSu
         precise_rank={int(k): precise_rank_k(report, int(k)) for k in ks},
         mean_precise_rank=mean_precise_rank(report),
         num_queries=report.num_queries,
-        num_pairs=len(report.pairs),
+        num_pairs=report.pair_columns.tn.size,
         num_skipped=report.num_skipped,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,6 +183,23 @@ class Gallery:
         return tuple(_order(self.timestamps[items], items)
                      for items in self.device_items)
 
+    @functools.cached_property
+    def ticks(self) -> np.ndarray:
+        """The distinct timestamps, ascending: the ticks at which
+        _transition_rows evaluates the model."""
+        return np.unique(self.timestamps)
+
+    @functools.cached_property
+    def tick_index(self) -> np.ndarray:
+        """Each item's index into ticks."""
+        return np.searchsorted(self.ticks, self.timestamps)
+
+    @functools.cached_property
+    def tick_cells(self) -> np.ndarray:
+        """Each item's flat (tick, camera) cell, tick_index * C + camera: its
+        own camera's entry in a [ticks, C] block of transition rows."""
+        return self.tick_index * self.num_cameras + self.cameras
+
 
 def build_gallery(observations: Sequence[Observation], num_cameras: int) -> Gallery:
     if not observations:
@@ -319,14 +336,14 @@ def _visual_scores(gallery: Gallery, queries: np.ndarray) -> np.ndarray:
 
 
 def _transition_rows(models: Models, gallery: Gallery, queries: np.ndarray,
-                     target_times: np.ndarray | None = None):
+                     target_times: np.ndarray | None = None) -> np.ndarray | None:
     """p(camera at a tick | each query's sighting) over the gallery's
-    distinct ticks, from one distribution call: (rows [Q, T, C], tick [G]),
-    where rows[:, tick[i]] is gallery item i's row and, when given, each
-    query's target tick is row T. None without a transition model."""
+    distinct ticks, from one distribution call: rows [Q, T, C], where
+    rows[:, gallery.tick_index[i]] is gallery item i's row and, when given,
+    each query's target tick is row T. None without a transition model."""
     if models.transition is None:
         return None
-    ticks, tick = np.unique(gallery.timestamps, return_inverse=True)
+    ticks = gallery.ticks
     times = np.broadcast_to(as_f64(ticks), (queries.size, ticks.size))
     if target_times is not None:
         times = np.column_stack((times, target_times))
@@ -334,16 +351,15 @@ def _transition_rows(models: Models, gallery: Gallery, queries: np.ndarray,
     rows = models.transition.distribution(
         np.repeat(gallery.cameras[queries], n),
         np.repeat(as_f64(gallery.timestamps[queries]), n), times.ravel())
-    return rows.reshape(queries.size, n, -1), tick
+    return rows.reshape(queries.size, n, -1)
 
 
-def _own_camera(transition, gallery: Gallery) -> np.ndarray | None:
+def _own_camera(rows: np.ndarray | None, gallery: Gallery) -> np.ndarray | None:
     """p(item's camera at the item's tick | query) of every gallery item,
-    [Q, G], from _transition_rows; None without a transition model."""
-    if transition is None:
+    [Q, G], from _transition_rows' rows; None without a transition model."""
+    if rows is None:
         return None
-    rows, tick = transition
-    return np.ascontiguousarray(rows[:, tick, gallery.cameras])
+    return np.take(rows.reshape(len(rows), -1), gallery.tick_cells, axis=1)
 
 
 def _gather(values: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -435,17 +451,18 @@ def _joint_order(gallery: Gallery, params: InferenceParams, models: Models,
                                params.beta, params.orientation)
     if params.time_targeted:
         # one cosine product per (query, camera), as for a block of one query
-        probs, tick = transition
+        tick = gallery.tick_index
         per_row = np.broadcast_to(items, s.shape)
         for k, r in enumerate(rows):
-            bank = strat.PatternBank(rows=probs[r, tick[per_row[k]]],
-                                     target=probs[r, -1])
+            bank = strat.PatternBank(rows=transition[r, tick[per_row[k]]],
+                                     target=transition[r, -1])
             s[k] = strat.time_targeted_scores(s[k], bank, params.orientation)
     return _order(s, items)
 
 
 def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
-               kind: str, params: InferenceParams, models: Models) -> list:
+               kind: str, params: InferenceParams, models: Models,
+               visual: np.ndarray | None = None) -> list:
     """Each camera's upload orders for a block of queries under a sequence
     kind ("time", "visual" or "joint"), each query's own item left out.
 
@@ -458,9 +475,11 @@ def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
     score's softmax runs over the items present, so those queries get an
     n - 1 block of their own. The joint order's transition rows, with the
     target tick's when time-targeted, come from one model call for the block.
+    visual, when given, is the block's _visual_scores, which the visual and
+    joint kinds share; it is computed here otherwise.
     """
     cams = gallery.cameras[queries]
-    if kind != "time":
+    if kind != "time" and visual is None:
         visual = _visual_scores(gallery, queries)
     if kind == "joint":
         transition = _transition_rows(models, gallery, queries,
@@ -468,20 +487,20 @@ def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
         own = _own_camera(transition, gallery)
     out = []
     for c, items in enumerate(gallery.device_items):
+        if kind != "joint":
+            items = np.broadcast_to(
+                gallery.time_orders[c] if kind == "time"
+                else _order(-_gather(visual, items), items), (queries.size, items.size))
+        blocks = []
         off, on = np.flatnonzero(cams != c), np.flatnonzero(cams == c)
+        if off.size:
+            blocks.append((off, items if kind == "joint" else items[off]))
+        if on.size:
+            blocks.append((on, _drop(items if kind == "joint" else items[on], queries[on])))
         if kind == "joint":
             blocks = [(rows, _joint_order(gallery, params, models, queries, rows, block,
                                           visual, transition, own))
-                      for rows, block in ((off, items), (on, _drop(items, queries[on])))
-                      if rows.size]
-        else:
-            order = np.broadcast_to(
-                gallery.time_orders[c] if kind == "time"
-                else _order(-_gather(visual, items), items), (queries.size, items.size))
-            blocks = [(rows, block)
-                      for rows, block in ((off, order[off]),
-                                          (on, _drop(order[on], queries[on])))
-                      if rows.size]
+                      for rows, block in blocks]
         out.append(blocks)
     return out
 
@@ -613,9 +632,48 @@ class QueryRecord:
     round: int
 
 
-@dataclasses.dataclass
+class PairColumns(NamedTuple):
+    """Pair outcomes as equal-length int64 columns, one per PairRecord field
+    in its order."""
+
+    query_index: np.ndarray
+    target_index: np.ndarray
+    device: np.ndarray
+    rank: np.ndarray
+    budget: np.ndarray
+    tn: np.ndarray
+
+
+class QueryColumns(NamedTuple):
+    """Query outcomes as equal-length int64 columns, one per QueryRecord
+    field in its order."""
+
+    query_index: np.ndarray
+    target_time: np.ndarray
+    desired_index: np.ndarray
+    device: np.ndarray
+    position: np.ndarray
+    round: np.ndarray
+
+
+def _frozen_columns(kind, columns):
+    """kind(*columns) as read-only int64 copies, checked for equal length."""
+    out = kind(*(np.array(c, dtype=np.int64) for c in columns))
+    if any(c.ndim != 1 or c.size != out[0].size for c in out):
+        raise ShapeError(f"{kind.__name__} needs 1-D columns of one length")
+    for c in out:
+        c.flags.writeable = False
+    return out
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class RunReport:
-    """Everything the metrics need about one strategy's benchmark run."""
+    """Everything the metrics need about one strategy's benchmark run.
+
+    Pair and query outcomes are read-only int64 columns; pairs and queries
+    are the same outcomes as PairRecord and QueryRecord lists, built on
+    first access. Reports are equal when every field is.
+    """
 
     strategy: str
     total_bandwidth: int
@@ -623,8 +681,30 @@ class RunReport:
     gallery_size: int
     num_queries: int
     num_skipped: int
-    pairs: list[PairRecord]
-    queries: list[QueryRecord]
+    pair_columns: PairColumns
+    query_columns: QueryColumns
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_columns",
+                           _frozen_columns(PairColumns, self.pair_columns))
+        object.__setattr__(self, "query_columns",
+                           _frozen_columns(QueryColumns, self.query_columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in dataclasses.fields(self))
+
+    @functools.cached_property
+    def pairs(self) -> list[PairRecord]:
+        return [PairRecord(*row)
+                for row in zip(*(c.tolist() for c in self.pair_columns))]
+
+    @functools.cached_property
+    def queries(self) -> list[QueryRecord]:
+        return [QueryRecord(*row)
+                for row in zip(*(c.tolist() for c in self.query_columns))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -717,13 +797,15 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     row-wise allocation for the learned ones, the uniform allocation once),
     and per-pair budgets of the learned strategies (each partner's timestamp
     as the target time) from one more of each. Sequences come from
-    _sequences in blocks of QUERY_CHUNK queries, once per sequence kind, and
-    give each partner's rank and the desired item's position in its
-    camera's sequence; plan assembles each (query, strategy)'s plan from
-    the block's sequences and the budgets. Transmission numbers are
-    ceil(rank / budget), and the desired item's arrival round and merged
-    position follow in closed form (_arrival), where run_rounds merges.
-    plan plus run_rounds per (query, strategy) is the scalar reference.
+    _sequences in blocks of QUERY_CHUNK queries, once per sequence kind on
+    one visual product per block, and give each partner's rank and the
+    desired item's position in its camera's sequence; plan assembles each
+    (query, strategy)'s plan from the block's sequences and the budgets.
+    Transmission numbers are ceil(rank / budget), and the desired item's
+    arrival round and merged position follow in closed form (_arrival),
+    where run_rounds merges. plan plus run_rounds per (query, strategy) is
+    the scalar reference. Each report keeps the outcomes as the columns
+    computed here.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
@@ -762,10 +844,12 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     for chunk in _chunks(chosen.size):
         queries = chosen[chunk]
         lo, hi = np.searchsorted(pair_row, (chunk.start, chunk.stop))
+        visual = (_visual_scores(gallery, queries)
+                  if any(kind != "time" for kind in kinds) else None)
         sequences = {}
         for kind in kinds:
             blocks = _sequences(gallery, queries, target_times[chunk], kind, params,
-                                models)
+                                models, visual)
             # 1-based rank of each item within its camera's sequence, per query
             rank_of = np.zeros((queries.size, gallery.size), dtype=np.int64)
             for camera in blocks:
@@ -791,9 +875,6 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
         pair_budgets = strat.allocate_bandwidth_rows(
             logits, sizes[pair_row], total_bandwidth,
             params.gamma0, params.gamma1)[0][np.arange(targets.size), devices]
-    query_columns = (chosen.tolist(), target_times.tolist(), desired.tolist(),
-                     desired_devices.tolist())
-    pair_columns = (pair_query.tolist(), targets.tolist(), devices.tolist())
     reports = {}
     for strategy in strategies:
         kind = SEQUENCE_STRATEGIES[strategy]
@@ -806,11 +887,10 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
             strategy=strategy.value, total_bandwidth=total_bandwidth,
             num_cameras=scene.num_cameras, gallery_size=gallery.size,
             num_queries=chosen.size, num_skipped=skipped,
-            pairs=[PairRecord(*row) for row in zip(
-                *pair_columns, rank.tolist(), budget.tolist(),
-                (-(-rank // budget)).tolist())],
-            queries=[QueryRecord(*row) for row in zip(
-                *query_columns, merged.tolist(), rounds.tolist())])
+            pair_columns=PairColumns(pair_query, targets, devices, rank, budget,
+                                     -(-rank // budget)),
+            query_columns=QueryColumns(chosen, target_times, desired,
+                                       desired_devices, merged, rounds))
     return reports
 
 
@@ -819,13 +899,14 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
 
 @dataclasses.dataclass(frozen=True)
 class RankedQuery:
-    """A query and, per ranked gallery item (best first), whether the item
-    has the query's identity and whether it is on the query's camera."""
+    """A query and where its identity's items sit in its ranked list (the
+    gallery without the query, best first): their 1-based positions,
+    ascending, and whether each is on the query's camera."""
 
     query_identity: int
     query_camera: int
-    same_identity: np.ndarray
-    same_camera: np.ndarray
+    positions: np.ndarray
+    on_query_camera: np.ndarray
 
 
 def central_rankings(scene: Scene, models: Models, params: InferenceParams,
@@ -837,9 +918,11 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     spatio-temporal/visual similarity, each over the gallery without the
     query and with ties by gallery index. Queries run in blocks of
     QUERY_CHUNK on the serving kernels: one visual product per query, one
-    transition-model call, one row-form joint similarity and two row-wise
-    orders per block.
+    transition-model call, one row-form joint similarity, two row-wise
+    orders and one np.nonzero per order per block. max_queries is checked
+    as QuerySpec checks it.
     """
+    QuerySpec(max_queries=max_queries)
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
@@ -866,11 +949,13 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
         del o  # one [queries, gallery] block fewer at the peak
         for keys, out in ((np.negative(v, out=v), visual_lists), (s, joint_lists)):
             order = _order(keys, others)
+            rows, cols = np.nonzero(gallery.identities[order]
+                                    == gallery.identities[queries, None])
+            same = gallery.cameras[order[rows, cols]] == gallery.cameras[queries[rows]]
+            bounds = np.cumsum(np.bincount(rows, minlength=queries.size))[:-1]
             out.extend(RankedQuery(query_identity=int(gallery.identities[q]),
                                    query_camera=int(gallery.cameras[q]),
-                                   same_identity=identity, same_camera=camera)
-                       for q, identity, camera in zip(
-                           queries,
-                           gallery.identities[order] == gallery.identities[queries, None],
-                           gallery.cameras[order] == gallery.cameras[queries, None]))
+                                   positions=positions, on_query_camera=flags)
+                       for q, positions, flags in zip(
+                           queries, np.split(cols + 1, bounds), np.split(same, bounds)))
     return visual_lists, joint_lists

@@ -1,14 +1,23 @@
 """Arrival metrics and ranked-list CMC/mAP checks against hand computations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgereid.errors import DataError, InputError
 from edgereid.metrics import (cmc_map, mean_precise_rank, mtn, precise_rank_k,
                               summarize)
-from edgereid.simulate import PairRecord, QueryRecord, RankedQuery, RunReport
+from edgereid.simulate import (PairColumns, PairRecord, QueryColumns, QueryRecord,
+                               RankedQuery, RunReport)
+
+
+def columns(kind, records):
+    """kind's int64 columns holding the records' fields of the same names."""
+    return kind(*(np.array([getattr(r, f) for r in records], dtype=np.int64)
+                  for f in kind._fields))
 
 
 def make_report(tns=(), positions=(), strategy="visual"):
@@ -20,13 +29,16 @@ def make_report(tns=(), positions=(), strategy="visual"):
                for i, pos in enumerate(positions)]
     return RunReport(strategy=strategy, total_bandwidth=4, num_cameras=2,
                      gallery_size=500, num_queries=len(queries), num_skipped=3,
-                     pairs=pairs, queries=queries)
+                     pair_columns=columns(PairColumns, pairs),
+                     query_columns=columns(QueryColumns, queries))
 
 
 def ranked(query_identity, query_camera, ids, cams):
+    same_identity = np.asarray(ids, dtype=np.int64) == query_identity
+    same_camera = np.asarray(cams, dtype=np.int64) == query_camera
     return RankedQuery(query_identity=query_identity, query_camera=query_camera,
-                       same_identity=np.asarray(ids, dtype=np.int64) == query_identity,
-                       same_camera=np.asarray(cams, dtype=np.int64) == query_camera)
+                       positions=np.flatnonzero(same_identity) + 1,
+                       on_query_camera=same_camera[same_identity])
 
 
 def test_mtn_is_the_pair_mean():
@@ -133,3 +145,89 @@ def test_cmc_map_validation():
         cmc_map([q], ks=())
     with pytest.raises(InputError):
         cmc_map([q], ks=(0,))
+
+
+def test_record_fields_match_their_columns():
+    assert PairColumns._fields == tuple(f.name for f in dataclasses.fields(PairRecord))
+    assert QueryColumns._fields == tuple(
+        f.name for f in dataclasses.fields(QueryRecord))
+
+
+def reference_cmc_map(same_identity, same_camera, ks):
+    """cmc_map on per-item bool arrays, one (same identity, same camera) pair
+    per ranked query: the form RankedQuery held before it kept positions."""
+    ks = sorted(set(int(k) for k in ks))
+    hits = np.zeros(len(ks))
+    ap_sum = 0.0
+    evaluated = skipped = 0
+    for ident, cam in zip(same_identity, same_camera):
+        matches = ident[~(ident & cam)]
+        total = int(matches.sum())
+        if total == 0:
+            skipped += 1
+            continue
+        evaluated += 1
+        positions = np.flatnonzero(matches) + 1
+        for i, k in enumerate(ks):
+            if positions[0] <= k:
+                hits[i] += 1.0
+        ap_sum += float((np.arange(1, total + 1) / positions).mean())
+    if evaluated == 0:
+        raise DataError("no query had a valid cross-camera match")
+    cmc = {k: float(hits[i] / evaluated) for i, k in enumerate(ks)}
+    return cmc, ap_sum / evaluated, evaluated, skipped
+
+
+# each entry of a ranked list: 0 another identity, 1 a match on another
+# camera, 2 a match on the query's camera (a distractor)
+ranked_lists = st.lists(st.lists(st.integers(0, 2), max_size=40), min_size=1,
+                        max_size=6)
+
+
+@given(ranked_lists, st.lists(st.integers(1, 45), min_size=1, max_size=6))
+@example([[0, 0, 0]], [1])                 # no matches
+@example([[2, 0, 2], [2]], [1, 1])         # only distractors, duplicate ks
+@example([[1, 0, 2, 0, 1]], [1, 5, 5])     # matches first and last
+@example([[2, 2, 1, 0, 2, 1], [0, 1]], [2, 3, 20])
+@settings(max_examples=200, deadline=None)
+def test_cmc_map_on_positions_matches_the_bool_arrays(lists, ks):
+    same_identity = [np.array(entries, dtype=np.int64) > 0 for entries in lists]
+    same_camera = [np.array(entries, dtype=np.int64) == 2 for entries in lists]
+    queries = [RankedQuery(query_identity=7, query_camera=0,
+                           positions=np.flatnonzero(ident) + 1,
+                           on_query_camera=cam[ident])
+               for ident, cam in zip(same_identity, same_camera)]
+    try:
+        want = reference_cmc_map(same_identity, same_camera, ks)
+    except DataError:
+        with pytest.raises(DataError, match="valid cross-camera match"):
+            cmc_map(queries, ks)
+        return
+    cmc, mean_ap, evaluated, skipped = cmc_map(queries, ks)
+    assert cmc == want[0]
+    assert mean_ap.hex() == want[1].hex()
+    assert (evaluated, skipped) == want[2:]
+
+
+def reference_summary(report, ks):
+    """summarize's numbers from the record lists, as the metrics read them
+    before reports kept columns."""
+    positions = np.array([q.position for q in report.queries])
+    return {"strategy": report.strategy,
+            "mtn": float(np.mean([p.tn for p in report.pairs])),
+            "precise_rank": {str(k): float(np.mean(positions <= k)) for k in ks},
+            "mean_precise_rank": float(positions.mean()),
+            "num_queries": report.num_queries, "num_pairs": len(report.pairs),
+            "num_skipped": report.num_skipped}
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
+       st.lists(st.integers(1, 10**5), min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_summarize_from_columns_equals_the_record_lists(tns, positions):
+    report = make_report(tns=tns, positions=positions)
+    got = summarize(report, ks=(1, 5, 10, 20)).to_dict()
+    want = reference_summary(report, (1, 5, 10, 20))
+    assert got == want
+    for name in ("mtn", "mean_precise_rank"):
+        assert got[name].hex() == want[name].hex()

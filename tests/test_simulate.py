@@ -464,8 +464,19 @@ def test_central_rankings_cover_every_query():
     assert len(visual) == len(joint) == 6
     size = sim.build_gallery(scene.test_observations(), scene.num_cameras).size
     for rq in visual + joint:
-        assert rq.same_identity.dtype == rq.same_camera.dtype == bool
-        assert rq.same_identity.size == rq.same_camera.size == size - 1
+        assert rq.positions.dtype == np.int64 and rq.on_query_camera.dtype == bool
+        assert rq.positions.size == rq.on_query_camera.size >= 1
+        assert rq.positions[0] >= 1 and rq.positions[-1] <= size - 1
+        assert np.all(np.diff(rq.positions) > 0)
+
+
+@pytest.mark.parametrize("max_queries", [0, -1])
+def test_central_rankings_reject_a_query_cap_below_one(max_queries, monkeypatch):
+    scene = featured_scene(seed=12)
+    monkeypatch.setattr(sim, "build_gallery", None)  # rejected before any work
+    with pytest.raises(ConfigError, match="max_queries must be >= 1"):
+        sim.central_rankings(scene, sim.Models(), sim.InferenceParams(),
+                             max_queries, np.random.default_rng(14))
 
 
 # -- plan against the per-camera reference --------------------------------------
@@ -639,7 +650,8 @@ def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
     """run_benchmark as the per-query loop the array engine replaced: the
     per-camera reference_plan and run_rounds per (query, strategy), and one
     scalar allocation per pair of a learned-budget strategy, from one
-    eval_logits call per query."""
+    eval_logits call per query. Returns the reports, whose columns hold the
+    records, and each strategy's (pair, query) record lists."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     eligible, skipped = sim.eligible_queries(gallery)
     chosen = eligible
@@ -683,12 +695,20 @@ def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
                 device=int(gallery.cameras[desired]),
                 position=int(log.position_of[desired]),
                 round=int(log.round_of[desired])))
-    return {s.value: sim.RunReport(
-                strategy=s.value, total_bandwidth=total_bandwidth,
-                num_cameras=scene.num_cameras, gallery_size=gallery.size,
-                num_queries=chosen.size, num_skipped=skipped,
-                pairs=pairs[s], queries=queries[s])
-            for s in strategies}
+    reports = {s.value: sim.RunReport(
+                   strategy=s.value, total_bandwidth=total_bandwidth,
+                   num_cameras=scene.num_cameras, gallery_size=gallery.size,
+                   num_queries=chosen.size, num_skipped=skipped,
+                   pair_columns=columns(sim.PairColumns, pairs[s]),
+                   query_columns=columns(sim.QueryColumns, queries[s]))
+               for s in strategies}
+    return reports, {s.value: (pairs[s], queries[s]) for s in strategies}
+
+
+def columns(kind, records):
+    """kind's int64 columns holding the records' fields of the same names."""
+    return kind(*(np.array([getattr(r, f) for r in records], dtype=np.int64)
+                  for f in kind._fields))
 
 
 @settings(deadline=None, max_examples=40)
@@ -717,7 +737,7 @@ def test_engine_matches_the_per_query_reference(
     params = sim.InferenceParams(gamma0=gamma0, time_targeted=time_targeted)
     args = (scene, list(sim.Strategy), models, cameras + extra_bandwidth, params,
             sim.QuerySpec(max_queries=max_queries))
-    want = reference_run_benchmark(*args, np.random.default_rng(seed))
+    want, records = reference_run_benchmark(*args, np.random.default_rng(seed))
     # query blocks of one and three cover block boundaries and one-query tails
     for chunk in (1, 3, sim.QUERY_CHUNK):
         with mock.patch.object(sim, "QUERY_CHUNK", chunk):
@@ -725,6 +745,42 @@ def test_engine_matches_the_per_query_reference(
         assert list(got) == list(want)
         for name in want:
             assert got[name] == want[name], (chunk, name)
+            assert (got[name].pairs, got[name].queries) == records[name], (chunk, name)
+
+
+def test_run_report_columns_are_read_only_int64():
+    *_, reports = benchmark_fixture(list(sim.Strategy))
+    for report in reports.values():
+        for column in report.pair_columns + report.query_columns:
+            assert column.dtype == np.int64 and column.ndim == 1
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        assert {c.size for c in report.pair_columns} == {len(report.pairs)}
+        assert {c.size for c in report.query_columns} == {report.num_queries}
+        assert report.pairs is report.pairs and report.queries is report.queries
+    report = reports["visual"]
+    with pytest.raises(ShapeError):
+        sim.RunReport(report.strategy, report.total_bandwidth, report.num_cameras,
+                      report.gallery_size, report.num_queries, report.num_skipped,
+                      report.pair_columns._replace(tn=report.pair_columns.tn[1:]),
+                      report.query_columns)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 5), st.integers(4, 16), st.integers(2, 5),
+       st.integers(0, 2**32 - 1))
+def test_gallery_tick_indices_match_unique(cameras, identities, visits, seed):
+    scene = featured_scene(seed=seed, num_cameras=cameras, identities=identities,
+                           visits=visits)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    ticks, tick = np.unique(gallery.timestamps, return_inverse=True)
+    assert gallery.ticks.tolist() == ticks.tolist()
+    assert gallery.tick_index.tolist() == tick.tolist()
+    rows = np.random.default_rng(seed).random((3, ticks.size + 1, cameras))
+    own = sim._own_camera(rows, gallery)
+    assert own.flags.c_contiguous
+    np.testing.assert_array_equal(own, rows[:, tick, gallery.cameras])
 
 
 @settings(deadline=None, max_examples=200)
@@ -869,7 +925,8 @@ def test_visual_scores_are_one_product_per_query():
 def reference_central_rankings(scene, models, params, max_queries, rng):
     """central_rankings as the per-query loop the query blocks replaced: one
     visual product, one model call and two lexsorts per query. Returns the
-    (visual, joint) RankedQuery lists and the (visual, joint) orders."""
+    (visual, joint) RankedQuery lists, their positions and flags read from
+    the orders, and the (visual, joint) orders."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     eligible, _ = sim.eligible_queries(gallery)
     chosen = eligible
@@ -887,11 +944,13 @@ def reference_central_rankings(scene, models, params, max_queries, rng):
         for order, out, orders in (
                 (others[np.lexsort((others, -v))], visual_lists, visual_orders),
                 (others[np.lexsort((others, s))], joint_lists, joint_orders)):
+            same_identity = gallery.identities[order] == gallery.identities[q]
             out.append(sim.RankedQuery(
                 query_identity=int(gallery.identities[q]),
                 query_camera=int(gallery.cameras[q]),
-                same_identity=gallery.identities[order] == gallery.identities[q],
-                same_camera=gallery.cameras[order] == gallery.cameras[q]))
+                positions=np.flatnonzero(same_identity) + 1,
+                on_query_camera=gallery.cameras[order[same_identity]]
+                == gallery.cameras[q]))
             orders.append(order)
     return (visual_lists, joint_lists), (visual_orders, joint_orders)
 
@@ -900,10 +959,10 @@ def assert_same_rankings(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.query_identity, a.query_camera) == (b.query_identity, b.query_camera)
-        for x, y in ((a.same_identity, b.same_identity),
-                     (a.same_camera, b.same_camera)):
-            assert x.dtype == y.dtype == bool
-            np.testing.assert_array_equal(x, y)
+        assert a.positions.dtype == b.positions.dtype == np.int64
+        assert a.on_query_camera.dtype == b.on_query_camera.dtype == bool
+        assert a.positions.tolist() == b.positions.tolist()
+        assert a.on_query_camera.tolist() == b.on_query_camera.tolist()
 
 
 @settings(deadline=None, max_examples=30)
