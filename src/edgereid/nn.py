@@ -415,10 +415,12 @@ class BatchNorm:
         self.running_var = var.copy()
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along the given axis."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """Numerically stable softmax along the given axis, written into out
+    (x's shape, float64; x itself normalises in place) when given."""
     x = as_f64(x)
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)  # in place: one [rows, classes] array, not three
     e /= e.sum(axis=axis, keepdims=True)
     return e

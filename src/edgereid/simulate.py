@@ -140,7 +140,7 @@ class TransitionTable:
             logits = self.model.eval_logits(
                 key_cams, 0.0, (key_offsets + self.dt_min).astype(np.float64))
             self.logits.reshape(-1, c)[keys] = logits
-            self.probs.reshape(-1, c)[keys] = softmax(logits, axis=1)
+            self.probs.reshape(-1, c)[keys] = softmax(logits, axis=1, out=logits)
             self.filled.reshape(-1)[keys] = True
         return cells
 
@@ -319,9 +319,15 @@ def _check_strategy(strategy: Strategy, gallery: Gallery, total_bandwidth: int,
 # central_rankings). It bounds the [queries, gallery] scores and the
 # [queries, ticks, cameras] transition rows a block holds, as EVAL_ROWS
 # bounds the network's batches; a module constant rather than a config key,
-# so memory does not follow the config. At 4 the bench's serve and longspan
-# peak memory stays at the per-query loop's; 8 added 2-4%.
-QUERY_CHUNK = 4
+# so memory does not follow the config. Fewer, larger blocks make fewer
+# small kernel calls. On the bench's serve workload (3,996 gallery items, 2
+# cores, BLAS on one thread), whole repetitions alternated in one process
+# took a median 352, 320, 302 and 303 ms at 4, 8, 16 and 32 queries, and
+# six 10 s bench runs at each size read a median peak RSS of 78.3, 77.1,
+# 78.1 and 81.7 MiB. 16 is the fastest size that keeps the peak at 4's; it
+# relies on each block releasing what it no longer needs (_serve_block,
+# central_rankings).
+QUERY_CHUNK = 16
 
 
 def _chunks(n: int):
@@ -331,8 +337,12 @@ def _chunks(n: int):
 
 def _visual_scores(gallery: Gallery, queries: np.ndarray) -> np.ndarray:
     """Each query's similarity with every gallery item, [Q, G]: one product
-    per query, since one [G, d] x [d, Q] product gives other bits."""
-    return np.stack([gallery.features @ gallery.features[q] for q in queries])
+    per query, written into its row, since one [G, d] x [d, Q] product gives
+    other bits."""
+    out = np.empty((queries.size, gallery.size))
+    for row, q in zip(out, queries):
+        np.matmul(gallery.features, gallery.features[q], out=row)
+    return out
 
 
 def _transition_rows(models: Models, gallery: Gallery, queries: np.ndarray,
@@ -362,24 +372,21 @@ def _own_camera(rows: np.ndarray | None, gallery: Gallery) -> np.ndarray | None:
     return np.take(rows.reshape(len(rows), -1), gallery.tick_cells, axis=1)
 
 
-def _gather(values: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """values[r, items[r]] for each row r of values [R, G], C-contiguous:
-    items is [m], shared by every row, or [R, m], one row each."""
-    if items.ndim == 1:
-        return np.take(values, items, axis=1)
-    offsets = values.shape[1] * np.arange(len(values))[:, None]
-    return np.ascontiguousarray(values).ravel()[items + offsets]
+def _gather(values: np.ndarray, rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """values[rows[k], items[k]] for each k, [R, m], C-contiguous, copying
+    no whole row of values [Q, G]: items is [m], shared by every row, or
+    [R, m], one row each."""
+    return np.ravel(values)[rows[:, None] * values.shape[1] + items]
 
 
 def _st_scores(models: Models, params: InferenceParams, gallery: Gallery,
                queries: np.ndarray, items: np.ndarray,
-               own: np.ndarray | None) -> np.ndarray:
+               model_part: np.ndarray | None) -> np.ndarray:
     """Spatio-temporal score of each query's items, [R, m]: items are gallery
-    indices as _gather takes them, own is _own_camera of the queries'
-    transition rows."""
-    model_part = freq_part = None
-    if own is not None:
-        model_part = _gather(own, items)
+    indices, [m], shared, or [R, m], one row each, and model_part the
+    queries' _own_camera at those items, or None without a transition
+    model."""
+    freq_part = None
     if models.frequency is not None:
         freq_part = strat.frequency_scores(
             models.frequency, gallery.cameras[queries][:, None],
@@ -404,17 +411,21 @@ def _order(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
     keys = np.ascontiguousarray(keys, dtype=np.float64)
     if np.isnan(keys).any():
         raise InputError("sort keys must not be NaN")
+    # perm becomes flat indices in place, and at most two [R, n] arrays are
+    # alive at a time: perm and the sorted keys, then perm and the items
     perm = np.argsort(keys, axis=-1)
-    flat = perm
-    if keys.ndim == 2:
-        flat = perm + keys.shape[1] * np.arange(len(keys))[:, None]
+    offsets = keys.shape[-1] * np.arange(len(keys))[:, None] if keys.ndim == 2 else 0
+    perm += offsets
+    ranked = keys.ravel()[perm]
+    tie = ranked[..., 1:] == ranked[..., :-1]
+    del ranked
     items = np.asarray(items)
     if items.ndim == 1:
+        perm -= offsets
         ordered = items[perm]
     else:
-        ordered = np.ascontiguousarray(items).ravel()[flat]
-    ranked = keys.ravel()[flat]
-    tie = ranked[..., 1:] == ranked[..., :-1]
+        ordered = np.ascontiguousarray(items).ravel()[perm]
+    del perm
     if tie.any():
         member = np.zeros(keys.shape, dtype=bool)
         member[..., 1:] = tie
@@ -446,8 +457,8 @@ def _joint_order(gallery: Gallery, params: InferenceParams, models: Models,
     if items.shape[-1] == 0:
         return np.broadcast_to(items, (rows.size, 0))
     o = _st_scores(models, params, gallery, queries[rows], items,
-                   None if own is None else own[rows])
-    s = strat.joint_similarity(o, _gather(visual[rows], items), params.alpha,
+                   None if own is None else _gather(own, rows, items))
+    s = strat.joint_similarity(o, _gather(visual, rows, items), params.alpha,
                                params.beta, params.orientation)
     if params.time_targeted:
         # one cosine product per (query, camera), as for a block of one query
@@ -467,14 +478,17 @@ def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
     kind ("time", "visual" or "joint"), each query's own item left out.
 
     Returns one list per camera of (rows, orders) pairs: rows index the
-    queries, and orders[k] is query rows[k]'s sequence of gallery indices.
-    Queries on other cameras order all n of the camera's items, queries on
-    it n - 1. Time and visual keys do not depend on which items are present,
-    so those orders are sorted once over all n items (the time order once
-    per gallery) and a query on the camera drops its own item; the joint
-    score's softmax runs over the items present, so those queries get an
-    n - 1 block of their own. The joint order's transition rows, with the
-    target tick's when time-targeted, come from one model call for the block.
+    queries, ascending, and orders[k] is query rows[k]'s sequence of gallery
+    indices. A camera's queries on other cameras come first and order all n
+    of its items; its queries on it come second and order n - 1; a pair
+    with no rows is left out. Time and visual keys do not depend on which
+    items are present, so those orders are sorted once over all n items (the
+    time order once per gallery, which the queries on other cameras share as
+    one read-only broadcast view) and a query on the camera drops its own
+    item; the joint score's softmax runs over the items present, so those
+    queries get an n - 1 block of their own. The joint order's transition
+    rows, with the target tick's when time-targeted, come from one model call
+    for the block, and are kept past _own_camera only when time-targeted.
     visual, when given, is the block's _visual_scores, which the visual and
     joint kinds share; it is computed here otherwise.
     """
@@ -485,23 +499,47 @@ def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
         transition = _transition_rows(models, gallery, queries,
                                       target_times if params.time_targeted else None)
         own = _own_camera(transition, gallery)
+        if not params.time_targeted:
+            transition = None  # one [queries, ticks, cameras] block fewer
     out = []
     for c, items in enumerate(gallery.device_items):
-        if kind != "joint":
-            items = np.broadcast_to(
-                gallery.time_orders[c] if kind == "time"
-                else _order(-_gather(visual, items), items), (queries.size, items.size))
-        blocks = []
         off, on = np.flatnonzero(cams != c), np.flatnonzero(cams == c)
+        if kind == "time":
+            order = gallery.time_orders[c]
+            off_items, on_items = np.broadcast_to(order, (off.size, order.size)), order
+        elif kind == "visual":
+            orders = _order(-np.take(visual, items, axis=1), items)
+            off_items, on_items = orders[off], orders[on]
+        else:
+            off_items = on_items = items
+        blocks = []
         if off.size:
-            blocks.append((off, items if kind == "joint" else items[off]))
+            blocks.append((off, off_items))
         if on.size:
-            blocks.append((on, _drop(items if kind == "joint" else items[on], queries[on])))
+            blocks.append((on, _drop(on_items, queries[on])))
         if kind == "joint":
             blocks = [(rows, _joint_order(gallery, params, models, queries, rows, block,
                                           visual, transition, own))
                       for rows, block in blocks]
         out.append(blocks)
+    return out
+
+
+def _find(blocks: list, query_cameras: np.ndarray, rows: np.ndarray,
+          items: np.ndarray, cameras: np.ndarray) -> np.ndarray:
+    """0-based position of each items[i] in query rows[i]'s sequence on
+    camera cameras[i], the item's own, read from _sequences' blocks for
+    queries on query_cameras. Each item must be in that sequence. Only the
+    rows holding an item are compared, one camera block at a time."""
+    out = np.empty(items.size, dtype=np.int64)
+    # which of a camera's two blocks holds each (row, item)
+    side = 2 * cameras + (query_cameras[rows] == cameras)
+    for c, camera in enumerate(blocks):
+        for block_rows, orders in camera:
+            sel = np.flatnonzero(side == 2 * c + (query_cameras[block_rows[0]] == c))
+            if sel.size:
+                picked = orders[np.searchsorted(block_rows, rows[sel])]
+                out[sel] = (picked == items[sel, None]).argmax(axis=1)
     return out
 
 
@@ -783,6 +821,36 @@ def _arrival(budgets: np.ndarray, sizes: np.ndarray, device: np.ndarray,
     return rounds, merged
 
 
+def _serve_block(gallery: Gallery, strategies: list[Strategy], total_bandwidth: int,
+                 params: InferenceParams, models: Models, tasks: list[QueryTask],
+                 target_times: np.ndarray, budgets: dict, rows: np.ndarray,
+                 items: np.ndarray) -> dict[str, np.ndarray]:
+    """run_benchmark's work on one block of queries (tasks), one sequence
+    kind at a time, on one visual product: the kind's _sequences, the 0-based
+    position of each items[i] in query rows[i]'s sequence on the item's
+    camera (_find), and plan over each (query, strategy of the kind) from
+    those sequences and the budgets (the block's rows of _budgets, by
+    learned). Returns the positions by kind; a kind's orders go before the
+    next kind's are sorted, and the block's arrays when it returns."""
+    queries = np.array([task.query_index for task in tasks], dtype=np.int64)
+    kinds = list(dict.fromkeys(SEQUENCE_STRATEGIES[s] for s in strategies))
+    visual = (_visual_scores(gallery, queries)
+              if any(kind != "time" for kind in kinds) else None)
+    cams = gallery.cameras[queries]
+    found = {}
+    for kind in kinds:
+        blocks = _sequences(gallery, queries, target_times, kind, params, models,
+                            visual)
+        found[kind] = _find(blocks, cams, rows, items, gallery.cameras[items])
+        # plan assembles and checks each (query, strategy)'s upload plan
+        planned = [s for s in strategies if SEQUENCE_STRATEGIES[s] == kind]
+        for k, (task, sequences) in enumerate(zip(tasks, _split(blocks, len(tasks)))):
+            for strategy in planned:
+                plan(task, strategy, total_bandwidth, params, models, sequences,
+                     budgets[strategy in LEARNED_BUDGETS][k])
+    return found
+
+
 def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
                   total_bandwidth: int, params: InferenceParams,
                   query_spec: QuerySpec, rng: np.random.Generator
@@ -792,20 +860,20 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     Each query's target time is the timestamp of a seeded-random same-identity
     cross-camera partner. Every strategy's ConfigError is raised before the
     first query. The target-time draws and the tasks are made per query,
-    the rest on arrays. Query-level budgets come
-    from one _budgets call per budget kind (one eval_logits call and one
-    row-wise allocation for the learned ones, the uniform allocation once),
-    and per-pair budgets of the learned strategies (each partner's timestamp
-    as the target time) from one more of each. Sequences come from
-    _sequences in blocks of QUERY_CHUNK queries, once per sequence kind on
-    one visual product per block, and give each partner's rank and the
-    desired item's position in its camera's sequence; plan assembles each
-    (query, strategy)'s plan from the block's sequences and the budgets.
-    Transmission numbers are ceil(rank / budget), and the desired item's
-    arrival round and merged position follow in closed form (_arrival),
-    where run_rounds merges. plan plus run_rounds per (query, strategy) is
-    the scalar reference. Each report keeps the outcomes as the columns
-    computed here.
+    the rest on arrays. Query-level budgets come from one _budgets call per
+    budget kind (one eval_logits call and one row-wise allocation for the
+    learned ones, the uniform allocation once), and per-pair budgets of the
+    learned strategies (each partner's timestamp as the target time) from
+    one more of each, after the last block's arrays are gone. Each block of
+    QUERY_CHUNK queries runs in _serve_block: one visual product, then, one
+    sequence kind at a time, the kind's _sequences, each partner's rank and
+    the desired item's position read from those orders (_find, on the rows
+    that hold one), and plan for each (query, strategy) of the kind from
+    the block's sequences and the budgets. Transmission numbers are
+    ceil(rank / budget), and the desired item's arrival round and merged
+    position follow in closed form (_arrival), where run_rounds merges.
+    plan plus run_rounds per (query, strategy) is the scalar reference. Each
+    report keeps the outcomes as the columns computed here.
     """
     if scene.test_identities is None:
         raise DataError("scene has no train/test split")
@@ -842,30 +910,17 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     ranks = {kind: np.empty(targets.size, dtype=np.int64) for kind in kinds}
     positions = {kind: np.empty(chosen.size, dtype=np.int64) for kind in kinds}
     for chunk in _chunks(chosen.size):
-        queries = chosen[chunk]
         lo, hi = np.searchsorted(pair_row, (chunk.start, chunk.stop))
-        visual = (_visual_scores(gallery, queries)
-                  if any(kind != "time" for kind in kinds) else None)
-        sequences = {}
-        for kind in kinds:
-            blocks = _sequences(gallery, queries, target_times[chunk], kind, params,
-                                models, visual)
-            # 1-based rank of each item within its camera's sequence, per query
-            rank_of = np.zeros((queries.size, gallery.size), dtype=np.int64)
-            for camera in blocks:
-                for rows, orders in camera:
-                    rank_of[rows[:, None], orders] = np.arange(1, orders.shape[-1] + 1)
-            ranks[kind][lo:hi] = rank_of[pair_row[lo:hi] - chunk.start, targets[lo:hi]]
-            positions[kind][chunk] = rank_of[np.arange(queries.size),
-                                             desired[chunk]] - 1
-            sequences[kind] = _split(blocks, queries.size)
-        # plan assembles and checks each (query, strategy)'s upload plan from
-        # the block's sequences and the budgets
-        for k in range(chunk.start, chunk.stop):
-            for strategy in strategies:
-                plan(tasks[k], strategy, total_bandwidth, params, models,
-                     sequences[SEQUENCE_STRATEGIES[strategy]][k - chunk.start],
-                     budgets[strategy in LEARNED_BUDGETS][k])
+        # the block's pair targets, then each query's desired item
+        rows = np.concatenate((pair_row[lo:hi] - chunk.start,
+                               np.arange(chunk.stop - chunk.start)))
+        found = _serve_block(gallery, strategies, total_bandwidth, params, models,
+                             tasks[chunk], target_times[chunk],
+                             {learned: b[chunk] for learned, b in budgets.items()},
+                             rows, np.concatenate((targets[lo:hi], desired[chunk])))
+        for kind, position in found.items():
+            ranks[kind][lo:hi] = position[:hi - lo] + 1
+            positions[kind][chunk] = position[hi - lo:]
     devices = gallery.cameras[targets]
     desired_devices = gallery.cameras[desired]
     if True in budgets:  # a learned-budget strategy runs: per-pair budgets
@@ -909,6 +964,26 @@ class RankedQuery:
     on_query_camera: np.ndarray
 
 
+def _without(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of values [R, G] where keep, one False per row: [R, G - 1]."""
+    return values[keep].reshape(len(values), -1)
+
+
+def _ranked(gallery: Gallery, queries: np.ndarray, order: np.ndarray
+            ) -> list[RankedQuery]:
+    """Each query's RankedQuery from its ranked list, a row of order: one
+    np.nonzero over the identity matches."""
+    rows, cols = np.nonzero(gallery.identities[order]
+                            == gallery.identities[queries, None])
+    same = gallery.cameras[order[rows, cols]] == gallery.cameras[queries[rows]]
+    bounds = np.cumsum(np.bincount(rows, minlength=queries.size))[:-1]
+    return [RankedQuery(query_identity=int(gallery.identities[q]),
+                        query_camera=int(gallery.cameras[q]),
+                        positions=positions, on_query_camera=flags)
+            for q, positions, flags in zip(
+                queries, np.split(cols + 1, bounds), np.split(same, bounds))]
+
+
 def central_rankings(scene: Scene, models: Models, params: InferenceParams,
                      max_queries: int | None, rng: np.random.Generator):
     """Rank the merged test gallery per query, visually and jointly.
@@ -919,8 +994,11 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     query and with ties by gallery index. Queries run in blocks of
     QUERY_CHUNK on the serving kernels: one visual product per query, one
     transition-model call, one row-form joint similarity, two row-wise
-    orders and one np.nonzero per order per block. max_queries is checked
-    as QuerySpec checks it.
+    orders, visual first, and one np.nonzero per order per block. A block's
+    scores leave out each query's own item by one mask (_without), and the
+    visual order is ranked before the joint scores exist, so that a block
+    holds at most four [queries, gallery] arrays at a time. max_queries is
+    checked as QuerySpec checks it.
     """
     QuerySpec(max_queries=max_queries)
     if scene.test_identities is None:
@@ -940,22 +1018,22 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     everything = np.arange(gallery.size)
     for chunk in _chunks(chosen.size):
         queries = chosen[chunk]
-        others = _drop(everything, queries)
-        v = _gather(_visual_scores(gallery, queries), others)
-        o = _st_scores(models, params, gallery, queries, others,
-                       _own_camera(_transition_rows(models, gallery, queries), gallery))
+        # Each query's scores over the gallery without its own item, by one
+        # mask; the items themselves (_drop) are made for each use, so that at
+        # most four [queries, gallery] arrays are alive at a time.
+        keep = everything != queries[:, None]
+        v = _without(_visual_scores(gallery, queries), keep)
+        # the visual order first, on v negated in place and then negated
+        # back, which is exact
+        visual_lists += _ranked(gallery, queries,
+                                _order(np.negative(v, out=v), _drop(everything, queries)))
+        np.negative(v, out=v)
+        own = _own_camera(_transition_rows(models, gallery, queries), gallery)
+        o = _st_scores(models, params, gallery, queries, _drop(everything, queries),
+                       None if own is None else _without(own, keep))
+        del own
         s = strat.joint_similarity(o, v, params.alpha, params.beta,
                                    params.orientation)
-        del o  # one [queries, gallery] block fewer at the peak
-        for keys, out in ((np.negative(v, out=v), visual_lists), (s, joint_lists)):
-            order = _order(keys, others)
-            rows, cols = np.nonzero(gallery.identities[order]
-                                    == gallery.identities[queries, None])
-            same = gallery.cameras[order[rows, cols]] == gallery.cameras[queries[rows]]
-            bounds = np.cumsum(np.bincount(rows, minlength=queries.size))[:-1]
-            out.extend(RankedQuery(query_identity=int(gallery.identities[q]),
-                                   query_camera=int(gallery.cameras[q]),
-                                   positions=positions, on_query_camera=flags)
-                       for q, positions, flags in zip(
-                           queries, np.split(cols + 1, bounds), np.split(same, bounds)))
+        del o, v
+        joint_lists += _ranked(gallery, queries, _order(s, _drop(everything, queries)))
     return visual_lists, joint_lists

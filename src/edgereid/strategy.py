@@ -193,13 +193,25 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
         raise InputError("empty gallery")
     if not (np.all(np.isfinite(o)) and np.all(np.isfinite(v))):
         raise InputError("scores must be finite")
-    # a row's sum in the softmax depends on the memory layout, and fancy
-    # indexing can hand over F-ordered rows
-    phi = softmax(-np.ascontiguousarray(o) / beta)
-    spatial = 1.0 / (1.0 + alpha * np.exp(phi))
-    gate = (v - 1.0) if orientation == "inverted" else -(v - 1.0)
-    visual_term = 1.0 / (1.0 + np.exp(gate))
-    return -spatial * visual_term
+    # Two arrays of o's shape, each step in place, in the formula's order.
+    # The spatial one is C-ordered: a row's sum in the softmax depends on the
+    # memory layout, and fancy indexing can hand over F-ordered rows.
+    s = np.negative(o, out=np.empty(o.shape))  # 1 / (1 + alpha e^phi)
+    s /= beta
+    softmax(s, out=s)
+    np.exp(s, out=s)
+    s *= alpha
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    gate = np.subtract(v, 1.0, out=np.empty(v.shape))  # 1 / (1 + e^g(v))
+    if orientation != "inverted":
+        np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
+    np.negative(s, out=s)
+    s *= gate
+    return s
 
 
 @dataclasses.dataclass(frozen=True)

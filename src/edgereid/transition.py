@@ -599,8 +599,10 @@ class TransitionNet:
                 raise NumericError("non-finite logits; check inputs and learning rate")
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
-        """Softmax of eval_logits: p(camera at target time)."""
-        return nn.softmax(self.eval_logits(cameras, t_query, t_target), axis=1)
+        """Softmax of eval_logits: p(camera at target time), normalised in
+        the fresh logits array."""
+        logits = self.eval_logits(cameras, t_query, t_target)
+        return nn.softmax(logits, axis=1, out=logits)
 
 
 # -- training ----------------------------------------------------------------

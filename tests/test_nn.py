@@ -105,6 +105,30 @@ def test_softmax_sums_to_one_at_large_magnitudes(values):
     assert np.all(out >= 0.0)
 
 
+def reference_softmax(x, axis):
+    """softmax as it was before it could write into out."""
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 9), st.sampled_from([0, 1, -1]),
+       st.sampled_from(["C", "F"]), st.sampled_from(["fresh", "self"]),
+       st.integers(0, 2**32 - 1))
+def test_softmax_into_out_matches_the_reference(rows, cols, axis, layout, target,
+                                                seed):
+    x = np.random.default_rng(seed).normal(scale=30.0, size=(rows, cols))
+    x = np.asarray(x, order=layout)
+    want = reference_softmax(x, axis)
+    assert nn.softmax(x, axis=axis).tobytes() == want.tobytes()
+    out = np.empty_like(x) if target == "fresh" else x
+    got = nn.softmax(x, axis=axis, out=out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cross_entropy_uniform_logits_is_log_c():
     logits = np.zeros((2, 3))
     loss, grad = nn.cross_entropy(logits, np.array([0, 2]))

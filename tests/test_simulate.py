@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -739,7 +740,7 @@ def test_engine_matches_the_per_query_reference(
             sim.QuerySpec(max_queries=max_queries))
     want, records = reference_run_benchmark(*args, np.random.default_rng(seed))
     # query blocks of one and three cover block boundaries and one-query tails
-    for chunk in (1, 3, sim.QUERY_CHUNK):
+    for chunk in (1, 3, sim.QUERY_CHUNK, gallery.size + 1):
         with mock.patch.object(sim, "QUERY_CHUNK", chunk):
             got = sim.run_benchmark(*args, np.random.default_rng(seed))
         assert list(got) == list(want)
@@ -898,6 +899,81 @@ def test_order_short_rows(keys, items, want):
     np.testing.assert_array_equal(got, lexsort_rows(np.array(keys), items).ravel())
 
 
+def reference_order(keys, items):
+    """_order as it was before it gathered through perm made flat in place:
+    a flat index copy of perm."""
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    if np.isnan(keys).any():
+        raise InputError("sort keys must not be NaN")
+    perm = np.argsort(keys, axis=-1)
+    flat = perm
+    if keys.ndim == 2:
+        flat = perm + keys.shape[1] * np.arange(len(keys))[:, None]
+    items = np.asarray(items)
+    if items.ndim == 1:
+        ordered = items[perm]
+    else:
+        ordered = np.ascontiguousarray(items).ravel()[flat]
+    ranked = keys.ravel()[flat]
+    tie = ranked[..., 1:] == ranked[..., :-1]
+    if tie.any():
+        member = np.zeros(keys.shape, dtype=bool)
+        member[..., 1:] = tie
+        member[..., :-1] |= tie
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[..., 1:] = ~tie
+        run = np.cumsum(starts.ravel())
+        where = np.flatnonzero(member)
+        flat_ordered = ordered.reshape(-1)
+        tied = flat_ordered[where]
+        flat_ordered[where] = tied[np.lexsort((tied, run[where]))]
+    return ordered
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 5), st.integers(0, 12), st.booleans(),
+       st.sampled_from(["1-D", "shared", "per-row", "F-ordered", "fancy"]),
+       st.booleans())
+def test_order_matches_the_flat_index_reference(data, rows, n, heavy_ties, layout,
+                                                with_nan):
+    values = (st.sampled_from(data.draw(TIE_POOLS)) if heavy_ties
+              else st.floats(allow_nan=False))
+    keys = np.array(data.draw(st.lists(st.lists(values, min_size=n + 2,
+                                                max_size=n + 2),
+                                       min_size=rows, max_size=rows)),
+                    dtype=np.float64).reshape(rows, n + 2)
+    items = np.array(data.draw(st.lists(st.integers(-50, 10**6), min_size=n + 2,
+                                        max_size=n + 2, unique=True)), dtype=np.int64)
+    per_row = np.stack([np.random.default_rng(r).permutation(items)
+                        for r in range(rows)])
+    if layout == "1-D":
+        keys, items = keys[0, :n], items[:n]
+    elif layout == "shared":
+        keys, items = keys[:, :n], items[:n]
+    elif layout == "per-row":
+        keys, items = keys[:, :n], per_row[:, :n]
+    elif layout == "F-ordered":
+        keys, items = np.asfortranarray(keys[:, :n]), np.asfortranarray(per_row[:, :n])
+    else:  # columns picked by fancy indexing come back F-ordered
+        columns = data.draw(st.permutations(range(n + 2)))[:n]
+        keys, items = keys[:, columns], per_row[:, columns]
+    if with_nan and keys.size:
+        keys = keys.copy()
+        keys.flat[data.draw(st.integers(0, keys.size - 1))] = np.nan
+        for order in (sim._order, reference_order):
+            with pytest.raises(InputError, match="NaN"):
+                order(keys, items)
+        return
+    before = (keys.copy(), items.copy())
+    got = sim._order(keys, items)
+    want = reference_order(keys, items)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert keys.tobytes() == before[0].tobytes()
+    assert items.tobytes() == before[1].tobytes()
+
+
 def test_order_rejects_nan_keys():
     with pytest.raises(InputError, match="NaN"):
         sim._order(np.array([0.0, np.nan]), np.array([0, 1]))
@@ -917,6 +993,98 @@ def test_visual_scores_are_one_product_per_query():
     got = sim._visual_scores(gallery, queries)
     for row, q in zip(got, queries):
         assert row.tobytes() == (gallery.features @ gallery.features[q]).tobytes()
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 300), st.integers(1, 8), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_visual_scores_match_the_stacked_reference(size, dim, count, seed):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(size, dim))
+    obs = [Observation(i, i % 3, i, f) for i, f in enumerate(features)]
+    gallery = sim.build_gallery(obs, num_cameras=3)
+    queries = rng.integers(0, size, count)  # repeats included
+    want = np.stack([gallery.features @ gallery.features[q] for q in queries])
+    got = sim._visual_scores(gallery, queries)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+# -- ranks read from the block's orders -------------------------------------------
+
+
+def reference_positions(blocks, count, gallery_size, rows, items):
+    """0-based positions by the rank_of scatter that _find replaced: every
+    order scattered into a [queries, gallery] array."""
+    rank_of = np.zeros((count, gallery_size), dtype=np.int64)
+    for camera in blocks:
+        for block_rows, orders in camera:
+            rank_of[block_rows[:, None], orders] = np.arange(1, orders.shape[-1] + 1)
+    return rank_of[rows, items] - 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(4, 16), st.integers(2, 4),
+       st.sampled_from(["time", "visual", "joint"]), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_find_matches_the_rank_scatter(cameras, identities, visits, kind, count,
+                                       seed):
+    scene = featured_scene(seed=seed, num_cameras=cameras, identities=identities,
+                           visits=visits)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    model = TransitionNet(TransitionNetConfig(num_cameras=cameras, embed_dim=6),
+                          np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    queries = rng.choice(gallery.size, size=min(count, gallery.size), replace=False)
+    blocks = sim._sequences(gallery, queries, gallery.timestamps[queries], kind,
+                            sim.InferenceParams(), sim.Models(transition=model))
+    # every (query row, item) pair but each query's own item
+    rows, items = np.nonzero(np.arange(gallery.size) != queries[:, None])
+    got = sim._find(blocks, gallery.cameras[queries], rows, items,
+                    gallery.cameras[items])
+    want = reference_positions(blocks, queries.size, gallery.size, rows, items)
+    np.testing.assert_array_equal(got, want)
+
+
+# -- block memory ---------------------------------------------------------------
+
+
+def traced_peak(call):
+    call()  # warms lazy state: the table's cells, cached gallery arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_serving_blocks_keep_a_few_block_arrays_of_memory():
+    # 8 cameras, about 1,100 test items over few ticks, so that the blocks'
+    # [queries, gallery] arrays outweigh the gallery and the pairs
+    cameras = 8
+    scene = featured_scene(seed=2, num_cameras=cameras, identities=450, visits=5)
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    assert gallery.ticks.size * cameras < gallery.size
+    model = TransitionNet(TransitionNetConfig(num_cameras=cameras, embed_dim=6),
+                          np.random.default_rng(3))
+    timestamps = np.array([o.timestamp for o in scene.observations])
+    models = sim.Models(transition=sim.build_transition_table(model, timestamps))
+    params = sim.InferenceParams()
+    queries = 3 * sim.QUERY_CHUNK
+    block = sim.QUERY_CHUNK * gallery.size * 8
+    serve = traced_peak(lambda: sim.run_benchmark(
+        scene, list(sim.Strategy), models, 2 * cameras, params,
+        sim.QuerySpec(max_queries=queries), np.random.default_rng(4)))
+    central = traced_peak(lambda: sim.central_rankings(
+        scene, models, params, queries, np.random.default_rng(4)))
+    # About 6.1 and 7.2 blocks, the gallery and the queries' records
+    # included. Per-block copies (a [queries, gallery] rank scatter per
+    # kind, the time order copied for each query, stacked products, a fresh
+    # array per joint similarity step) read 9.3 and 12.1 at this block size.
+    assert serve < 8 * block, serve / block
+    assert central < 8 * block, central / block
 
 
 # -- central rankings against the per-query reference -----------------------------
@@ -997,7 +1165,7 @@ def test_central_rankings_match_the_per_query_reference(
         orders.append(real_order(keys, items))
         return orders[-1]
 
-    for chunk in (1, 3, sim.QUERY_CHUNK):
+    for chunk in (1, 3, sim.QUERY_CHUNK, gallery.size + 1):
         orders.clear()
         with mock.patch.object(sim, "QUERY_CHUNK", chunk), \
                 mock.patch.object(sim, "_order", recording_order):

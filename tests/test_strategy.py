@@ -1,6 +1,7 @@
 """Frequency table, joint similarity, time-targeted rescoring, allocation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,6 +469,61 @@ def test_fancy_indexed_rows_are_not_c_ordered():
     for k in range(4):
         want = sg.joint_similarity(picked[k] / 40.0, picked[k] / 40.0, 1.0, 0.1)
         assert got[k].tobytes() == want.tobytes()
+
+
+def reference_joint_similarity(o, v, alpha, beta, orientation):
+    """joint_similarity's arithmetic as it was before it worked in place: a
+    fresh array per step."""
+    phi = softmax(-np.ascontiguousarray(o) / beta)
+    spatial = 1.0 / (1.0 + alpha * np.exp(phi))
+    gate = (v - 1.0) if orientation == "inverted" else -(v - 1.0)
+    visual_term = 1.0 / (1.0 + np.exp(gate))
+    return -spatial * visual_term
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from(["1-D", "rows", "F-ordered", "fancy"]),
+       st.sampled_from(["consistent", "inverted"]),
+       st.sampled_from([0.01, 0.1, 2.0]), st.sampled_from([0.5, 5.0, 100.0]))
+def test_in_place_joint_similarity_matches_the_reference(rows, n, seed, layout,
+                                                         orientation, beta, alpha):
+    rng = np.random.default_rng(seed)
+    o = rng.uniform(0.0, 1.0, size=(rows, n + 5))
+    v = rng.uniform(-1.0, 1.0, size=(rows, n + 5))
+    if layout == "1-D":
+        o, v = o[0, :n], v[0, :n]
+    elif layout == "rows":
+        o, v = o[:, :n], v[:, :n]
+    elif layout == "F-ordered":
+        o, v = np.asfortranarray(o[:, :n]), np.asfortranarray(v[:, :n])
+    else:  # columns picked by fancy indexing come back F-ordered
+        columns = rng.permutation(n + 5)[:n]
+        o, v = o[:, columns], v[:, columns]
+    before = (o.copy(), v.copy())
+    got = sg.joint_similarity(o, v, alpha, beta, orientation)
+    want = reference_joint_similarity(o, v, alpha, beta, orientation)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    # the inputs are read, never written
+    assert o.tobytes() == before[0].tobytes() and v.tobytes() == before[1].tobytes()
+
+
+def test_joint_similarity_works_in_two_arrays_of_the_input_shape():
+    rng = np.random.default_rng(5)
+    rows, n = 16, 3995
+    o = rng.uniform(0.0, 1.0, size=(rows, n + 1))[:, 1:]  # strided rows
+    v = rng.uniform(-1.0, 1.0, size=(rows, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sg.joint_similarity(o, v, 100.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the result and the visual gate, plus bool and [rows, 1] temporaries;
+    # allocating a fresh array per step peaked at about five
+    assert peak < 2.5 * rows * n * 8
 
 
 def reference_bounded_score(freq, source, dest, delta):

@@ -343,6 +343,20 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
                      nn.softmax(want, axis=1))
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 8), st.sampled_from([1, 2, 300]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_distribution_in_place_matches_a_fresh_softmax(c, n, per_node, seed):
+    model = eval_model(c, 4, per_node, seed)
+    cams, tq, td, _ = random_batch(np.random.default_rng(seed), n, c)
+    logits = model.eval_logits(cams, tq, td)
+    # the softmax distribution used before it normalised the logits in place
+    e = logits - np.max(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    assert_bit_equal(model.distribution(cams, tq, td), e)
+
+
 def worker_sizes(workers):
     """Batch sizes around a worker's group of EVAL_ROWS // workers rows,
     and sizes that give each worker a slice with a short last group."""
