@@ -1,0 +1,69 @@
+"""The output contract: bundle bytes of the shipped configs match stored
+sha256 digests.
+
+Each command runs in-process from the repository root, because
+`report.json` and `central.json` echo the parsed config, the checkpoint
+path exactly as given included. `simulate` and `eval-central` serve from
+the stored benchmark checkpoint, so no command here trains longer than
+`configs/cycle.json` asks.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from edgereid.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+STORED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "bundle_digests.json")
+
+
+def _build() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def _serving_config(tmp_path) -> str:
+    with open(os.path.join(ROOT, "configs", "benchmark.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.setdefault("simulate", {})["checkpoint"] = "bench/checkpoint.json"
+    path = tmp_path / "benchmark_checkpoint.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", "serving"),
+    ("eval-central", "serving"),
+    ("train", "configs/cycle.json"),
+    ("gen", "configs/benchmark.json"),
+])
+def test_bundle_bytes_match_the_stored_digests(tmp_path, monkeypatch, capsys,
+                                               command, config):
+    with open(STORED, encoding="utf-8") as fh:
+        stored = json.load(fh)
+    expected = stored["digests"][command]
+    monkeypatch.chdir(ROOT)
+    if config == "serving":
+        config = _serving_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == sorted(expected)
+    for name, digest in sorted(expected.items()):
+        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert actual == digest, (
+            f"{command} {name}: sha256 {actual}, stored {digest}. "
+            f"Stored build: {stored['build']}; this build: {_build()}. "
+            "A declared numerics change updates tests/bundle_digests.json, "
+            "with a CHANGES.md line giving the old and new digests and the "
+            "quality numbers that moved.")

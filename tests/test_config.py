@@ -1,11 +1,15 @@
 """Strict config parsing: defaults, coercions, and field-path errors."""
 
 import json
+import os
+import re
 
 import pytest
 
-from edgereid.config import check_paths, load_config, parse_config
+from edgereid.config import RunConfig, check_paths, load_config, parse_config
 from edgereid.errors import ConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 GENERATOR = {
     "num_cameras": 2,
@@ -37,6 +41,17 @@ def test_empty_document_gives_all_defaults():
     assert cfg.output.dir == "out"
 
 
+def test_documented_defaults_are_the_declared_defaults():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Configuration", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    del doc["scene"]["generator"]  # an example, not a default
+    assert parse_config(doc).to_dict() == RunConfig().to_dict()
+    assert parse_config({}) == RunConfig()
+
+
 def test_default_bandwidth_is_three_per_camera():
     cfg = parse_config({})
     assert cfg.inference.bandwidth(8) == 24
@@ -57,6 +72,65 @@ def test_generator_section_roundtrip():
 def test_generator_and_ingest_are_exclusive():
     with pytest.raises(ConfigError, match="mutually exclusive"):
         parse_config({"scene": {"generator": GENERATOR, "ingest": "x.csv"}})
+
+
+# Every scalar setting: (section path, key, a wrong-typed value, the type its
+# message names, an out-of-range value or None when any value of the type
+# is allowed, whether null is allowed).
+SETTINGS = [
+    ("scene", "ingest", ["x.csv"], "str", None, True),
+    ("scene", "train_fraction", "0.5", "float", 0.0, False),
+    ("scene", "seed", 1.5, "int", -1, False),
+    ("model", "num_cameras", 2.5, "int", 1, True),
+    ("model", "embed_dim", 32.0, "int", 0, False),
+    ("model", "num_blocks", 1.5, "int", -1, False),
+    ("model", "max_period", "1e4", "float", 1.0, False),
+    ("model", "time_scale", "1", "float", 0.0, False),
+    ("model", "denominator_floor", [0.1], "float", 0.0, False),
+    ("model", "per_node_classifier", "true", "bool", None, False),
+    ("model", "seed", "7", "int", -1, False),
+    ("train", "epochs", 2.5, "int", -1, False),
+    ("train", "base_lr", "0.01", "float", 0.0, False),
+    ("train", "lr_decay", "0.1", "float", 1.5, False),
+    ("train", "lr_step_epochs", 3.0, "int", 0, False),
+    ("train", "batch_size", "8", "int", 0, False),
+    ("train", "pairs_per_epoch", 64.5, "int", 0, True),
+    ("train", "holdout_pairs", [1], "int", -1, False),
+    ("train", "seed", 0.5, "int", -2, False),
+    ("inference", "alpha", "0.1", "float", 0.0, False),
+    ("inference", "beta", {}, "float", -0.1, False),
+    ("inference", "gamma0", "1", "float", 0.0, False),
+    ("inference", "gamma1", [], "float", -1.0, False),
+    ("inference", "mu", "0.5", "float", -0.1, False),
+    ("inference", "orientation", 1, "str", "Consistent", False),
+    ("inference", "time_targeted", 0, "bool", None, False),
+    ("inference", "total_bandwidth", 10.5, "int", 0, True),
+    ("inference.frequency", "enabled", "yes", "bool", None, False),
+    ("inference.frequency", "bin_width", 100.0, "int", -5, False),
+    ("inference.frequency", "sigma_bins", "2", "float", -0.5, False),
+    ("inference.frequency", "floor", "1e-6", "float", 0.0, False),
+    ("simulate", "max_queries", 3.5, "int", 0, True),
+    ("simulate", "seed", "2", "int", -1, False),
+    ("simulate", "checkpoint", 5, "str", None, True),
+    ("output", "dir", ["out"], "str", None, False),
+]
+
+
+def _nested(path, key, value):
+    doc = {key: value}
+    for part in reversed(path.split(".")):
+        doc = {part: doc}
+    return doc
+
+
+def _setting_cases():
+    for path, key, wrong, kind, bad, nullable in SETTINGS:
+        yield _nested(path, key, wrong), f"{path}.{key}: expected {kind}"
+        if bad is not None:
+            yield (_nested(path, key, bad),
+                   f"{path}.{key}: value {bad!r} out of range")
+        if not nullable:
+            yield _nested(path, key, None), f"{path}.{key}: must not be null"
 
 
 @pytest.mark.parametrize("doc, fragment", [
@@ -81,6 +155,7 @@ def test_generator_and_ingest_are_exclusive():
     ({"simulate": {"rank_ks": [True]}}, "simulate.rank_ks"),
     ({"output": {"dir": 3}}, "output.dir"),
     ([1, 2], "config: expected a mapping"),
+    *_setting_cases(),
 ])
 def test_bad_values_report_field_paths(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
