@@ -71,10 +71,14 @@ class TransitionNetConfig:
             raise ConfigError(f"embed_dim must be positive and even, got {self.embed_dim}")
         if self.num_blocks < 1:
             raise ConfigError(f"need at least one block, got {self.num_blocks}")
-        if self.time_scale <= 0.0:
+        # written as "not x > bound" so that NaN fails too
+        if not self.max_period > 1.0:
+            raise ConfigError(f"max_period must exceed 1, got {self.max_period}")
+        if not self.time_scale > 0.0:
             raise ConfigError(f"time_scale must be positive, got {self.time_scale}")
-        if self.denominator_floor <= 0.0:
-            raise ConfigError("denominator_floor must be positive")
+        if not self.denominator_floor > 0.0:
+            raise ConfigError("denominator_floor must be positive, got "
+                              f"{self.denominator_floor}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -333,7 +333,8 @@ def test_a_run_that_training_rejects_leaves_no_out_directory(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("corrupt", ["nan_bias", "negative_variance"])
+@pytest.mark.parametrize("corrupt", ["nan_bias", "negative_variance",
+                                     "small_max_period"])
 def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
         tmp_path, config_path, capsys, corrupt):
     ckpt_dir = tmp_path / "ckpt"
@@ -344,9 +345,12 @@ def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
     if corrupt == "nan_bias":
         doc["params"]["spatial_bias"]["data"][0] = float("nan")
         entry = "spatial_bias"
-    else:
+    elif corrupt == "negative_variance":
         doc["batch_norm"]["head"]["running_var"][0] = -1.0
         entry = "head.running_var"
+    else:
+        doc["config"]["max_period"] = 0.5
+        entry = "max_period"
     path.write_text(json.dumps(doc))
     run = base_config()
     run["simulate"]["checkpoint"] = str(path)

@@ -884,6 +884,22 @@ def test_checkpoint_rejects_values_a_forward_pass_cannot_use(
         tr.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_period", 0.5), ("max_period", 1.0), ("max_period", math.nan),
+    ("time_scale", math.nan), ("denominator_floor", math.nan),
+])
+def test_checkpoint_rejects_a_config_the_model_cannot_embed_with(
+        tmp_path, key, value):
+    # a max_period of 1 or less used to load and fail at the first eval
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(tiny_model(seed=25), path)
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"bad config: {key}"):
+        tr.load_checkpoint(path)
+
+
 def test_scene_compatibility_check():
     model = tiny_model(num_cameras=2)
     scene = ring_scene(num_cameras=3, identities=10, visits=3)
