@@ -6,98 +6,108 @@ errors with full field paths, values are range-checked up front, and
 referenced files must exist before any work starts.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import json
 import os
-from typing import Any
+from typing import Any, get_args
 
 from .errors import ConfigError
 from .scene import GeneratorSpec, spec_from_dict, spec_to_dict
 from .simulate import InferenceParams, Strategy
+from .strategy import ORIENTATION_MODES
 from .transition import TrainSchedule, TransitionNetConfig
 
 DEFAULT_RANK_KS = (1, 5, 10, 20)
 ALL_STRATEGIES = tuple(s.value for s in Strategy)
 
 
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _non_negative(x) -> bool:
+    return x >= 0
+
+
+def _setting(default, check):
+    """A section field whose given values must pass check (its range)."""
+    return dataclasses.field(default=default, metadata={"check": check})
+
+
+def _build(kind, section, **given):
+    """A kind instance from section's same-named fields, given overriding."""
+    names = {f.name for f in dataclasses.fields(kind)} - set(given)
+    return kind(**{name: getattr(section, name) for name in names}, **given)
+
+
+# A section's fields are the only declaration of its settings: the type
+# (X | None allows null), the default and, through _setting, the range.
+
+
 @dataclasses.dataclass(frozen=True)
 class SceneSection:
     generator: GeneratorSpec | None = None
     ingest: str | None = None
-    train_fraction: float = 0.5
-    seed: int = 0
+    train_fraction: float = _setting(0.5, lambda x: 0.0 < x < 1.0)
+    seed: int = _setting(0, _non_negative)
 
 
 @dataclasses.dataclass(frozen=True)
 class ModelSection:
-    num_cameras: int | None = None
-    embed_dim: int = 32
-    num_blocks: int = 2
-    max_period: float = 10000.0
-    time_scale: float = 1.0
-    denominator_floor: float = 1e-3
+    num_cameras: int | None = _setting(None, lambda x: x >= 2)
+    embed_dim: int = _setting(32, lambda x: x > 0 and x % 2 == 0)
+    num_blocks: int = _setting(2, _positive)
+    max_period: float = _setting(10000.0, lambda x: x > 1.0)
+    time_scale: float = _setting(1.0, _positive)
+    denominator_floor: float = _setting(1e-3, _positive)
     per_node_classifier: bool = False
-    seed: int = 7
+    seed: int = _setting(7, _non_negative)
 
     def build_config(self, num_cameras: int) -> TransitionNetConfig:
         if self.num_cameras is not None and self.num_cameras != num_cameras:
             raise ConfigError(
                 f"model.num_cameras is {self.num_cameras} but the scene has "
                 f"{num_cameras} cameras")
-        return TransitionNetConfig(
-            num_cameras=num_cameras, embed_dim=self.embed_dim,
-            num_blocks=self.num_blocks, max_period=self.max_period,
-            time_scale=self.time_scale,
-            denominator_floor=self.denominator_floor,
-            per_node_classifier=self.per_node_classifier)
+        return _build(TransitionNetConfig, self, num_cameras=num_cameras)
 
 
 @dataclasses.dataclass(frozen=True)
 class TrainSection:
-    epochs: int = 90
-    base_lr: float = 0.01
-    lr_decay: float = 0.1
-    lr_step_epochs: int = 30
-    batch_size: int = 128
-    pairs_per_epoch: int | None = None
-    holdout_pairs: int = 2000
-    seed: int = 1
+    epochs: int = _setting(90, _non_negative)
+    base_lr: float = _setting(0.01, _positive)
+    lr_decay: float = _setting(0.1, lambda x: 0.0 < x <= 1.0)
+    lr_step_epochs: int = _setting(30, _positive)
+    batch_size: int = _setting(128, _positive)
+    pairs_per_epoch: int | None = _setting(None, _positive)
+    holdout_pairs: int = _setting(2000, _non_negative)
+    seed: int = _setting(1, _non_negative)
 
     def schedule(self) -> TrainSchedule:
-        return TrainSchedule(
-            epochs=self.epochs, base_lr=self.base_lr, lr_decay=self.lr_decay,
-            lr_step_epochs=self.lr_step_epochs, batch_size=self.batch_size,
-            pairs_per_epoch=self.pairs_per_epoch,
-            holdout_pairs=self.holdout_pairs)
+        return _build(TrainSchedule, self)
 
 
 @dataclasses.dataclass(frozen=True)
 class FrequencySection:
     enabled: bool = False
-    bin_width: int = 100
-    sigma_bins: float = 2.0
-    floor: float = 1e-6
+    bin_width: int = _setting(100, _positive)
+    sigma_bins: float = _setting(2.0, _non_negative)
+    floor: float = _setting(1e-6, _positive)
 
 
 @dataclasses.dataclass(frozen=True)
 class InferenceSection:
-    alpha: float = 0.1
-    beta: float = 0.1
-    gamma0: float = 0.01
-    gamma1: float = 0.01
-    mu: float = 0.5
-    orientation: str = "consistent"
+    alpha: float = _setting(0.1, _positive)
+    beta: float = _setting(0.1, _positive)
+    gamma0: float = _setting(0.01, _positive)
+    gamma1: float = _setting(0.01, _positive)
+    mu: float = _setting(0.5, lambda x: 0.0 <= x <= 1.0)
+    orientation: str = _setting("consistent", lambda x: x in ORIENTATION_MODES)
     time_targeted: bool = False
-    total_bandwidth: int | None = None
+    total_bandwidth: int | None = _setting(None, _positive)
     frequency: FrequencySection = dataclasses.field(default_factory=FrequencySection)
 
     def params(self) -> InferenceParams:
-        return InferenceParams(
-            alpha=self.alpha, beta=self.beta, gamma0=self.gamma0,
-            gamma1=self.gamma1, mu=self.mu, orientation=self.orientation,
-            time_targeted=self.time_targeted)
+        return _build(InferenceParams, self)
 
     def bandwidth(self, num_cameras: int) -> int:
         return self.total_bandwidth if self.total_bandwidth is not None \
@@ -107,9 +117,9 @@ class InferenceSection:
 @dataclasses.dataclass(frozen=True)
 class SimulateSection:
     strategies: tuple[str, ...] = ALL_STRATEGIES
-    max_queries: int | None = None
+    max_queries: int | None = _setting(None, _positive)
     rank_ks: tuple[int, ...] = DEFAULT_RANK_KS
-    seed: int = 2
+    seed: int = _setting(2, _non_negative)
     checkpoint: str | None = None
 
 
@@ -151,45 +161,43 @@ def _expect(doc: Any, path: str) -> dict:
     return doc
 
 
-def _reject_unknown(doc: dict, allowed, path: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
-
-
-def _value(doc: dict, key: str, default, path: str, kind, check=None,
-           allow_none: bool = False):
-    if key not in doc:
-        return default
-    raw = doc[key]
+def _value(field: dataclasses.Field, raw, path: str):
+    kinds = get_args(field.type) or (field.type,)
     if raw is None:
-        if allow_none:
+        if type(None) in kinds:
             return None
-        raise ConfigError(f"{path}.{key}: must not be null")
+        raise ConfigError(f"{path}: must not be null")
+    kind = kinds[0]
     if kind is float and isinstance(raw, int) and not isinstance(raw, bool):
         raw = float(raw)
     if kind is int and isinstance(raw, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer")
+        raise ConfigError(f"{path}: expected an integer")
     if not isinstance(raw, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
+        raise ConfigError(f"{path}: expected {kind.__name__}")
+    check = field.metadata.get("check")
     if check is not None and not check(raw):
-        raise ConfigError(f"{path}.{key}: value {raw!r} out of range")
+        raise ConfigError(f"{path}: value {raw!r} out of range")
     return raw
 
 
-def _positive(x) -> bool:
-    return x > 0
+def _section(kind, doc: Any, path: str, **parsed):
+    """Section kind from its mapping: keys that are not fields are errors, and
+    each given value not in parsed (fields the caller built) is checked
+    against its field."""
+    doc = _expect(doc, path)
+    fields = dataclasses.fields(kind)
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+    values = {f.name: _value(f, doc[f.name], f"{path}.{f.name}")
+              for f in fields if f.name in doc and f.name not in parsed}
+    return kind(**values, **parsed)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, strictly."""
     doc = _expect(doc, "config")
-    _reject_unknown(doc, ("scene", "model", "train", "inference", "simulate",
-                          "output"), "config")
-
     scene_doc = _expect(doc.get("scene", {}), "scene")
-    _reject_unknown(scene_doc, ("generator", "ingest", "train_fraction", "seed"),
-                    "scene")
     generator = None
     if scene_doc.get("generator") is not None:
         try:
@@ -197,52 +205,12 @@ def parse_config(doc: dict) -> RunConfig:
                                                "scene.generator"))
         except ConfigError as exc:
             raise ConfigError(f"scene.generator: {exc}") from None
-    ingest = _value(scene_doc, "ingest", None, "scene", str, allow_none=True)
-    if generator is not None and ingest is not None:
+    scene = _section(SceneSection, scene_doc, "scene", generator=generator)
+    if scene.generator is not None and scene.ingest is not None:
         raise ConfigError("scene: generator and ingest are mutually exclusive")
-    scene = SceneSection(
-        generator=generator,
-        ingest=ingest,
-        train_fraction=_value(scene_doc, "train_fraction", 0.5, "scene", float,
-                              lambda x: 0.0 < x < 1.0),
-        seed=_value(scene_doc, "seed", 0, "scene", int, lambda x: x >= 0))
 
-    model_doc = _expect(doc.get("model", {}), "model")
-    _reject_unknown(model_doc, ("num_cameras", "embed_dim", "num_blocks",
-                                "max_period", "time_scale", "denominator_floor",
-                                "per_node_classifier", "seed"), "model")
-    model = ModelSection(
-        num_cameras=_value(model_doc, "num_cameras", None, "model", int,
-                           lambda x: x >= 2, allow_none=True),
-        embed_dim=_value(model_doc, "embed_dim", 32, "model", int,
-                         lambda x: x > 0 and x % 2 == 0),
-        num_blocks=_value(model_doc, "num_blocks", 2, "model", int, _positive),
-        max_period=_value(model_doc, "max_period", 10000.0, "model", float,
-                          lambda x: x > 1.0),
-        time_scale=_value(model_doc, "time_scale", 1.0, "model", float, _positive),
-        denominator_floor=_value(model_doc, "denominator_floor", 1e-3, "model",
-                                 float, _positive),
-        per_node_classifier=_value(model_doc, "per_node_classifier", False,
-                                   "model", bool),
-        seed=_value(model_doc, "seed", 7, "model", int, lambda x: x >= 0))
-
-    train_doc = _expect(doc.get("train", {}), "train")
-    _reject_unknown(train_doc, ("epochs", "base_lr", "lr_decay", "lr_step_epochs",
-                                "batch_size", "pairs_per_epoch", "holdout_pairs",
-                                "seed"), "train")
-    train = TrainSection(
-        epochs=_value(train_doc, "epochs", 90, "train", int, lambda x: x >= 0),
-        base_lr=_value(train_doc, "base_lr", 0.01, "train", float, _positive),
-        lr_decay=_value(train_doc, "lr_decay", 0.1, "train", float,
-                        lambda x: 0.0 < x <= 1.0),
-        lr_step_epochs=_value(train_doc, "lr_step_epochs", 30, "train", int,
-                              _positive),
-        batch_size=_value(train_doc, "batch_size", 128, "train", int, _positive),
-        pairs_per_epoch=_value(train_doc, "pairs_per_epoch", None, "train", int,
-                               _positive, allow_none=True),
-        holdout_pairs=_value(train_doc, "holdout_pairs", 2000, "train", int,
-                             lambda x: x >= 0),
-        seed=_value(train_doc, "seed", 1, "train", int, lambda x: x >= 0))
+    model = _section(ModelSection, doc.get("model", {}), "model")
+    train = _section(TrainSection, doc.get("train", {}), "train")
     if model.per_node_classifier:
         # a per-node head batch-normalises one row per pair
         for key in ("batch_size", "pairs_per_epoch"):
@@ -251,37 +219,12 @@ def parse_config(doc: dict) -> RunConfig:
                                   f"model.per_node_classifier")
 
     inf_doc = _expect(doc.get("inference", {}), "inference")
-    _reject_unknown(inf_doc, ("alpha", "beta", "gamma0", "gamma1", "mu",
-                              "orientation", "time_targeted", "total_bandwidth",
-                              "frequency"), "inference")
-    freq_doc = _expect(inf_doc.get("frequency", {}), "inference.frequency")
-    _reject_unknown(freq_doc, ("enabled", "bin_width", "sigma_bins", "floor"),
-                    "inference.frequency")
-    frequency = FrequencySection(
-        enabled=_value(freq_doc, "enabled", False, "inference.frequency", bool),
-        bin_width=_value(freq_doc, "bin_width", 100, "inference.frequency", int,
-                         _positive),
-        sigma_bins=_value(freq_doc, "sigma_bins", 2.0, "inference.frequency",
-                          float, lambda x: x >= 0.0),
-        floor=_value(freq_doc, "floor", 1e-6, "inference.frequency", float,
-                     _positive))
-    inference = InferenceSection(
-        alpha=_value(inf_doc, "alpha", 0.1, "inference", float, _positive),
-        beta=_value(inf_doc, "beta", 0.1, "inference", float, _positive),
-        gamma0=_value(inf_doc, "gamma0", 0.01, "inference", float, _positive),
-        gamma1=_value(inf_doc, "gamma1", 0.01, "inference", float, _positive),
-        mu=_value(inf_doc, "mu", 0.5, "inference", float,
-                  lambda x: 0.0 <= x <= 1.0),
-        orientation=_value(inf_doc, "orientation", "consistent", "inference",
-                           str, lambda x: x in ("consistent", "inverted")),
-        time_targeted=_value(inf_doc, "time_targeted", False, "inference", bool),
-        total_bandwidth=_value(inf_doc, "total_bandwidth", None, "inference",
-                               int, _positive, allow_none=True),
-        frequency=frequency)
+    inference = _section(
+        InferenceSection, inf_doc, "inference",
+        frequency=_section(FrequencySection, inf_doc.get("frequency", {}),
+                           "inference.frequency"))
 
     sim_doc = _expect(doc.get("simulate", {}), "simulate")
-    _reject_unknown(sim_doc, ("strategies", "max_queries", "rank_ks", "seed",
-                              "checkpoint"), "simulate")
     strategies = sim_doc.get("strategies", list(ALL_STRATEGIES))
     if (not isinstance(strategies, list) or not strategies
             or not all(isinstance(s, str) for s in strategies)):
@@ -296,21 +239,14 @@ def parse_config(doc: dict) -> RunConfig:
                        for k in rank_ks)):
         raise ConfigError("simulate.rank_ks: expected a non-empty list of "
                           "positive integers")
-    simulate = SimulateSection(
-        strategies=tuple(strategies),
-        max_queries=_value(sim_doc, "max_queries", None, "simulate", int,
-                           _positive, allow_none=True),
-        rank_ks=tuple(sorted(set(rank_ks))),
-        seed=_value(sim_doc, "seed", 2, "simulate", int, lambda x: x >= 0),
-        checkpoint=_value(sim_doc, "checkpoint", None, "simulate", str,
-                          allow_none=True))
+    simulate = _section(SimulateSection, sim_doc, "simulate",
+                        strategies=tuple(strategies),
+                        rank_ks=tuple(sorted(set(rank_ks))))
 
-    out_doc = _expect(doc.get("output", {}), "output")
-    _reject_unknown(out_doc, ("dir",), "output")
-    output = OutputSection(dir=_value(out_doc, "dir", "out", "output", str))
-
-    return RunConfig(scene=scene, model=model, train=train, inference=inference,
-                     simulate=simulate, output=output)
+    output = _section(OutputSection, doc.get("output", {}), "output")
+    return _section(RunConfig, doc, "config", scene=scene, model=model,
+                    train=train, inference=inference, simulate=simulate,
+                    output=output)
 
 
 def load_config(path) -> RunConfig:

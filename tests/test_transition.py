@@ -890,7 +890,8 @@ def test_checkpoint_rejects_values_a_forward_pass_cannot_use(
 ])
 def test_checkpoint_rejects_a_config_the_model_cannot_embed_with(
         tmp_path, key, value):
-    # a max_period of 1 or less used to load and fail at the first eval
+    # without these checks such a checkpoint loads, and the run fails only
+    # once the model is evaluated
     path = tmp_path / "model.json"
     tr.save_checkpoint(tiny_model(seed=25), path)
     doc = json.loads(path.read_text())
