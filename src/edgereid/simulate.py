@@ -19,7 +19,7 @@ import numpy as np
 from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
-from .scene import Observation, Scene, cross_camera_pairs
+from .scene import Observation, Scene
 from .transition import TransitionNet, batch_inputs, check_scene_compatible
 
 
@@ -69,9 +69,10 @@ class InferenceParams:
     time_targeted: bool = False
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        # written as "not x > 0" so that NaN fails too
+        if not self.alpha > 0.0 or not self.beta > 0.0:
             raise ConfigError("alpha and beta must be positive")
-        if self.gamma0 <= 0.0 or self.gamma1 <= 0.0:
+        if not self.gamma0 > 0.0 or not self.gamma1 > 0.0:
             raise ConfigError("gamma0 and gamma1 must be positive")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"mu must be in [0, 1], got {self.mu}")
@@ -158,6 +159,21 @@ class TransitionTable:
         return self.probs.reshape(-1, self.config.num_cameras)[cells]
 
 
+class IdentityIndex(NamedTuple):
+    """A gallery's items grouped by identity.
+
+    items lists each identity's items ascending, identities ascending; item
+    i's group, itself included, is items[start[i]:stop[i]], and spans[i]
+    says whether that group has items on two or more cameras, that is,
+    whether item i has a same-identity partner on another camera.
+    """
+
+    items: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    spans: np.ndarray
+
+
 @dataclasses.dataclass(frozen=True)
 class Gallery:
     """Flat arrays of the distributed gallery plus per-camera index lists."""
@@ -199,6 +215,21 @@ class Gallery:
         """Each item's flat (tick, camera) cell, tick_index * C + camera: its
         own camera's entry in a [ticks, C] block of transition rows."""
         return self.tick_index * self.num_cameras + self.cameras
+
+    @functools.cached_property
+    def identity_index(self) -> IdentityIndex:
+        """The items grouped by identity, from one stable argsort: the
+        source of eligible queries, partners, desired items and matches."""
+        items = np.argsort(self.identities, kind="stable")
+        ids = self.identities[items]
+        new = np.r_[True, ids[1:] != ids[:-1]]
+        first = np.flatnonzero(new)
+        cams = self.cameras[items]
+        spans = np.minimum.reduceat(cams, first) != np.maximum.reduceat(cams, first)
+        bounds = np.append(first, self.size)
+        group = np.empty(self.size, dtype=np.int64)
+        group[items] = np.cumsum(new) - 1
+        return IdentityIndex(items, bounds[group], bounds[group + 1], spans[group])
 
 
 def build_gallery(observations: Sequence[Observation], num_cameras: int) -> Gallery:
@@ -316,17 +347,19 @@ def _check_strategy(strategy: Strategy, gallery: Gallery, total_bandwidth: int,
 
 
 # Queries per block of the array serving paths (run_benchmark,
-# central_rankings). It bounds the [queries, gallery] scores and the
-# [queries, ticks, cameras] transition rows a block holds, as EVAL_ROWS
-# bounds the network's batches; a module constant rather than a config key,
-# so memory does not follow the config. Fewer, larger blocks make fewer
-# small kernel calls. On the bench's serve workload (3,996 gallery items, 2
-# cores, BLAS on one thread), whole repetitions alternated in one process
-# took a median 352, 320, 302 and 303 ms at 4, 8, 16 and 32 queries, and
-# six 10 s bench runs at each size read a median peak RSS of 78.3, 77.1,
-# 78.1 and 81.7 MiB. 16 is the fastest size that keeps the peak at 4's; it
-# relies on each block releasing what it no longer needs (_serve_block,
-# central_rankings).
+# central_rankings). A block holds a few [queries, gallery] arrays (visual
+# and joint scores, run_benchmark's per-camera orders of one sequence kind),
+# the [queries, ticks, cameras] transition rows and, in central_rankings,
+# _positions' [queries, PICKS, gallery] booleans. QUERY_CHUNK bounds them
+# as EVAL_ROWS bounds the network's batches, a module constant rather than
+# a config key, so memory does not follow the config. Fewer, larger blocks
+# make fewer small kernel calls. On the bench's serve workload (3,996
+# gallery items, 2 cores, BLAS on one thread), while central_rankings still
+# sorted, whole repetitions alternated in one process took a median 352,
+# 320, 302 and 303 ms at 4, 8, 16 and 32 queries, and six 10 s bench runs
+# at each size read a median peak RSS of 78.3, 77.1, 78.1 and 81.7 MiB. 16
+# is the fastest size that keeps the peak at 4's; it relies on each block
+# releasing what it no longer needs (_serve_block, central_rankings).
 QUERY_CHUNK = 16
 
 
@@ -757,31 +790,44 @@ class QuerySpec:
 
 
 def eligible_queries(gallery: Gallery) -> tuple[np.ndarray, int]:
-    """Indices, ascending, of the items in any scene.cross_camera_pairs pair
-    (those with a same-identity partner on another camera), plus the count of
-    the other items."""
-    eligible = np.unique(np.concatenate(
-        cross_camera_pairs(gallery.identities, gallery.cameras)))
+    """Indices, ascending, of the items with a same-identity partner on
+    another camera (those in any scene.cross_camera_pairs pair), plus the
+    count of the other items; read from the identity index."""
+    eligible = np.flatnonzero(gallery.identity_index.spans)
     return eligible, gallery.size - eligible.size
 
 
-def _partners(gallery: Gallery, queries: np.ndarray) -> list[np.ndarray]:
-    """Each query's same-identity partners on other cameras, ascending."""
-    first, second = cross_camera_pairs(gallery.identities, gallery.cameras)
-    query, partner = np.concatenate((first, second)), np.concatenate((second, first))
-    order = np.lexsort((partner, query))
-    query, partner = query[order], partner[order]
-    lo, hi = (np.searchsorted(query, queries, side=s) for s in ("left", "right"))
-    return [partner[a:b] for a, b in zip(lo, hi)]
+def _members(gallery: Gallery, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's identity's items, the query's own included, as flat
+    (row, item) arrays: rows index the queries, ascending, and each row's
+    items ascend. One slice of the identity index per query."""
+    index = gallery.identity_index
+    start = index.start[queries]
+    counts = index.stop[queries] - start
+    rows = np.repeat(np.arange(queries.size), counts)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, index.items[start[rows] + offsets]
 
 
-def _desired_index(gallery: Gallery, query_index: int, target_time: int) -> int:
-    same = gallery.identities == gallery.identities[query_index]
-    same[query_index] = False
-    candidates = np.flatnonzero(same)
-    dist = np.abs(gallery.timestamps[candidates] - target_time)
-    keys = np.lexsort((candidates, gallery.timestamps[candidates], dist))
-    return int(candidates[keys[0]])
+def _partners(gallery: Gallery, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's same-identity partners on other cameras as flat (row,
+    item) arrays, as _members gives them."""
+    rows, items = _members(gallery, queries)
+    other = gallery.cameras[items] != gallery.cameras[queries][rows]
+    return rows[other], items[other]
+
+
+def _desired_index(gallery: Gallery, queries: np.ndarray,
+                   target_times: np.ndarray) -> np.ndarray:
+    """Each query's desired item: of its identity's other items, the one
+    whose timestamp is closest to the query's target time, ties to the
+    earlier timestamp, then the lower index. Each query needs one."""
+    rows, items = _members(gallery, queries)
+    other = items != queries[rows]
+    rows, items = rows[other], items[other]
+    times = gallery.timestamps[items]
+    order = np.lexsort((items, times, np.abs(times - target_times[rows]), rows))
+    return items[order[np.searchsorted(rows[order], np.arange(queries.size))]]
 
 
 # Largest TransitionTable, in (camera, delta) cells, that
@@ -859,12 +905,16 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
 
     Each query's target time is the timestamp of a seeded-random same-identity
     cross-camera partner. Every strategy's ConfigError is raised before the
-    first query. The target-time draws and the tasks are made per query,
-    the rest on arrays. Query-level budgets come from one _budgets call per
-    budget kind (one eval_logits call and one row-wise allocation for the
-    learned ones, the uniform allocation once), and per-pair budgets of the
-    learned strategies (each partner's timestamp as the target time) from
-    one more of each, after the last block's arrays are gone. Each block of
+    first query. The eligible queries, each query's partners and its
+    desired item are read from the test gallery's identity index. The
+    target-time draws and the tasks are made per query, the rest on arrays.
+    Unlike central_rankings, the blocks still sort: every (query, strategy)
+    gets a full upload sequence from plan. Query-level budgets come from one
+    _budgets call per budget kind (one eval_logits call and one row-wise
+    allocation for the learned ones, the uniform allocation once), and
+    per-pair budgets of the learned strategies (each partner's timestamp as
+    the target time) from one more of each, after the last block's arrays
+    are gone. Each block of
     QUERY_CHUNK queries runs in _serve_block: one visual product, then, one
     sequence kind at a time, the kind's _sequences, each partner's rank and
     the desired item's position read from those orders (_find, on the rows
@@ -891,17 +941,16 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
         keep = rng.choice(all_eligible.size, size=query_spec.max_queries,
                           replace=False)
         chosen = all_eligible[np.sort(keep)]
-    partners = _partners(gallery, chosen)
-    pair_row = np.repeat(np.arange(chosen.size), [p.size for p in partners])
+    pair_row, targets = _partners(gallery, chosen)
     pair_query = chosen[pair_row]
-    targets = np.concatenate(partners)
+    counts = np.bincount(pair_row, minlength=chosen.size)
     target_times = np.empty(chosen.size, dtype=np.int64)
-    desired = np.empty(chosen.size, dtype=np.int64)
     tasks = []
-    for k, (q, mates) in enumerate(zip(chosen.tolist(), partners)):
-        target_times[k] = gallery.timestamps[mates[rng.integers(0, mates.size)]]
+    for k, (q, first, count) in enumerate(zip(
+            chosen.tolist(), (np.cumsum(counts) - counts).tolist(), counts.tolist())):
+        target_times[k] = gallery.timestamps[targets[first + rng.integers(0, count)]]
         tasks.append(make_task(gallery, q, int(target_times[k])))
-        desired[k] = _desired_index(gallery, q, int(target_times[k]))
+    desired = _desired_index(gallery, chosen, target_times)
     sizes = _sizes(gallery, chosen)
     budgets = {learned: _budgets(gallery, chosen, target_times, learned,
                                  total_bandwidth, params, models)
@@ -969,19 +1018,63 @@ def _without(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return values[keep].reshape(len(values), -1)
 
 
-def _ranked(gallery: Gallery, queries: np.ndarray, order: np.ndarray
-            ) -> list[RankedQuery]:
-    """Each query's RankedQuery from its ranked list, a row of order: one
-    np.nonzero over the identity matches."""
-    rows, cols = np.nonzero(gallery.identities[order]
-                            == gallery.identities[queries, None])
-    same = gallery.cameras[order[rows, cols]] == gallery.cameras[queries[rows]]
-    bounds = np.cumsum(np.bincount(rows, minlength=queries.size))[:-1]
+# Picks per row that _positions compares at a time: its [R, 16, n] booleans
+# weigh two [R, n] float64 arrays however many matches an identity has.
+PICKS = 16
+
+
+def _positions(keys: np.ndarray, rows: np.ndarray, columns: np.ndarray
+               ) -> np.ndarray:
+    """1-based position of each keys[rows[i], columns[i]] in its row of keys
+    [R, n] sorted ascending, ties by column, without sorting: one plus the
+    row's keys below it plus its equals in earlier columns.
+
+    rows ascend. Each row's picked keys are laid out [R, K] for K picks in
+    the fullest row, the rest of a shorter row NaN, which no key is below or
+    equal to, and compared with the whole row PICKS at a time. Equal keys
+    are counted only when some picked key has an equal other than itself.
+    NaN keys raise InputError.
+
+    The cost is K passes over [R, n] for K picks a row, where a sort costs
+    about log n: on 16 rows of 3,995 keys it took 0.3 ms at 11 picks, as
+    long as the row-wise sort at about 33 and twice as long at 99. In
+    central_rankings, K is the number of a query identity's other
+    sightings in the test gallery (11 on the benchmark's scene).
+    """
+    if np.isnan(keys).any():
+        raise InputError("sort keys must not be NaN")
+    counts = np.bincount(rows, minlength=len(keys))
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    picked = np.full((len(keys), counts.max(initial=0)), np.nan)
+    picked[rows, slots] = keys[rows, columns]
+    at = np.full(picked.shape, -1)
+    at[rows, slots] = columns
+    # a uint16 sum, exact below 2**16 keys a row, counts twice as fast as int64
+    count = np.uint16 if keys.shape[1] < 2**16 else np.int64
+    ahead = np.ones(picked.shape, dtype=np.int64)
+    for k in range(0, picked.shape[1], PICKS):
+        part, part_at = picked[:, k:k + PICKS, None], at[:, k:k + PICKS, None]
+        below = np.less(keys[:, None, :], part).sum(axis=2, dtype=count)
+        ahead[:, k:k + PICKS] += below
+        equal = np.equal(keys[:, None, :], part)
+        if np.count_nonzero(equal) > np.count_nonzero(part_at >= 0):
+            equal &= np.arange(keys.shape[1]) < part_at
+            ahead[:, k:k + PICKS] += equal.sum(axis=2)
+    return ahead[rows, slots]
+
+
+def _ranked_queries(gallery: Gallery, queries: np.ndarray, rows: np.ndarray,
+                    items: np.ndarray, positions: np.ndarray) -> list[RankedQuery]:
+    """Each query's RankedQuery from the flat (row, item) matches and their
+    positions: each row's positions put in ascending order."""
+    order = np.lexsort((positions, rows))
+    positions = positions[order]
+    same = gallery.cameras[items[order]] == gallery.cameras[queries[rows[order]]]
+    stops = np.cumsum(np.bincount(rows, minlength=queries.size)).tolist()
     return [RankedQuery(query_identity=int(gallery.identities[q]),
                         query_camera=int(gallery.cameras[q]),
-                        positions=positions, on_query_camera=flags)
-            for q, positions, flags in zip(
-                queries, np.split(cols + 1, bounds), np.split(same, bounds))]
+                        positions=positions[a:b], on_query_camera=same[a:b])
+            for q, a, b in zip(queries.tolist(), [0] + stops, stops)]
 
 
 def central_rankings(scene: Scene, models: Models, params: InferenceParams,
@@ -991,14 +1084,17 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     Returns (visual, joint): two lists of RankedQuery over the same queries,
     the first ordered by cosine similarity alone, the second by the joint
     spatio-temporal/visual similarity, each over the gallery without the
-    query and with ties by gallery index. Queries run in blocks of
-    QUERY_CHUNK on the serving kernels: one visual product per query, one
-    transition-model call, one row-form joint similarity, two row-wise
-    orders, visual first, and one np.nonzero per order per block. A block's
-    scores leave out each query's own item by one mask (_without), and the
-    visual order is ranked before the joint scores exist, so that a block
-    holds at most four [queries, gallery] arrays at a time. max_queries is
-    checked as QuerySpec checks it.
+    query and with ties by gallery index. Nothing is sorted: each match's
+    position in each order is counted (_positions) over its query's scores,
+    and its matches come from the test gallery's identity index. Counting
+    costs K comparisons per gallery item for a query with K matches, so it
+    beats a sort only while identities have few sightings (see _positions).
+    Queries run in blocks of QUERY_CHUNK on the serving kernels: one
+    visual product per query, one transition-model call, one row-form joint
+    similarity and two counts per block. A block's scores leave out each
+    query's own item by one mask (_without), and the visual positions are
+    counted before the joint scores exist. max_queries is checked as
+    QuerySpec checks it.
     """
     QuerySpec(max_queries=max_queries)
     if scene.test_identities is None:
@@ -1018,16 +1114,18 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     everything = np.arange(gallery.size)
     for chunk in _chunks(chosen.size):
         queries = chosen[chunk]
-        # Each query's scores over the gallery without its own item, by one
-        # mask; the items themselves (_drop) are made for each use, so that at
-        # most four [queries, gallery] arrays are alive at a time.
+        rows, items = _members(gallery, queries)
+        matches = items != queries[rows]
+        rows, items = rows[matches], items[matches]
+        # a match's column in its query's scores, which leave the query out
+        columns = items - (items > queries[rows])
         keep = everything != queries[:, None]
         v = _without(_visual_scores(gallery, queries), keep)
-        # the visual order first, on v negated in place and then negated
+        # the visual positions first, on v negated in place and then negated
         # back, which is exact
-        visual_lists += _ranked(gallery, queries,
-                                _order(np.negative(v, out=v), _drop(everything, queries)))
+        visual = _positions(np.negative(v, out=v), rows, columns)
         np.negative(v, out=v)
+        visual_lists += _ranked_queries(gallery, queries, rows, items, visual)
         own = _own_camera(_transition_rows(models, gallery, queries), gallery)
         o = _st_scores(models, params, gallery, queries, _drop(everything, queries),
                        None if own is None else _without(own, keep))
@@ -1035,5 +1133,6 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
         s = strat.joint_similarity(o, v, params.alpha, params.beta,
                                    params.orientation)
         del o, v
-        joint_lists += _ranked(gallery, queries, _order(s, _drop(everything, queries)))
+        joint_lists += _ranked_queries(gallery, queries, rows, items,
+                                       _positions(s, rows, columns))
     return visual_lists, joint_lists

@@ -183,7 +183,7 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
     similar.
     """
     _check_orientation(orientation)
-    if alpha <= 0.0 or beta <= 0.0:
+    if not alpha > 0.0 or not beta > 0.0:  # NaN fails too
         raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
     o = np.atleast_1d(as_f64(st_scores))
     v = np.atleast_1d(as_f64(visual))
@@ -344,7 +344,7 @@ def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
         raise ShapeError(f"logits {y.shape} and sizes {sizes.shape} differ")
     if y.shape[1] < 2:
         raise InputError("need at least two cameras to allocate")
-    if gamma0 <= 0.0 or gamma1 <= 0.0:
+    if not gamma0 > 0.0 or not gamma1 > 0.0:  # NaN fails too
         raise ConfigError(f"gamma0 and gamma1 must be positive, got "
                           f"{gamma0}, {gamma1}")
     if np.any(sizes < 0):

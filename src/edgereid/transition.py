@@ -628,7 +628,7 @@ class TrainSchedule:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if self.base_lr <= 0.0 or not 0.0 < self.lr_decay <= 1.0:
+        if not self.base_lr > 0.0 or not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError("base_lr must be positive and lr_decay in (0, 1]")
         if self.lr_step_epochs < 1 or self.batch_size < 1:
             raise ConfigError("lr_step_epochs and batch_size must be >= 1")

@@ -4,7 +4,10 @@ sha256 digests.
 Each command runs in-process from the repository root, because
 `report.json` and `central.json` echo the parsed config, the checkpoint
 path exactly as given included. `simulate` and `eval-central` serve from
-the stored benchmark checkpoint, so no command here trains longer than
+the stored benchmark checkpoint. The served bytes hold ranks, rounds and
+integer budgets, which a last-bit change to the model rarely moves, so a
+3-epoch `train` on the benchmark scene pins the shipped 8-camera model's
+training numerics; no command here trains longer than that or than
 `configs/cycle.json` asks.
 """
 
@@ -31,12 +34,23 @@ def _build() -> dict:
     return {"numpy": np.__version__, "blas": blas}
 
 
-def _serving_config(tmp_path) -> str:
+# configs/benchmark.json variants, written to a temporary file: (section,
+# key, value) of the one setting each changes
+VARIANTS = {
+    "serving": ("simulate", "checkpoint", "bench/checkpoint.json"),
+    "3-epochs": ("train", "epochs", 3),
+}
+# the stored digests' key of a case other than its command's
+KEYS = {("train", "3-epochs"): "train-3-epochs"}
+
+
+def _variant_config(tmp_path, name) -> str:
     with open(os.path.join(ROOT, "configs", "benchmark.json"),
               encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc.setdefault("simulate", {})["checkpoint"] = "bench/checkpoint.json"
-    path = tmp_path / "benchmark_checkpoint.json"
+    section, key, value = VARIANTS[name]
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / f"benchmark_{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -45,16 +59,17 @@ def _serving_config(tmp_path) -> str:
     ("simulate", "serving"),
     ("eval-central", "serving"),
     ("train", "configs/cycle.json"),
+    ("train", "3-epochs"),
     ("gen", "configs/benchmark.json"),
 ])
 def test_bundle_bytes_match_the_stored_digests(tmp_path, monkeypatch, capsys,
                                                command, config):
     with open(STORED, encoding="utf-8") as fh:
         stored = json.load(fh)
-    expected = stored["digests"][command]
+    expected = stored["digests"][KEYS.get((command, config), command)]
     monkeypatch.chdir(ROOT)
-    if config == "serving":
-        config = _serving_config(tmp_path)
+    if config in VARIANTS:
+        config = _variant_config(tmp_path, config)
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()

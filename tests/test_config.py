@@ -1,13 +1,18 @@
 """Strict config parsing: defaults, coercions, and field-path errors."""
 
 import json
+import math
 import os
 import re
 
+import numpy as np
 import pytest
 
+from edgereid import strategy as sg
 from edgereid.config import RunConfig, check_paths, load_config, parse_config
 from edgereid.errors import ConfigError
+from edgereid.simulate import InferenceParams
+from edgereid.transition import TrainSchedule, TransitionNetConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -160,6 +165,53 @@ def _setting_cases():
 def test_bad_values_report_field_paths(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(doc)
+
+
+# Each float setting that a run also checks outside config.py, with the
+# check that runs there: the class built from the section (config._build)
+# and, for the scoring and allocation weights, the kernel that takes it.
+CLASS_CHECKS = {
+    "model.max_period": lambda x: TransitionNetConfig(2, max_period=x),
+    "model.time_scale": lambda x: TransitionNetConfig(2, time_scale=x),
+    "model.denominator_floor": lambda x: TransitionNetConfig(2, denominator_floor=x),
+    "train.base_lr": lambda x: TrainSchedule(base_lr=x),
+    "train.lr_decay": lambda x: TrainSchedule(lr_decay=x),
+    "inference.alpha": lambda x: InferenceParams(alpha=x),
+    "inference.beta": lambda x: InferenceParams(beta=x),
+    "inference.gamma0": lambda x: InferenceParams(gamma0=x),
+    "inference.gamma1": lambda x: InferenceParams(gamma1=x),
+    "inference.mu": lambda x: InferenceParams(mu=x),
+    "inference.alpha-joint_similarity":
+        lambda x: sg.joint_similarity([0.5], [0.5], alpha=x),
+    "inference.beta-joint_similarity":
+        lambda x: sg.joint_similarity([0.5], [0.5], beta=x),
+    "inference.gamma0-allocate_bandwidth_rows": lambda x: sg.allocate_bandwidth_rows(
+        np.zeros((1, 2)), np.ones((1, 2)), 2, gamma0=x),
+    "inference.gamma1-allocate_bandwidth_rows": lambda x: sg.allocate_bandwidth_rows(
+        np.zeros((1, 2)), np.ones((1, 2)), 2, gamma1=x),
+}
+BOUNDARIES = [math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0,
+              1.0000000000000002, 2.0, math.inf]
+
+
+@pytest.mark.parametrize("name", CLASS_CHECKS)
+def test_class_checks_reject_what_the_config_field_rejects(name):
+    section, key = name.split("-")[0].split(".")
+    build = CLASS_CHECKS[name]
+
+    def rejected(call):
+        try:
+            # an accepted inf or subnormal gamma1 gives NaN shares, not an error
+            with np.errstate(all="ignore"):
+                call()
+        except ConfigError:
+            return True
+        return False
+
+    for value in BOUNDARIES:
+        assert rejected(lambda: build(value)) == rejected(
+            lambda: parse_config({section: {key: value}})), value
+    assert rejected(lambda: build(math.nan))
 
 
 def test_int_promotes_to_float_but_bool_does_not():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import scan_references as ref
 from edgereid import simulate as sim
 from edgereid import strategy as sg
 from edgereid.errors import ConfigError, DataError, InputError, ShapeError
@@ -346,10 +347,11 @@ def test_eligible_queries_and_desired_index():
     np.testing.assert_array_equal(eligible, [0, 1, 2])
     assert skipped == 1
     # equal distance to the target tick: earlier timestamp wins, then index
-    assert sim._desired_index(g, 0, 40) == 1
+    assert sim._desired_index(g, np.array([0]), np.array([40])).tolist() == [1]
     obs2 = (Observation(0, 0, 10), Observation(0, 1, 30), Observation(0, 1, 50))
     g2 = sim.build_gallery(obs2, 2)
-    assert sim._desired_index(g2, 0, 40) == 1
+    desired = sim._desired_index(g2, np.array([0, 2]), np.array([40, 0]))
+    assert desired.tolist() == [1, 0]
 
 
 def test_strategy_parse():
@@ -411,8 +413,8 @@ def test_benchmark_query_records_point_at_desired_items():
         assert q.desired_index != q.query_index
         assert q.device == gallery.cameras[q.desired_index]
         assert q.position >= 1 and q.round >= 1
-        assert q.desired_index == sim._desired_index(gallery, q.query_index,
-                                                     q.target_time)
+        assert q.desired_index == ref.desired_index(gallery, q.query_index,
+                                                    q.target_time)
 
 
 def test_bandwidth_reuses_visual_order_and_combined_reuses_joint():
@@ -637,10 +639,10 @@ def test_eligible_queries_and_partners_match_the_identity_masks(items):
     eligible, skipped = sim.eligible_queries(gallery)
     assert eligible.dtype == np.int64
     assert (eligible.tolist(), skipped) == reference_eligible_queries(gallery)
-    partners = sim._partners(gallery, eligible)
-    assert len(partners) == eligible.size
-    for q, got in zip(eligible, partners):
-        assert got.tolist() == reference_partners(gallery, q).tolist()
+    rows, partners = sim._partners(gallery, eligible)
+    assert np.all(np.diff(rows) >= 0)
+    for k, q in enumerate(eligible):
+        assert partners[rows == k].tolist() == reference_partners(gallery, q).tolist()
 
 
 # -- the array engine against the per-query reference ---------------------------
@@ -654,17 +656,17 @@ def reference_run_benchmark(scene, strategies, models, total_bandwidth, params,
     eval_logits call per query. Returns the reports, whose columns hold the
     records, and each strategy's (pair, query) record lists."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
-    eligible, skipped = sim.eligible_queries(gallery)
+    eligible, skipped = ref.eligible_queries(gallery)
     chosen = eligible
     if query_spec.max_queries is not None and eligible.size > query_spec.max_queries:
         keep = rng.choice(eligible.size, size=query_spec.max_queries, replace=False)
         chosen = eligible[np.sort(keep)]
     pairs = {s: [] for s in strategies}
     queries = {s: [] for s in strategies}
-    for q, partners in zip(chosen.tolist(), sim._partners(gallery, chosen)):
+    for q, partners in zip(chosen.tolist(), ref.partners(gallery, chosen)):
         target_time = int(gallery.timestamps[partners[rng.integers(0, partners.size)]])
         task = sim.make_task(gallery, q, target_time)
-        desired = sim._desired_index(gallery, q, target_time)
+        desired = ref.desired_index(gallery, q, target_time)
         for strategy in strategies:
             sequences, budgets = reference_plan(task, strategy, total_bandwidth,
                                                 params, models)
@@ -1079,10 +1081,11 @@ def test_serving_blocks_keep_a_few_block_arrays_of_memory():
         sim.QuerySpec(max_queries=queries), np.random.default_rng(4)))
     central = traced_peak(lambda: sim.central_rankings(
         scene, models, params, queries, np.random.default_rng(4)))
-    # About 6.1 and 7.2 blocks, the gallery and the queries' records
-    # included. Per-block copies (a [queries, gallery] rank scatter per
-    # kind, the time order copied for each query, stacked products, a fresh
-    # array per joint similarity step) read 9.3 and 12.1 at this block size.
+    # About 6.1 and 6.5 blocks, the gallery and the queries' records
+    # included (6.1 and 7.2 while central_rankings sorted). Per-block copies (a
+    # [queries, gallery] rank scatter per kind, the time order copied for
+    # each query, stacked products, a fresh array per joint similarity step)
+    # read 9.3 and 12.1 at this block size.
     assert serve < 8 * block, serve / block
     assert central < 8 * block, central / block
 
@@ -1094,24 +1097,22 @@ def reference_central_rankings(scene, models, params, max_queries, rng):
     """central_rankings as the per-query loop the query blocks replaced: one
     visual product, one model call and two lexsorts per query. Returns the
     (visual, joint) RankedQuery lists, their positions and flags read from
-    the orders, and the (visual, joint) orders."""
+    the orders."""
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
-    eligible, _ = sim.eligible_queries(gallery)
+    eligible, _ = ref.eligible_queries(gallery)
     chosen = eligible
     if max_queries is not None and eligible.size > max_queries:
         keep = rng.choice(eligible.size, size=max_queries, replace=False)
         chosen = eligible[np.sort(keep)]
     visual_lists, joint_lists = [], []
-    visual_orders, joint_orders = [], []
     for q in chosen.tolist():
         others = np.flatnonzero(np.arange(gallery.size) != q)
         task = sim.make_task(gallery, q, int(gallery.timestamps[q]))
         v = (gallery.features @ gallery.features[q])[others]
         o = reference_st_scores(models, params, task, others)
         s = sg.joint_similarity(o, v, params.alpha, params.beta, params.orientation)
-        for order, out, orders in (
-                (others[np.lexsort((others, -v))], visual_lists, visual_orders),
-                (others[np.lexsort((others, s))], joint_lists, joint_orders)):
+        for order, out in ((others[np.lexsort((others, -v))], visual_lists),
+                           (others[np.lexsort((others, s))], joint_lists)):
             same_identity = gallery.identities[order] == gallery.identities[q]
             out.append(sim.RankedQuery(
                 query_identity=int(gallery.identities[q]),
@@ -1119,8 +1120,7 @@ def reference_central_rankings(scene, models, params, max_queries, rng):
                 positions=np.flatnonzero(same_identity) + 1,
                 on_query_camera=gallery.cameras[order[same_identity]]
                 == gallery.cameras[q]))
-            orders.append(order)
-    return (visual_lists, joint_lists), (visual_orders, joint_orders)
+    return visual_lists, joint_lists
 
 
 def assert_same_rankings(got, want):
@@ -1156,22 +1156,107 @@ def test_central_rankings_match_the_per_query_reference(
         transition=transition,
         frequency=sg.fit_frequency(scene, bin_width=5) if with_frequency else None)
     params = sim.InferenceParams(orientation=orientation, mu=0.3)
-    want, want_orders = reference_central_rankings(scene, models, params, max_queries,
-                                                   np.random.default_rng(seed))
-    orders = []  # RankedQuery keeps no item indices: record each block's orders
-    real_order = sim._order
-
-    def recording_order(keys, items):
-        orders.append(real_order(keys, items))
-        return orders[-1]
-
+    want = reference_central_rankings(scene, models, params, max_queries,
+                                      np.random.default_rng(seed))
     for chunk in (1, 3, sim.QUERY_CHUNK, gallery.size + 1):
-        orders.clear()
-        with mock.patch.object(sim, "QUERY_CHUNK", chunk), \
-                mock.patch.object(sim, "_order", recording_order):
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
             got = sim.central_rankings(scene, models, params, max_queries,
                                        np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert_same_rankings(g, w)
-        for got_orders, w in zip((orders[0::2], orders[1::2]), want_orders):
-            assert np.concatenate(got_orders).tolist() == np.stack(w).tolist()
+
+
+# -- the identity index and counted positions against the scan references -------
+
+
+@st.composite
+def tied_galleries(draw):
+    """Observations over 2-6 cameras that share features and timestamps, so
+    that visual and joint keys tie: identity groups of one to several items,
+    some on one camera only, some with one match, some with matches on the
+    query's own camera."""
+    cameras = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)).filter(
+        lambda f: abs(f[0]) + abs(f[1]) > 0.1), min_size=1, max_size=4))
+    features = [unit(f) for f in pool]
+    items = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, cameras - 1),
+                                    st.sampled_from([0, 3, 7, 20, 400]),
+                                    st.integers(0, len(features) - 1)),
+                          min_size=2, max_size=30))
+    observations = tuple(Observation(i, c, t, features[f]) for i, c, t, f in items)
+    return Scene(num_cameras=cameras, observations=observations,
+                 train_identities=frozenset(),
+                 test_identities=frozenset(i for i, *_ in items))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(tied_galleries(), st.integers(0, 2**32 - 1))
+def test_identity_index_matches_the_pair_scan_references(scene, seed):
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    eligible, skipped = sim.eligible_queries(gallery)
+    want_eligible, want_skipped = ref.eligible_queries(gallery)
+    assert (eligible.tolist(), skipped) == (want_eligible.tolist(), want_skipped)
+    rows, partners = sim._partners(gallery, eligible)
+    want = ref.partners(gallery, eligible)
+    assert rows.tolist() == np.repeat(np.arange(eligible.size),
+                                      [p.size for p in want]).tolist()
+    assert partners.tolist() == [int(i) for p in want for i in p]
+    # targets at, between and beyond the identity's timestamps
+    targets = np.random.default_rng(seed).choice([-5, 0, 2, 3, 5, 7, 20, 401],
+                                                 size=eligible.size)
+    got = sim._desired_index(gallery, eligible, targets)
+    assert got.tolist() == [ref.desired_index(gallery, q, t)
+                            for q, t in zip(eligible.tolist(), targets.tolist())]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.data(), st.integers(1, 4), st.integers(1, 12), st.booleans())
+def test_positions_match_the_lexsort_ranks(data, rows, n, heavy_ties):
+    values = (st.sampled_from(data.draw(TIE_POOLS)) if heavy_ties
+              else st.floats(allow_nan=False))
+    keys = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                       min_size=rows, max_size=rows)),
+                    dtype=np.float64).reshape(rows, n)
+    # each row picks a sorted subset of its columns, possibly none
+    picks = [sorted(data.draw(st.sets(st.integers(0, n - 1)))) for _ in range(rows)]
+    row_of = np.repeat(np.arange(rows), [len(p) for p in picks])
+    columns = np.array([c for p in picks for c in p], dtype=np.int64)
+    rank = np.empty((rows, n), dtype=np.int64)
+    for r in range(rows):
+        rank[r, np.lexsort((np.arange(n), keys[r]))] = np.arange(1, n + 1)
+    # all picks at once, and one or three at a time
+    for picks in (sim.PICKS, 1, 3):
+        with mock.patch.object(sim, "PICKS", picks):
+            got = sim._positions(keys, row_of, columns)
+        assert got.dtype == np.int64
+        assert got.tolist() == rank[row_of, columns].tolist()
+    if columns.size:
+        keys[data.draw(st.integers(0, rows - 1)),
+             data.draw(st.integers(0, n - 1))] = np.nan
+        with pytest.raises(InputError, match="NaN"):
+            sim._positions(keys, row_of, columns)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(tied_galleries(), st.booleans(), st.sampled_from(["consistent", "inverted"]),
+       st.sampled_from([None, 1, 4]), st.integers(0, 2**32 - 1))
+def test_central_rankings_match_the_sorted_reference(scene, with_frequency,
+                                                     orientation, max_queries, seed):
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    assume(sim.eligible_queries(gallery)[0].size > 0)
+    cameras = scene.num_cameras
+    model = TransitionNet(TransitionNetConfig(num_cameras=cameras, embed_dim=4),
+                          np.random.default_rng(seed))
+    frequency = None
+    if with_frequency:  # fitted on another scene with as many cameras
+        frequency = sg.fit_frequency(featured_scene(num_cameras=cameras), bin_width=5)
+    models = sim.Models(transition=model, frequency=frequency)
+    params = sim.InferenceParams(orientation=orientation, mu=0.3)
+    want = ref.central_rankings(scene, models, params, max_queries,
+                                np.random.default_rng(seed))
+    for chunk in (1, 3, sim.QUERY_CHUNK):
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
+            got = sim.central_rankings(scene, models, params, max_queries,
+                                       np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert_same_rankings(g, w)
