@@ -52,8 +52,8 @@ def main():
     print(f"query: item {query} at camera {task.query_camera}, "
           f"t={task.query_time}, asking about t={target_time}")
 
-    logits = model.forward(task.query_camera, float(task.query_time),
-                           float(target_time), train=False)[0]
+    logits = model.eval_logits(task.query_camera, float(task.query_time),
+                               float(target_time))[0]
     sizes = np.array([d.size for d in task.device_items], dtype=np.float64)
     alloc = strat.allocate_bandwidth(logits, sizes, 12, gamma0=params.gamma0)
     print(f"model logits  {np.array2string(logits, precision=2)}")

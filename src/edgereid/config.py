@@ -8,6 +8,7 @@ referenced files must exist before any work starts.
 
 import dataclasses
 import json
+import math
 import os
 from typing import Any, get_args
 
@@ -90,8 +91,8 @@ class TrainSection:
 class FrequencySection:
     enabled: bool = False
     bin_width: int = _setting(100, _positive)
-    sigma_bins: float = _setting(2.0, _non_negative)
-    floor: float = _setting(1e-6, _positive)
+    sigma_bins: float = _setting(2.0, lambda x: 0.0 <= x < math.inf)
+    floor: float = _setting(1e-6, lambda x: 0.0 < x < math.inf)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,10 +16,11 @@ one would write into each other's temporaries. The in-place kernels below
 only read their parameters, so threads may run them at once on disjoint
 arrays: TransitionNet.eval_logits' workers each do so on their own rows.
 
-An eval-only pass needs no cache, so layer norm, GELU and eval-mode batch
-norm also come in-place (layer_norm_in_place, gelu_in_place,
-BatchNorm.eval_in_place): they overwrite their input with the bits the
-cached kernel returns.
+An eval pass needs no cache, so layer norm and GELU also come in place
+(layer_norm_in_place, gelu_in_place) with the bits the cached kernel
+returns, and eval-mode batch norm comes only in place (BatchNorm.eval_in_place).
+TransitionNet.eval_logits, the one eval entry, runs them; forward(train=False)
+returns it.
 """
 
 from __future__ import annotations
@@ -329,10 +330,10 @@ def relu_backward(gy: np.ndarray, x: np.ndarray,
 class BatchNorm:
     """Batch normalisation over axis 0 with running statistics.
 
-    forward(x, train=True) normalises with the batch statistics and updates
-    the running averages (momentum 0.1, unbiased variance); train=False uses
-    the stored running statistics. The returned cache feeds backward, which
-    only supports the mode it was produced under.
+    forward(x) trains: it normalises with the batch statistics, updates the
+    running averages (momentum 0.1, unbiased variance) and returns the cache
+    backward reads. eval_in_place normalises with the running statistics, in
+    place and with no cache: the eval mode, for TransitionNet.eval_logits.
     """
 
     def __init__(self, width: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -348,37 +349,32 @@ class BatchNorm:
     def params(self):
         return [self.scale, self.shift]
 
-    def forward(self, x: np.ndarray, train: bool, work: Workspace | None = None):
+    def forward(self, x: np.ndarray, work: Workspace | None = None):
         if x.ndim != 2 or x.shape[1] != self.scale.value.shape[0]:
             raise ShapeError(
                 f"batch norm expects [B,{self.scale.value.shape[0]}], got {x.shape}")
+        n = x.shape[0]
+        if n < 2:
+            raise ConfigError(
+                f"batch norm needs at least 2 rows in train mode, got {n}")
         work = work or Workspace()
         x_hat = work.get("batch_norm.x_hat", x.shape)
         y = work.get("batch_norm.out", x.shape)
-        if train:
-            n = x.shape[0]
-            if n < 2:
-                raise ConfigError(
-                    f"batch norm needs at least 2 rows in train mode, got {n}")
-            mean = x.mean(axis=0)
-            centred = np.subtract(x, mean, out=x_hat)
-            var = np.mean(np.square(centred, out=y), axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat *= inv_std
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            unbiased = var * n / (n - 1)
-            self.running_var += self.momentum * (unbiased - self.running_var)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            np.subtract(x, self.running_mean, out=x_hat)
-            x_hat *= inv_std
+        mean = x.mean(axis=0)
+        centred = np.subtract(x, mean, out=x_hat)
+        var = np.mean(np.square(centred, out=y), axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat *= inv_std
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        unbiased = var * n / (n - 1)
+        self.running_var += self.momentum * (unbiased - self.running_var)
         np.multiply(x_hat, self.scale.value, out=y)
         y += self.shift.value
-        return y, (train, x_hat, inv_std)
+        return y, (x_hat, inv_std)
 
     def eval_in_place(self, x: np.ndarray) -> np.ndarray:
-        """forward(x, train=False)'s output written over x, by the same
-        operations in the same order (so the same bits) and with no cache."""
+        """(x - running_mean) / sqrt(running_var + eps) * scale + shift,
+        written over x, with no cache."""
         x -= self.running_mean
         x *= 1.0 / np.sqrt(self.running_var + self.eps)
         x *= self.scale.value
@@ -387,18 +383,17 @@ class BatchNorm:
 
     def backward(self, gy: np.ndarray, cache,
                  work: Workspace | None = None) -> np.ndarray:
-        train, x_hat, inv_std = cache
+        x_hat, inv_std = cache
         work = work or Workspace()
         tmp = work.get("batch_norm_backward.tmp", gy.shape)
         g_hat = work.get("batch_norm_backward.grad", gy.shape)
         self.scale.grad += np.sum(np.multiply(gy, x_hat, out=tmp), axis=0)
         self.shift.grad += np.sum(gy, axis=0)
         np.multiply(gy, self.scale.value, out=g_hat)
-        if train:
-            # g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat), in g_hat
-            proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=0)
-            g_hat -= g_hat.mean(axis=0)
-            g_hat -= np.multiply(x_hat, proj, out=tmp)
+        # (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) * inv_std, in g_hat
+        proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=0)
+        g_hat -= g_hat.mean(axis=0)
+        g_hat -= np.multiply(x_hat, proj, out=tmp)
         g_hat *= inv_std
         return g_hat
 

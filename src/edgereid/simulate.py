@@ -413,10 +413,11 @@ def _gather(values: np.ndarray, rows: np.ndarray, items: np.ndarray) -> np.ndarr
 
 
 def _st_scores(models: Models, params: InferenceParams, gallery: Gallery,
-               queries: np.ndarray, items: np.ndarray,
+               queries: np.ndarray, items: np.ndarray | None,
                model_part: np.ndarray | None) -> np.ndarray:
     """Spatio-temporal score of each query's items, [R, m]: items are gallery
-    indices, [m], shared, or [R, m], one row each, and model_part the
+    indices, [m], shared, or [R, m], one row each (read only with a
+    frequency model, and may be None without one), and model_part the
     queries' _own_camera at those items, or None without a transition
     model."""
     freq_part = None
@@ -797,6 +798,21 @@ def eligible_queries(gallery: Gallery) -> tuple[np.ndarray, int]:
     return eligible, gallery.size - eligible.size
 
 
+def _choose_queries(gallery: Gallery, max_queries: int | None,
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """eligible_queries' queries, thinned to a seeded sample of max_queries
+    (one rng.choice draw, kept in ascending order) when there are more, and
+    the count of ineligible items. Raises DataError when none is
+    eligible."""
+    eligible, skipped = eligible_queries(gallery)
+    if eligible.size == 0:
+        raise DataError("no eligible queries in the test split")
+    if max_queries is not None and eligible.size > max_queries:
+        keep = rng.choice(eligible.size, size=max_queries, replace=False)
+        eligible = eligible[np.sort(keep)]
+    return eligible, skipped
+
+
 def _members(gallery: Gallery, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each query's identity's items, the query's own included, as flat
     (row, item) arrays: rows index the queries, ascending, and each row's
@@ -933,14 +949,7 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     for strategy in strategies:
         _check_strategy(strategy, gallery, total_bandwidth, params, models)
-    all_eligible, skipped = eligible_queries(gallery)
-    if all_eligible.size == 0:
-        raise DataError("no eligible queries in the test split")
-    chosen = all_eligible
-    if query_spec.max_queries is not None and all_eligible.size > query_spec.max_queries:
-        keep = rng.choice(all_eligible.size, size=query_spec.max_queries,
-                          replace=False)
-        chosen = all_eligible[np.sort(keep)]
+    chosen, skipped = _choose_queries(gallery, query_spec.max_queries, rng)
     pair_row, targets = _partners(gallery, chosen)
     pair_query = chosen[pair_row]
     counts = np.bincount(pair_row, minlength=chosen.size)
@@ -1102,13 +1111,7 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     if gallery.features is None:
         raise ConfigError("centralized evaluation needs appearance features")
-    eligible, _ = eligible_queries(gallery)
-    if eligible.size == 0:
-        raise DataError("no eligible queries in the test split")
-    chosen = eligible
-    if max_queries is not None and eligible.size > max_queries:
-        keep = rng.choice(eligible.size, size=max_queries, replace=False)
-        chosen = eligible[np.sort(keep)]
+    chosen, _ = _choose_queries(gallery, max_queries, rng)
     visual_lists: list[RankedQuery] = []
     joint_lists: list[RankedQuery] = []
     everything = np.arange(gallery.size)
@@ -1127,7 +1130,10 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
         np.negative(v, out=v)
         visual_lists += _ranked_queries(gallery, queries, rows, items, visual)
         own = _own_camera(_transition_rows(models, gallery, queries), gallery)
-        o = _st_scores(models, params, gallery, queries, _drop(everything, queries),
+        # only the frequency scores read the items
+        others = (_drop(everything, queries) if models.frequency is not None
+                  else None)
+        o = _st_scores(models, params, gallery, queries, others,
                        None if own is None else _without(own, keep))
         del own
         s = strat.joint_similarity(o, v, params.alpha, params.beta,

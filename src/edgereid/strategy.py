@@ -11,6 +11,7 @@ upload budgets.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 import numpy as np
 
@@ -103,8 +104,10 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
     pairs, smooth, floor, and normalise per source camera."""
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    if floor <= 0.0:
-        raise ConfigError(f"floor must be positive, got {floor}")
+    if not math.isfinite(sigma_bins):
+        raise ConfigError(f"sigma_bins must be finite, got {sigma_bins}")
+    if not 0.0 < floor < math.inf:
+        raise ConfigError(f"floor must be positive and finite, got {floor}")
     observations = scene.train_observations()
     if not observations:
         raise DataError("train split is empty")

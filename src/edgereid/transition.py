@@ -177,18 +177,17 @@ class _Head:
             f"{prefix}.fc_bias": self.fc_bias,
         }
 
-    def forward(self, rows: np.ndarray, train: bool, work: nn.Workspace | None = None):
-        """Fresh [rows, 1] logits, and the cache for backward."""
-        bn_out, bn_cache = self.bn.forward(rows, train, work)
+    def forward(self, rows: np.ndarray, work: nn.Workspace | None = None):
+        """Fresh training-mode [rows, 1] logits, and the cache for backward."""
+        bn_out, bn_cache = self.bn.forward(rows, work)
         hidden = nn.relu(bn_out, work)
         logits = nn.linear_forward(hidden, self.fc_weight, self.fc_bias, work)
         return logits, (bn_cache, bn_out, hidden)
 
     def eval_in_place(self, rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Eval-mode forward's fresh [rows, 1] logits, by the same operations
-        in the same order and with no cache: batch norm and ReLU overwrite
-        rows, and the linear products go into scratch, a C-contiguous array
-        of at least rows.size values."""
+        """Fresh eval-mode [rows, 1] logits with no cache, for eval_logits: batch
+        norm on its running statistics and ReLU overwrite rows, and the linear
+        products go into scratch, a C-contiguous array of rows.size values or more."""
         hidden = np.maximum(self.bn.eval_in_place(rows), 0.0, out=rows)
         product = scratch.reshape(-1)[:rows.size].reshape(rows.shape + (1,))
         return nn.linear_rows(hidden, self.fc_weight, self.fc_bias, product)
@@ -375,10 +374,8 @@ class TransitionNet:
         self.spatial_weight = Param(rng.uniform(-bound, bound, (c, d, c, d)))
         self.spatial_bias = Param(np.zeros((c, d)))
         self.blocks = [GraphBlock(c, d, rng) for _ in range(config.num_blocks)]
-        if config.per_node_classifier:
-            self.heads = [_Head(d, rng) for _ in range(c)]
-        else:
-            self.heads = [_Head(d, rng)]
+        self.heads = [_Head(d, rng)
+                      for _ in range(c if config.per_node_classifier else 1)]
         self.metadata: dict = {}
         self._cache = None
         self._work: nn.Workspace | None = None
@@ -407,11 +404,8 @@ class TransitionNet:
                "spatial_bias": self.spatial_bias}
         for i, block in enumerate(self.blocks):
             out.update(block.named_params(f"block{i}"))
-        if self.config.per_node_classifier:
-            for i, head in enumerate(self.heads):
-                out.update(head.named_params(f"head{i}"))
-        else:
-            out.update(self.heads[0].named_params("head"))
+        for name, head, _ in self._head_items():
+            out.update(head.named_params(name))
         return out
 
     def params(self) -> list[Param]:
@@ -421,20 +415,21 @@ class TransitionNet:
         nn.zero_grads(self.params())
 
     def bn_states(self) -> dict[str, dict]:
-        if self.config.per_node_classifier:
-            return {f"head{i}": h.bn.state() for i, h in enumerate(self.heads)}
-        return {"head": self.heads[0].bn.state()}
+        return {name: head.bn.state() for name, head, _ in self._head_items()}
 
     def load_bn_states(self, states: dict) -> None:
-        for name, head in self._head_items():
+        for name, head, _ in self._head_items():
             if name not in states:
                 raise CheckpointError(f"missing batch-norm state for {name}")
             head.bn.load_state(states[name])
 
-    def _head_items(self):
-        if self.config.per_node_classifier:
-            return [(f"head{i}", h) for i, h in enumerate(self.heads)]
-        return [("head", self.heads[0])]
+    def _head_items(self) -> list[tuple[str, _Head, slice]]:
+        """(name, head, columns) per head, columns being the cameras it scores:
+        ("head", shared head, slice(None)), or ("head{i}", head i, slice(i, i + 1))."""
+        if len(self.heads) == 1:
+            return [("head", self.heads[0], slice(None))]
+        return [(f"head{i}", head, slice(i, i + 1))
+                for i, head in enumerate(self.heads)]
 
     # -- forward / backward ------------------------------------------------
 
@@ -464,7 +459,8 @@ class TransitionNet:
         return a, order, bounds, weights
 
     def forward(self, cameras, t_query, t_target, train: bool = False) -> np.ndarray:
-        """Score each camera for a batch of (source camera, time pair) inputs.
+        """Score each camera for a batch of (source camera, time pair) inputs:
+        the training pass, or with train=False eval_logits, which has no cache.
 
         cameras, t_query, t_target broadcast to a common batch shape [n];
         returns fresh logits [n, C] and retains the cache consumed by
@@ -472,6 +468,8 @@ class TransitionNet:
         spatial-weight gradient. The cache lives in the model's work buffers,
         which the next forward pass overwrites.
         """
+        if not train:
+            return self.eval_logits(cameras, t_query, t_target)
         cfg = self.config
         cams, deltas = self._inputs(cameras, t_query, t_target)
         n, c, d = cams.size, cfg.num_cameras, cfg.embed_dim
@@ -485,19 +483,12 @@ class TransitionNet:
             a, cache = block.forward(a, work.scope(f"block{i}"))
             block_caches.append(cache)
 
-        if cfg.per_node_classifier:
-            logits = np.empty((n, c))
-            head_caches = []
-            for node, head in enumerate(self.heads):
-                col, cache = head.forward(a[:, node, :], train,
-                                          work.scope(f"head{node}"))
-                logits[:, node] = col[:, 0]
-                head_caches.append(cache)
-        else:
-            rows = a.reshape(n * c, d)
-            flat, cache = self.heads[0].forward(rows, train, work.scope("head"))
-            logits = flat.reshape(n, c)
-            head_caches = [cache]
+        logits = np.empty((n, c))
+        head_caches = []
+        for name, head, columns in self._head_items():
+            scores, cache = head.forward(a[:, columns].reshape(-1, d), work.scope(name))
+            logits[:, columns] = scores.reshape(n, -1)
+            head_caches.append(cache)
 
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits; check inputs and learning rate")
@@ -522,15 +513,10 @@ class TransitionNet:
         # backward temporaries are shared by the blocks and the heads: each
         # layer's are dead once the next layer down has read its output
         work = self._workspace()
-        if cfg.per_node_classifier:
-            ga = work.get("head_backward.ga", (n, c, d))
-            for node, head in enumerate(self.heads):
-                ga[:, node, :] = head.backward(glogits[:, node:node + 1],
-                                               head_caches[node], work)
-        else:
-            grows = self.heads[0].backward(glogits.reshape(n * c, 1), head_caches[0],
-                                           work)
-            ga = grows.reshape(n, c, d)
+        ga = work.get("head_backward.ga", (n, c, d))
+        for (_, head, columns), cache in zip(self._head_items(), head_caches):
+            grows = head.backward(glogits[:, columns].reshape(-1, 1), cache, work)
+            ga[:, columns] = grows.reshape(n, -1, d)
 
         for block, cache in zip(reversed(self.blocks), reversed(block_caches)):
             ga = block.backward(ga, cache, work)
@@ -540,8 +526,9 @@ class TransitionNet:
         self._cache = None
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
-        """Eval-mode logits of forward, evaluated by a pass that keeps no
-        cache, on up to EVAL_MAX_WORKERS of the CPUs the process may run on.
+        """Eval-mode logits [n, C], each head's batch norm on its running
+        statistics: the model's one eval pass, which keeps no cache, on up to
+        EVAL_MAX_WORKERS of the CPUs the process may run on.
 
         Inputs broadcast and are checked as in forward, before any worker
         starts. The batch is cut into one contiguous slice per worker
@@ -550,11 +537,12 @@ class TransitionNet:
         its slice in groups of EVAL_ROWS // workers rows through its own rows
         of two arrays, a and b, dropped on return: the spatial output goes
         into a, each graph block and the heads overwrite a with b as
-        scratch, and the linear products go into b. The operations are
-        forward's, in forward's order, and an eval-mode row's logits do not
-        depend on the other rows of its batch, so the result has the same
-        bits as one forward pass over the whole batch, or over each row
-        alone, whatever the worker count. A non-finite logit raises
+        scratch, and the linear products go into b. Every kernel is row-wise
+        and runs the training pass's operations in the same order (batch
+        norm aside, which reads its running statistics), so an eval-mode
+        row's logits do not depend on the other rows of its batch: the
+        result has the same bits as one pass over the whole batch, or over
+        each row alone, whatever the worker count. A non-finite logit raises
         NumericError. The model's work buffers are left alone; a pending
         forward cache is cleared, so backward cannot follow.
         """
@@ -584,7 +572,7 @@ class TransitionNet:
         groups of a's rows, with a and b, arrays of one shape, as its
         buffers."""
         cfg = self.config
-        c, d = cfg.num_cameras, cfg.embed_dim
+        d = cfg.embed_dim
         for start in range(0, cams.size, a.shape[0]):
             rows = slice(start, start + a.shape[0])
             m = cams[rows].size
@@ -593,12 +581,9 @@ class TransitionNet:
             self._spatial(cams[rows], embed, x)
             for block in self.blocks:
                 block.eval_in_place(x, scratch)
-            if cfg.per_node_classifier:
-                for node, head in enumerate(self.heads):
-                    out[rows, node] = head.eval_in_place(x[:, node, :], scratch)[:, 0]
-            else:
-                out[rows] = self.heads[0].eval_in_place(
-                    x.reshape(-1, d), scratch).reshape(-1, c)
+            for _, head, columns in self._head_items():
+                scores = head.eval_in_place(x[:, columns].reshape(-1, d), scratch)
+                out[rows, columns] = scores.reshape(m, -1)
             if not np.all(np.isfinite(out[rows])):
                 raise NumericError("non-finite logits; check inputs and learning rate")
 

@@ -3,7 +3,10 @@ every array is allocated afresh. They are the bit-exact references for the
 workspace kernels in edgereid.nn and edgereid.transition.
 
 Each function takes (and ignores) the workspace argument of the kernel it
-stands for, so that `installed` can swap it in for the package's own.
+stands for. net_forward and net_backward run the whole network on these
+functions alone, so they are references for the training pass and, with
+train=False, for the eval pass, which the package runs only through
+TransitionNet.eval_logits. `installed` swaps them in for the package's own.
 """
 
 import math
@@ -77,34 +80,31 @@ def linear_backward(gy, x, weight, bias=None, work=None):
 
 
 def batch_norm_forward(bn, x, train, work=None):
-    if train:
-        n = x.shape[0]
-        if n < 2:
-            raise ConfigError(
-                f"batch norm needs at least 2 rows in train mode, got {n}")
-        mean = x.mean(axis=0)
-        centred = x - mean
-        var = np.mean(np.square(centred), axis=0)
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
-        x_hat = centred * inv_std
-        bn.running_mean += bn.momentum * (mean - bn.running_mean)
-        unbiased = var * n / (n - 1)
-        bn.running_var += bn.momentum * (unbiased - bn.running_var)
-        cache = (True, x_hat, inv_std)
-    else:
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        x_hat = (x - bn.running_mean) * inv_std
-        cache = (False, x_hat, inv_std)
-    return x_hat * bn.scale.value + bn.shift.value, cache
+    """Batch norm on the batch statistics, with the cache for backward; with
+    train False, on the running statistics, with no cache."""
+    if not train:
+        x_hat = (x - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + bn.eps))
+        return x_hat * bn.scale.value + bn.shift.value, None
+    n = x.shape[0]
+    if n < 2:
+        raise ConfigError(
+            f"batch norm needs at least 2 rows in train mode, got {n}")
+    mean = x.mean(axis=0)
+    centred = x - mean
+    var = np.mean(np.square(centred), axis=0)
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    x_hat = centred * inv_std
+    bn.running_mean += bn.momentum * (mean - bn.running_mean)
+    unbiased = var * n / (n - 1)
+    bn.running_var += bn.momentum * (unbiased - bn.running_var)
+    return x_hat * bn.scale.value + bn.shift.value, (x_hat, inv_std)
 
 
 def batch_norm_backward(bn, gy, cache, work=None):
-    train, x_hat, inv_std = cache
+    x_hat, inv_std = cache
     bn.scale.grad += np.sum(gy * x_hat, axis=0)
     bn.shift.grad += np.sum(gy, axis=0)
     g_hat = gy * bn.scale.value
-    if not train:
-        return g_hat * inv_std
     return (g_hat - g_hat.mean(axis=0)
             - x_hat * np.mean(g_hat * x_hat, axis=0)) * inv_std
 
@@ -132,36 +132,36 @@ def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8, work=None):
 
 
 def block_forward(block, a, work=None):
-    normed, ln_cache = nn.layer_norm_forward(a, block.norm_scale, block.norm_shift)
+    normed, ln_cache = layer_norm_forward(a, block.norm_scale, block.norm_shift)
     mixed = np.matmul(block.adjacency.value, normed)
     pre = mixed @ block.transfer.value
-    out, phi = nn.gelu(pre, keep_phi=True)
+    out, phi = gelu(pre, keep_phi=True)
     return out, (normed, ln_cache, mixed, pre, phi)
 
 
 def block_backward(block, gout, cache, work=None):
     normed, ln_cache, mixed, pre, phi = cache
-    gpre = nn.gelu_backward(gout, pre, phi)
+    gpre = gelu_backward(gout, pre, phi)
     n, c, d = gpre.shape
     block.transfer.grad += mixed.reshape(n * c, d).T @ gpre.reshape(n * c, d)
     gmixed = gpre @ block.transfer.value.T
     block.adjacency.grad += np.matmul(gmixed, normed.transpose(0, 2, 1)).sum(axis=0)
     gnormed = np.matmul(block.adjacency.value.T, gmixed)
-    return nn.layer_norm_backward(gnormed, ln_cache, block.norm_scale, block.norm_shift)
+    return layer_norm_backward(gnormed, ln_cache, block.norm_scale, block.norm_shift)
 
 
 def head_forward(head, rows, train, work=None):
-    bn_out, bn_cache = head.bn.forward(rows, train)
-    hidden = nn.relu(bn_out)
-    logits = nn.linear_forward(hidden, head.fc_weight, head.fc_bias)
+    bn_out, bn_cache = batch_norm_forward(head.bn, rows, train)
+    hidden = relu(bn_out)
+    logits = linear_forward(hidden, head.fc_weight, head.fc_bias)
     return logits, (bn_cache, bn_out, hidden)
 
 
 def head_backward(head, glogits, cache, work=None):
     bn_cache, bn_out, hidden = cache
-    ghidden = nn.linear_backward(glogits, hidden, head.fc_weight, head.fc_bias)
-    gbn = nn.relu_backward(ghidden, bn_out)
-    return head.bn.backward(gbn, bn_cache)
+    ghidden = linear_backward(glogits, hidden, head.fc_weight, head.fc_bias)
+    gbn = relu_backward(ghidden, bn_out)
+    return batch_norm_backward(head.bn, gbn, bn_cache)
 
 
 def spatial_forward(weight, weights, order, bounds, work=None):
@@ -201,26 +201,28 @@ def net_forward(model, cameras, t_query, t_target, train=False):
     den = sign * np.maximum(np.abs(raw_den), cfg.denominator_floor)
     weights = embed / den[:, None]
     order, bounds = tr._group_by_camera(cams, c)
-    a = (tr._spatial_forward(model.spatial_weight.value, weights, order, bounds)
+    a = (spatial_forward(model.spatial_weight.value, weights, order, bounds)
          + model.spatial_bias.value)
     block_caches = []
     for block in model.blocks:
-        a, cache = block.forward(a)
+        a, cache = block_forward(block, a)
         block_caches.append(cache)
     if cfg.per_node_classifier:
         logits = np.empty((n, c))
         head_caches = []
         for node, head in enumerate(model.heads):
-            col, cache = head.forward(a[:, node, :], train)
+            col, cache = head_forward(head, a[:, node, :], train)
             logits[:, node] = col[:, 0]
             head_caches.append(cache)
     else:
-        flat, cache = model.heads[0].forward(a.reshape(n * c, d), train)
+        flat, cache = head_forward(model.heads[0], a.reshape(n * c, d), train)
         logits = flat.reshape(n, c)
         head_caches = [cache]
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits; check inputs and learning rate")
-    model._cache = (order, bounds, weights, block_caches, head_caches, n)
+    # as in the package, an eval pass leaves nothing for backward
+    model._cache = ((order, bounds, weights, block_caches, head_caches, n)
+                    if train else None)
     return logits
 
 
@@ -247,32 +249,22 @@ def net_backward(model, glogits):
     if cfg.per_node_classifier:
         ga = np.empty((n, c, d))
         for node, head in enumerate(model.heads):
-            ga[:, node, :] = head.backward(glogits[:, node:node + 1], head_caches[node])
+            ga[:, node, :] = head_backward(head, glogits[:, node:node + 1],
+                                           head_caches[node])
     else:
-        ga = model.heads[0].backward(glogits.reshape(n * c, 1),
-                                     head_caches[0]).reshape(n, c, d)
+        ga = head_backward(model.heads[0], glogits.reshape(n * c, 1),
+                           head_caches[0]).reshape(n, c, d)
     for block, cache in zip(reversed(model.blocks), reversed(block_caches)):
-        ga = block.backward(ga, cache)
+        ga = block_backward(block, ga, cache)
     model.spatial_bias.grad += ga.sum(axis=0)
-    tr._spatial_backward(model.spatial_weight.grad, weights, order, bounds, ga)
+    spatial_backward(model.spatial_weight.grad, weights, order, bounds, ga)
     model._cache = None
 
 
 def installed(mp):
-    """Swap every workspace kernel for its allocating reference on a
+    """Swap the model's passes and Adam for their allocating references on a
     pytest MonkeyPatch."""
-    for name in ("layer_norm_forward", "layer_norm_backward", "gelu",
-                 "gelu_backward", "relu", "relu_backward", "linear_forward",
-                 "linear_backward", "adam_step"):
-        mp.setattr(nn, name, globals()[name])
-    mp.setattr(nn.BatchNorm, "forward", batch_norm_forward)
-    mp.setattr(nn.BatchNorm, "backward", batch_norm_backward)
-    mp.setattr(tr.GraphBlock, "forward", block_forward)
-    mp.setattr(tr.GraphBlock, "backward", block_backward)
-    mp.setattr(tr._Head, "forward", head_forward)
-    mp.setattr(tr._Head, "backward", head_backward)
-    mp.setattr(tr, "_spatial_forward", spatial_forward)
-    mp.setattr(tr, "_spatial_backward", spatial_backward)
+    mp.setattr(nn, "adam_step", adam_step)
     mp.setattr(tr.TransitionNet, "forward", net_forward)
     mp.setattr(tr.TransitionNet, "backward", net_backward)
     mp.setattr(tr.TransitionNet, "eval_logits", net_eval_logits)

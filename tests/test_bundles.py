@@ -8,7 +8,10 @@ the stored benchmark checkpoint. The served bytes hold ranks, rounds and
 integer budgets, which a last-bit change to the model rarely moves, so a
 3-epoch `train` on the benchmark scene pins the shipped 8-camera model's
 training numerics; no command here trains longer than that or than
-`configs/cycle.json` asks.
+`configs/cycle.json` asks. The stored checkpoint's eval logits and
+distribution over a grid of every camera and delta are digested too, so
+that a last-bit change to eval numerics shows even where no served byte
+moves.
 """
 
 import hashlib
@@ -19,6 +22,8 @@ import numpy as np
 import pytest
 
 from edgereid.cli import main
+from edgereid.simulate import TransitionTable
+from edgereid.transition import load_checkpoint
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 STORED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -82,3 +87,29 @@ def test_bundle_bytes_match_the_stored_digests(tmp_path, monkeypatch, capsys,
             "A declared numerics change updates tests/bundle_digests.json, "
             "with a CHANGES.md line giving the old and new digests and the "
             "quality numbers that moved.")
+
+
+# every integer tick delta between two sightings of the benchmark scene,
+# whose timestamps span [0, 1100]
+SCENE_SPAN = 1100
+
+
+def test_checkpoint_eval_bytes_match_the_stored_digests():
+    with open(STORED, encoding="utf-8") as fh:
+        stored = json.load(fh)
+    expected = stored["digests"]["checkpoint-eval"]
+    model = load_checkpoint(os.path.join(ROOT, "bench", "checkpoint.json"))
+    deltas = np.arange(-SCENE_SPAN, SCENE_SPAN + 1)
+    cams = np.repeat(np.arange(model.config.num_cameras), deltas.size)
+    targets = np.tile(deltas, model.config.num_cameras).astype(np.float64)
+    logits = model.eval_logits(cams, 0.0, targets)
+    probs = model.distribution(cams, 0.0, targets)
+    for name, values in (("eval_logits", logits), ("distribution", probs)):
+        actual = hashlib.sha256(values.tobytes()).hexdigest()
+        assert actual == expected[name], (
+            f"{name}: sha256 {actual}, stored {expected[name]}. "
+            f"Stored build: {stored['build']}; this build: {_build()}.")
+    assert model.forward(cams, 0.0, targets, train=False).tobytes() == logits.tobytes()
+    table = TransitionTable(model, -SCENE_SPAN, SCENE_SPAN)
+    assert table.forward(cams, 0.0, targets).tobytes() == logits.tobytes()
+    assert table.distribution(cams, 0.0, targets).tobytes() == probs.tobytes()

@@ -1,6 +1,7 @@
 """End-to-end command line flows on a tiny synthetic scene."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -318,6 +319,24 @@ def test_a_rejected_scene_leaves_no_out_directory(tmp_path, config_path,
     out = tmp_path / "out"
     assert main([command, "--config", config_path(doc), "--out", str(out)]) == 1
     assert "appearance features" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["sigma_bins", "floor"])
+@pytest.mark.parametrize("command", ["simulate", "eval-central"])
+def test_an_infinite_frequency_setting_exits_1_and_leaves_no_out_directory(
+        tmp_path, config_path, capsys, command, key):
+    # the file holds the JSON extension Infinity, which json reads as inf
+    doc = base_config()
+    doc["inference"] = {"frequency": {"enabled": True, key: math.inf}}
+    path = config_path(doc)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: inference.frequency.{key}: "
+                                "value inf out of range\n")
+        assert captured.out == ""
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ import pytest
 from edgereid import strategy as sg
 from edgereid.config import RunConfig, check_paths, load_config, parse_config
 from edgereid.errors import ConfigError
+from edgereid.scene import Observation, Scene
 from edgereid.simulate import InferenceParams
 from edgereid.transition import TrainSchedule, TransitionNetConfig
 
@@ -212,6 +213,21 @@ def test_class_checks_reject_what_the_config_field_rejects(name):
         assert rejected(lambda: build(value)) == rejected(
             lambda: parse_config({section: {key: value}})), value
     assert rejected(lambda: build(math.nan))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["sigma_bins", "floor"])
+def test_frequency_settings_must_be_finite(key, value):
+    # an infinite sigma_bins used to pass both checks and overflow in the
+    # smoothing kernel's radius
+    with pytest.raises(ConfigError,
+                       match=f"inference.frequency.{key}: value .* out of range"):
+        parse_config({"inference": {"frequency": {key: value}}})
+    obs = (Observation(0, 0, 0), Observation(0, 1, 50))
+    scene = Scene(num_cameras=2, observations=obs,
+                  train_identities=frozenset({0}), test_identities=frozenset())
+    with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
+        sg.fit_frequency(scene, **{key: value})
 
 
 def test_int_promotes_to_float_but_bool_does_not():

@@ -219,7 +219,7 @@ def test_batch_norm_train_standardises_and_tracks():
     rng = np.random.default_rng(5)
     bn = nn.BatchNorm(3)
     x = rng.normal(loc=2.0, scale=3.0, size=(16, 3))
-    y, _ = bn.forward(x, train=True)
+    y, _ = bn.forward(x)
     np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-4)
     mean = x.mean(axis=0)
@@ -233,7 +233,7 @@ def test_batch_norm_eval_uses_running_stats():
     bn.running_mean = np.array([1.0, -1.0])
     bn.running_var = np.array([4.0, 0.25])
     x = np.array([[3.0, 0.0]])
-    y, _ = bn.forward(x, train=False)
+    y = bn.eval_in_place(x.copy())
     expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
     np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -241,7 +241,7 @@ def test_batch_norm_eval_uses_running_stats():
 def test_batch_norm_needs_two_rows_in_train_mode():
     bn = nn.BatchNorm(2)
     with pytest.raises(ConfigError):
-        bn.forward(np.zeros((1, 2)), train=True)
+        bn.forward(np.zeros((1, 2)))
 
 
 def test_batch_norm_gradients_by_finite_difference():
@@ -251,10 +251,10 @@ def test_batch_norm_gradients_by_finite_difference():
     mix = rng.normal(size=(8, 3))
 
     def loss_fn():
-        y, _ = bn.forward(x, train=True)
+        y, _ = bn.forward(x)
         return float((y * mix).sum())
 
-    _, cache = bn.forward(x, train=True)
+    _, cache = bn.forward(x)
     nn.zero_grads(bn.params())
     bn.backward(mix, cache)
     report = nn.gradient_check(loss_fn, {"scale": bn.scale, "shift": bn.shift},
@@ -264,7 +264,7 @@ def test_batch_norm_gradients_by_finite_difference():
 
 def test_batch_norm_state_roundtrip():
     bn = nn.BatchNorm(2)
-    bn.forward(np.random.default_rng(7).normal(size=(4, 2)), train=True)
+    bn.forward(np.random.default_rng(7).normal(size=(4, 2)))
     other = nn.BatchNorm(2)
     other.load_state(bn.state())
     np.testing.assert_array_equal(other.running_mean, bn.running_mean)
@@ -495,22 +495,28 @@ def test_batch_norm_with_a_workspace_matches_the_allocating_kernel(
     for got, want in ((bn.scale, twin.scale), (bn.shift, twin.shift)):
         got.value[...] = want.value[...] = rng.normal(size=width)
     for n in sizes:
-        for train in (n >= 2, False):
-            x = rng.normal(loc=3.0, size=(n, 3, width))
-            # a per-node head normalises one camera's column of a block output
-            x = x[:, 1, :] if strided else np.ascontiguousarray(x[:, 1, :])
-            gy = rng.normal(size=(n, width))
-            y, cache = bn.forward(x, train, work)
-            want_y, want_cache = ref.batch_norm_forward(twin, x, train)
+        block = rng.normal(loc=3.0, size=(n, 3, width))
+        # a per-node head normalises one camera's column of a block output
+        x = block[:, 1, :] if strided else np.ascontiguousarray(block[:, 1, :])
+        gy = rng.normal(size=(n, width))
+        if n < 2:
+            with pytest.raises(ConfigError, match="at least 2 rows"):
+                bn.forward(x, work)
+        else:
+            y, cache = bn.forward(x, work)
+            want_y, want_cache = ref.batch_norm_forward(twin, x, True)
             assert_bit_equal(y, want_y)
-            assert cache[0] == want_cache[0]
-            for got, want in zip(cache[1:], want_cache[1:]):
+            for got, want in zip(cache, want_cache):
                 assert_bit_equal(got, want)
             for name in ("running_mean", "running_var"):
                 assert_bit_equal(getattr(bn, name), getattr(twin, name))
             assert_bit_equal(bn.backward(gy, cache, work),
                              ref.batch_norm_backward(twin, gy, want_cache))
             assert_params_bit_equal(bn.params(), twin.params())
+        # the eval pass, on the running statistics training has moved
+        got = block.copy()[:, 1, :] if strided else x.copy()
+        assert_bit_equal(bn.eval_in_place(got),
+                         ref.batch_norm_forward(twin, x, False)[0])
 
 
 @settings(deadline=None, max_examples=40)

@@ -224,11 +224,12 @@ def test_grouped_contraction_fixed_shapes(c, d, cams):
 def test_grouped_contraction_matches_reference_through_the_model(batch, per_node):
     c, d, cams, seed = batch
     rng = np.random.default_rng(seed)
+    # training batch norm needs two rows: a one-row batch runs twice over
+    cams = np.tile(cams, 2) if cams.size == 1 else cams
     n = cams.size
     tq = rng.integers(0, 500, n).astype(float)
     td = tq + rng.integers(-300, 301, n)
     glogits = rng.normal(size=(n, c))
-    train = n >= 2  # train-mode batch norm needs two rows
     runs = []
     for reference in (False, True):
         model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed,
@@ -237,7 +238,7 @@ def test_grouped_contraction_matches_reference_through_the_model(batch, per_node
             if reference:
                 mp.setattr(tr, "_spatial_forward", gather_forward)
                 mp.setattr(tr, "_spatial_backward", add_at_backward)
-            logits = model.forward(cams, tq, td, train=train)
+            logits = model.forward(cams, tq, td, train=True)
             model.backward(glogits)
         runs.append((logits, {k: p.grad for k, p in model.named_params().items()}))
     (got, got_grads), (want, want_grads) = runs
@@ -310,13 +311,13 @@ def eval_model(c, d, per_node, seed, num_blocks=2):
 
 
 def one_pass(model, cams, tq, td):
-    """One eval-mode forward pass over the whole batch; a one-row batch runs
-    as two copies of its row, so that a one-row eval_logits call is checked
-    against its row inside a batch."""
+    """One eval-mode pass of the allocating reference over the whole batch;
+    a one-row batch runs as two copies of its row, so that a one-row
+    eval_logits call is checked against its row inside a batch."""
     if cams.size == 1:
-        return model.forward(*(np.repeat(a, 2) for a in (cams, tq, td)),
-                             train=False)[:1]
-    return model.forward(cams, tq, td, train=False)
+        return ref.net_forward(model, *(np.repeat(a, 2) for a in (cams, tq, td)),
+                               train=False)[:1]
+    return ref.net_forward(model, cams, tq, td, train=False)
 
 
 BLOCK_SIZES = (1, tr.EVAL_ROWS - 1, tr.EVAL_ROWS, tr.EVAL_ROWS + 1,
@@ -544,9 +545,9 @@ def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
 
 
 def check_batch_invariance(c, d, per_node, seed, num_blocks=2):
-    """A row's eval-mode logits, evaluated alone through a one-row forward,
-    equal the row's bits in a 2-row batch, inside eval_logits' EVAL_ROWS
-    blocks, and in a shuffled batch."""
+    """A row's eval-mode logits, evaluated alone, equal the row's bits in a
+    2-row batch, inside eval_logits' EVAL_ROWS blocks, and in a shuffled
+    batch."""
     model = eval_model(c, d, per_node, seed, num_blocks)
     rng = np.random.default_rng(seed)
     n = 2 * tr.EVAL_ROWS + int(rng.integers(2, 60))
@@ -556,10 +557,10 @@ def check_batch_invariance(c, d, per_node, seed, num_blocks=2):
     blocked = model.eval_logits(cams, tq, td)
     perm = rng.permutation(n)
     shuffled = np.empty_like(blocked)
-    shuffled[perm] = model.forward(cams[perm], tq[perm], td[perm], train=False)
+    shuffled[perm] = model.eval_logits(cams[perm], tq[perm], td[perm])
     for i, j in rng.choice(n, (4, 2), replace=False):
-        alone = model.forward(cams[i], tq[i], td[i], train=False)
-        pair = model.forward(cams[[i, j]], tq[[i, j]], td[[i, j]], train=False)
+        alone = model.eval_logits(cams[i], tq[i], td[i])
+        pair = model.eval_logits(cams[[i, j]], tq[[i, j]], td[[i, j]])
         for other in (pair[:1], blocked[i:i + 1], shuffled[i:i + 1]):
             assert_bit_equal(other, alone)
 
@@ -670,6 +671,24 @@ def test_backward_after_distribution_raises():
         model.backward(np.zeros((3, 3)))
     with pytest.raises(InputError, match="empty"):
         model.distribution(np.array([], dtype=np.int64), [], [])
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(2, 8), st.integers(1, 8), st.integers(1, 600), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_eval_mode_forward_is_eval_logits_and_leaves_no_cache(c, half_d, n,
+                                                              per_node, seed):
+    model = eval_model(c, 2 * half_d, per_node, seed)
+    rng = np.random.default_rng(seed)
+    cams, tq, td, _ = random_batch(rng, n, c)
+    # a pending training cache, which the eval pass clears
+    model.forward(*random_batch(rng, 2, c)[:3], train=True)
+    got = model.forward(cams, tq, td, train=False)
+    with pytest.raises(InputError, match="before forward"):
+        model.backward(np.zeros((n, c)))
+    want = model.eval_logits(cams, tq, td)
+    assert_bit_equal(got, want)
+    assert_bit_equal(model.forward(cams, tq, td), want)
 
 
 def test_schedule_decay_boundaries():
@@ -1126,20 +1145,22 @@ def test_forward_and_backward_match_the_allocating_layers(c, half_d, sizes, per_
     for n in sizes:
         cams, tq, td, _ = random_batch(rng, n, c)
         glogits = rng.normal(size=(n, c))
-        for train in (True, False):
-            results = []
-            for model, reference in ((got_model, False), (want_model, True)):
-                model.zero_grads()
-                with pytest.MonkeyPatch.context() as mp:
-                    if reference:
-                        ref.installed(mp)
-                    logits = model.forward(cams, tq, td, train=train)
-                    model.backward(glogits)
-                results.append((logits, model_state(model)))
-            (got, got_state), (want, want_state) = results
-            assert_bit_equal(got, want)
-            for name in want_state:
-                assert_bit_equal(got_state[name], want_state[name])
+        results = []
+        for model, reference in ((got_model, False), (want_model, True)):
+            model.zero_grads()
+            with pytest.MonkeyPatch.context() as mp:
+                if reference:
+                    ref.installed(mp)
+                logits = model.forward(cams, tq, td, train=True)
+                model.backward(glogits)
+                evaluated = model.eval_logits(cams, tq, td)
+            results.append((logits, evaluated, model_state(model)))
+        (got, got_eval, got_state), (want, want_eval, want_state) = results
+        assert_bit_equal(got, want)
+        # the eval pass reads the running statistics this step moved
+        assert_bit_equal(got_eval, want_eval)
+        for name in want_state:
+            assert_bit_equal(got_state[name], want_state[name])
 
 
 def test_returned_logits_are_not_overwritten_by_later_calls():
