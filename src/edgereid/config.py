@@ -15,7 +15,7 @@ from typing import Any, get_args
 from .errors import ConfigError
 from .scene import GeneratorSpec, spec_from_dict, spec_to_dict
 from .simulate import InferenceParams, Strategy
-from .strategy import ORIENTATION_MODES
+from .strategy import ORIENTATION_MODES, valid_gamma1
 from .transition import TrainSchedule, TransitionNetConfig
 
 DEFAULT_RANK_KS = (1, 5, 10, 20)
@@ -100,7 +100,7 @@ class InferenceSection:
     alpha: float = _setting(0.1, _positive)
     beta: float = _setting(0.1, _positive)
     gamma0: float = _setting(0.01, _positive)
-    gamma1: float = _setting(0.01, _positive)
+    gamma1: float = _setting(0.01, valid_gamma1)
     mu: float = _setting(0.5, lambda x: 0.0 <= x <= 1.0)
     orientation: str = _setting("consistent", lambda x: x in ORIENTATION_MODES)
     time_targeted: bool = False

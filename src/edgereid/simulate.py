@@ -72,8 +72,10 @@ class InferenceParams:
         # written as "not x > 0" so that NaN fails too
         if not self.alpha > 0.0 or not self.beta > 0.0:
             raise ConfigError("alpha and beta must be positive")
-        if not self.gamma0 > 0.0 or not self.gamma1 > 0.0:
-            raise ConfigError("gamma0 and gamma1 must be positive")
+        if not self.gamma0 > 0.0:
+            raise ConfigError("gamma0 must be positive")
+        if not strat.valid_gamma1(self.gamma1):
+            raise ConfigError("gamma1 must be a normal positive float below inf")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"mu must be in [0, 1], got {self.mu}")
         if self.orientation not in strat.ORIENTATION_MODES:

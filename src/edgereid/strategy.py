@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 import numpy as np
 
@@ -20,6 +21,14 @@ from .nn import as_f64, softmax
 from .scene import Scene, cross_camera_pairs
 
 ORIENTATION_MODES = ("consistent", "inverted")
+
+
+def valid_gamma1(gamma1) -> bool:
+    """Whether gamma1 is a normal positive float below inf, the range the
+    allocation can divide by: its shares before the division sum to at most
+    1, so a normal gamma1 keeps them finite, while a subnormal one can
+    overflow them and inf zeroes them. NaN fails too."""
+    return sys.float_info.min <= gamma1 < math.inf
 
 
 def _check_orientation(mode: str) -> None:
@@ -347,9 +356,11 @@ def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
         raise ShapeError(f"logits {y.shape} and sizes {sizes.shape} differ")
     if y.shape[1] < 2:
         raise InputError("need at least two cameras to allocate")
-    if not gamma0 > 0.0 or not gamma1 > 0.0:  # NaN fails too
-        raise ConfigError(f"gamma0 and gamma1 must be positive, got "
-                          f"{gamma0}, {gamma1}")
+    if not gamma0 > 0.0:  # NaN fails too
+        raise ConfigError(f"gamma0 must be positive, got {gamma0}")
+    if not valid_gamma1(gamma1):
+        raise ConfigError(f"gamma1 must be a normal positive float below inf, "
+                          f"got {gamma1}")
     if np.any(sizes < 0):
         raise InputError("gallery sizes must be non-negative")
     if total < y.shape[1]:

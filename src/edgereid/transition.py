@@ -27,9 +27,10 @@ from .nn import Param, as_f64
 from .scene import Observation, Scene, cross_camera_pairs
 
 CHECKPOINT_VERSION = 1
-# Rows of TransitionNet.eval_logits' two [rows, C, D] arrays, 512 KiB each at
-# C=8, D=32, shared by its workers: each runs groups of EVAL_ROWS // workers
-# rows, so the pass's memory does not grow with the worker count. On bench
+# Rows of TransitionNet.eval_logits' [rows, C, D] array, 512 KiB at C=8,
+# D=32, and of its scratch, 2.125 times that (nn.gelu_scratch_size), shared
+# by its workers: each runs groups of EVAL_ROWS // workers rows, so the
+# pass's memory does not grow with the worker count. On bench
 # longspan (2 cores, BLAS on one thread, three 20 s runs per size) one
 # worker gave a median 62.0 ops/s at 256 rows against 59.3 at 128 and 57.3
 # at 512, at peak RSS within 1.2 MiB of each other. Two workers of 128 rows
@@ -132,14 +133,17 @@ class GraphBlock:
         out, phi = nn.gelu(pre, keep_phi=True, work=work)
         return out, (normed, ln_cache, mixed, pre, phi)
 
-    def eval_in_place(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def eval_in_place(self, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """forward's output written over a, by the same operations in the
-        same order (so the same bits) and with no cache; b, an array of a's
-        shape, is the scratch for the squares, the mixing and Phi."""
+        same order (so the same bits) and with no cache; scratch, a
+        C-contiguous array of a.size values or more, takes the squares and
+        the mixing in its first a.size values, and GELU's work
+        (gelu_scratch_size(a.size) values take it in one piece)."""
+        b = scratch.reshape(-1)[:a.size].reshape(a.shape)
         nn.layer_norm_in_place(a, self.norm_scale, self.norm_shift, scratch=b)
         np.matmul(self.adjacency.value, a, out=b)
         np.matmul(b, self.transfer.value, out=a)
-        return nn.gelu_in_place(a, scratch=b)
+        return nn.gelu_in_place(a, scratch)
 
     def backward(self, gout: np.ndarray, cache,
                  work: nn.Workspace | None = None) -> np.ndarray:
@@ -313,9 +317,11 @@ def _eval_workers(n: int) -> int:
 def _run_in_threads(task, count: int) -> None:
     """task(0) in the calling thread and task(1), ..., task(count - 1) each
     in a thread of its own, started here and joined before returning or
-    raising. numpy's and scipy's kernels release the GIL, so the tasks run
-    at once. Every task runs under the caller's np.errstate, which numpy
-    1.x keeps per thread. The first task's error (by index) is re-raised."""
+    raising. numpy's ufuncs and BLAS calls release the GIL, so the tasks
+    run at once, though each call's Python overhead still takes it: fewer,
+    larger calls overlap better. Every task runs under the caller's
+    np.errstate, which numpy 1.x keeps per thread. The first task's error
+    (by index) is re-raised."""
     errors: list[BaseException | None] = [None] * count
     state, call = np.geterr(), np.geterrcall()
 
@@ -362,7 +368,7 @@ class TransitionNet:
     eval_logits keeps no cache and leaves the workspace alone: it splits a
     large batch over up to EVAL_MAX_WORKERS workers, the calling thread and
     threads of its own that it joins before returning, and each worker runs
-    its groups of rows through its own rows of two arrays, dropped on
+    its groups of rows through its own part of two arrays, dropped on
     return. The workers only read the model and write disjoint slices, so
     the logits have the same bits whatever their number.
     """
@@ -534,15 +540,16 @@ class TransitionNet:
         starts. The batch is cut into one contiguous slice per worker
         (_eval_workers); the calling thread runs the first slice and threads
         started for the call run the others (_run_in_threads). A worker runs
-        its slice in groups of EVAL_ROWS // workers rows through its own rows
-        of two arrays, a and b, dropped on return: the spatial output goes
-        into a, each graph block and the heads overwrite a with b as
-        scratch, and the linear products go into b. Every kernel is row-wise
-        and runs the training pass's operations in the same order (batch
-        norm aside, which reads its running statistics), so an eval-mode
-        row's logits do not depend on the other rows of its batch: the
-        result has the same bits as one pass over the whole batch, or over
-        each row alone, whatever the worker count. A non-finite logit raises
+        its slice in groups of EVAL_ROWS // workers rows through its own part
+        of two arrays, dropped on return: a, of a group's [rows, C, D], and
+        b, a flat scratch that takes a group's GELU in one piece. The
+        spatial output goes into a, each graph block and the heads overwrite
+        a with b as scratch, and the linear products go into b. Every kernel
+        is row-wise and runs the training pass's operations in the same
+        order (batch norm aside, which reads its running statistics), so an
+        eval-mode row's logits do not depend on the other rows of its batch:
+        the result has the same bits as one pass over the whole batch, or
+        over each row alone, whatever the worker count. A non-finite logit raises
         NumericError. The model's work buffers are left alone; a pending
         forward cache is cleared, so backward cannot follow.
         """
@@ -557,7 +564,8 @@ class TransitionNet:
         out = np.empty((n, c))
         workers = _eval_workers(n)
         rows = min(EVAL_ROWS // workers, n)
-        a, b = np.empty((workers, rows, c, d)), np.empty((workers, rows, c, d))
+        a = np.empty((workers, rows, c, d))
+        b = np.empty((workers, nn.gelu_scratch_size(rows * c * d)))
         bounds = [n * i // workers for i in range(workers + 1)]
 
         def run(i):
@@ -569,20 +577,20 @@ class TransitionNet:
 
     def _eval_slice(self, cams, deltas, out, a, b) -> None:
         """eval_logits' pass over one worker's slice, written into out, in
-        groups of a's rows, with a and b, arrays of one shape, as its
-        buffers."""
+        groups of a's rows, with a and b, a flat array of
+        nn.gelu_scratch_size(a.size) values, as its buffers."""
         cfg = self.config
         d = cfg.embed_dim
         for start in range(0, cams.size, a.shape[0]):
             rows = slice(start, start + a.shape[0])
             m = cams[rows].size
-            x, scratch = a[:m], b[:m]
+            x = a[:m]
             embed = nn._embed(deltas[rows], d, cfg.max_period)
             self._spatial(cams[rows], embed, x)
             for block in self.blocks:
-                block.eval_in_place(x, scratch)
+                block.eval_in_place(x, b)
             for _, head, columns in self._head_items():
-                scores = head.eval_in_place(x[:, columns].reshape(-1, d), scratch)
+                scores = head.eval_in_place(x[:, columns].reshape(-1, d), b)
                 out[rows, columns] = scores.reshape(m, -1)
             if not np.all(np.isfinite(out[rows])):
                 raise NumericError("non-finite logits; check inputs and learning rate")

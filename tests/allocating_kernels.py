@@ -12,7 +12,6 @@ TransitionNet.eval_logits. `installed` swaps them in for the package's own.
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from edgereid import nn
 from edgereid import transition as tr
@@ -37,11 +36,24 @@ def layer_norm_backward(gy, cache, scale, shift, work=None):
             - x_hat * np.mean(g_hat * x_hat, axis=-1, keepdims=True)) * inv_std
 
 
+def normal_cdf(x):
+    """Phi(x) by the operations of nn._normal_cdf on fresh arrays: Horner's
+    scheme in u = -|x| on the kernel's coefficients, h = Phi(u), then
+    |(x >= 0) - h|."""
+    u = -np.abs(x)
+    coeffs = nn._CDF_COEFFS.reshape(nn._CDF_COEFFS.shape + (1,) * u.ndim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = u * coeffs[-1] + coeffs[-2]
+        for c in coeffs[-3::-1]:
+            acc = acc * u + c
+        ratio = acc[0] / acc[1]
+        square = np.square(u)
+    h = np.fmax(ratio * np.exp(square * -0.5), 0.0)
+    return np.abs((x >= 0.0) - h)
+
+
 def gelu(x, keep_phi=False, work=None):
-    phi = np.divide(x, math.sqrt(2.0))
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    phi = normal_cdf(x)
     out = x * phi
     return (out, phi) if keep_phi else out
 

@@ -69,6 +69,18 @@ def test_module_entry_point_reports_version():
     assert proc.stdout.strip().startswith("edgereid ")
 
 
+def test_the_command_line_imports_no_scipy():
+    # numpy is the one runtime dependency; scipy is a test-only import
+    src = os.path.dirname(os.path.dirname(edgereid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, edgereid.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_gen_writes_scene_and_spec(tmp_path, config_path, capsys):
     cfg = config_path(base_config())
     out = tmp_path / "gen"
@@ -336,6 +348,25 @@ def test_an_infinite_frequency_setting_exits_1_and_leaves_no_out_directory(
         captured = capsys.readouterr()
         assert captured.err == (f"config error: inference.frequency.{key}: "
                                 "value inf out of range\n")
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1e-320, math.inf])
+@pytest.mark.parametrize("command", ["simulate", "eval-central"])
+def test_a_subnormal_or_infinite_gamma1_exits_1_and_leaves_no_out_directory(
+        tmp_path, config_path, capsys, command, value):
+    # both passed the config check, and simulate then exited 2 from inside
+    # the allocation ("every camera needs a budget of at least 1")
+    doc = base_config()
+    doc["inference"] = {"gamma1": value}
+    path = config_path(doc)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: inference.gamma1: "
+                                f"value {value!r} out of range\n")
         assert captured.out == ""
     assert not out.exists()
 

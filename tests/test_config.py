@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -191,8 +192,11 @@ CLASS_CHECKS = {
     "inference.gamma1-allocate_bandwidth_rows": lambda x: sg.allocate_bandwidth_rows(
         np.zeros((1, 2)), np.ones((1, 2)), 2, gamma1=x),
 }
-BOUNDARIES = [math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0,
-              1.0000000000000002, 2.0, math.inf]
+# gamma1's bounds, the smallest normal float and inf, are here with the
+# largest subnormal below it, a subnormal far below, and the largest float
+BOUNDARIES = [math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-320,
+              math.nextafter(sys.float_info.min, 0.0), sys.float_info.min, 0.5,
+              1.0, 1.0000000000000002, 2.0, sys.float_info.max, math.inf]
 
 
 @pytest.mark.parametrize("name", CLASS_CHECKS)
@@ -202,7 +206,7 @@ def test_class_checks_reject_what_the_config_field_rejects(name):
 
     def rejected(call):
         try:
-            # an accepted inf or subnormal gamma1 gives NaN shares, not an error
+            # an accepted subnormal gamma0 gives NaN shares, not an error
             with np.errstate(all="ignore"):
                 call()
         except ConfigError:
@@ -213,6 +217,20 @@ def test_class_checks_reject_what_the_config_field_rejects(name):
         assert rejected(lambda: build(value)) == rejected(
             lambda: parse_config({section: {key: value}})), value
     assert rejected(lambda: build(math.nan))
+
+
+def test_gamma1_must_be_a_normal_float_below_inf():
+    # the allocation divides by gamma1: a subnormal one overflowed the shares
+    # to NaN and inf zeroed them, so a run failed inside the allocation
+    checks = [CLASS_CHECKS[name] for name in CLASS_CHECKS
+              if name.startswith("inference.gamma1")]
+    checks.append(lambda x: parse_config({"inference": {"gamma1": x}}))
+    for check in checks:
+        for value in (1e-320, math.nextafter(sys.float_info.min, 0.0), math.inf):
+            with pytest.raises(ConfigError, match="gamma1"):
+                check(value)
+        for value in (sys.float_info.min, sys.float_info.max):
+            check(value)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 import allocating_kernels as ref
 from edgereid import nn
@@ -76,6 +75,37 @@ def test_gelu_hand_values():
     lhs = nn.gelu(x) + nn.gelu(-x)
     rhs = x * (2.0 * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2))) - 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def normal_cdf(x):
+    return nn._normal_cdf(x, np.empty_like(x), np.empty((2,) + x.shape))
+
+
+def test_normal_cdf_matches_scipy_in_both_tails():
+    from scipy.special import ndtr  # a test-only dependency
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-40.0, 40.0, 400_001)
+    x = np.concatenate([grid, rng.uniform(-40.0, 40.0, 20_000),
+                        rng.normal(0.0, 2.0, 20_000)])
+    assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 4e-16
+    # the lower tail keeps its relative accuracy; 0.5 * (1 + erf(x / sqrt 2))
+    # lost it to cancellation (relative error up to 4.3e-2 near x = -8)
+    lower = np.linspace(-8.0, 0.0, 80_001)
+    want = ndtr(lower)
+    assert np.max(np.abs(normal_cdf(lower) - want) / want) <= 1e-13
+    assert np.all(np.diff(normal_cdf(grid)) >= 0.0)
+    ends = normal_cdf(np.array([-np.inf, np.inf, -1e300, 1e300]))
+    assert ends.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
+def test_gelu_in_place_keeps_the_bits_of_signed_zeros_and_far_tails():
+    # gelu_in_place works on -|x| and x's sign bit: -0.0 and the tails where
+    # Phi is exactly 0 or 1 must still give the bits of x * Phi(x)
+    x = np.array([-0.0, 0.0, -5e-324, 5e-324, -40.0, 40.0, -1e300, 1e300, np.inf])
+    got = x.copy()
+    nn.gelu_in_place(got, np.empty(nn.gelu_scratch_size(x.size)))
+    assert_bit_equal(got, nn.gelu(x))
+    assert_bit_equal(got, ref.gelu(x))
 
 
 def test_gelu_gradient_matches_finite_difference():
@@ -348,12 +378,12 @@ def reference_adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def reference_gelu(x):
-    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * ref.normal_cdf(x)
 
 
 def reference_gelu_backward(gy, x):
     """The GELU input gradient with Phi computed again from x."""
-    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    phi = ref.normal_cdf(x)
     pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * np.square(x))
     return gy * (phi + x * pdf)
 
