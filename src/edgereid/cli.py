@@ -27,7 +27,7 @@ from .errors import ConfigError, EdgeReidError
 from .metrics import cmc_map, summarize
 from .nn import cross_entropy, gradient_check
 from .scene import export_csv, generate, ingest_csv, save_spec, split_identities
-from .simulate import (Models, QuerySpec, Strategy, build_transition_table,
+from .simulate import (Models, Strategy, build_transition_table,
                        central_rankings, run_benchmark)
 from .strategy import fit_frequency
 from .transition import (TransitionNet, check_scene_compatible,
@@ -266,8 +266,7 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
     bandwidth = config.inference.bandwidth(scene.num_cameras)
     reports = run_benchmark(
         scene, [Strategy.parse(s) for s in config.simulate.strategies], models,
-        bandwidth, config.inference.params(),
-        QuerySpec(max_queries=config.simulate.max_queries),
+        bandwidth, config.inference.params(), config.simulate,
         np.random.default_rng(config.simulate.seed))
 
     out = _ensure_out(config)
@@ -391,8 +390,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             config = config.override_seed(args.seed)
         if args.out is not None:
             config = dataclasses.replace(config,

@@ -171,10 +171,18 @@ def sinusoidal_embed(delta_t, dim: int, max_period: float = 10000.0) -> np.ndarr
     return _embed(delta, dim, max_period)
 
 
+def valid_embed_dim(dim) -> bool:  # positive and even
+    return dim > 0 and dim % 2 == 0
+
+
+def valid_max_period(max_period) -> bool:  # above 1; NaN fails
+    return max_period > 1.0
+
+
 def _check_embed(delta: np.ndarray, dim: int, max_period: float) -> None:
-    if dim <= 0 or dim % 2 != 0:
+    if not valid_embed_dim(dim):
         raise ConfigError(f"embedding dim must be positive and even, got {dim}")
-    if max_period <= 1.0:
+    if not valid_max_period(max_period):
         raise ConfigError(f"max_period must exceed 1, got {max_period}")
     if not np.all(np.isfinite(delta)):
         raise InputError("delta_t must be finite")

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InputError
 from .nn import as_f64
+from .settings import (Settings, at_least_two, check_settings, mapping,
+                       non_negative, positive, read, setting, write)
 
 CSV_BASE_HEADER = ("identity", "camera", "timestamp")
 
@@ -35,14 +37,10 @@ class Observation:
 
 
 @dataclasses.dataclass(frozen=True)
-class FixedDelay:
+class FixedDelay(Settings):
     """Deterministic edge delay of a whole number of ticks."""
 
-    ticks: int
-
-    def __post_init__(self):
-        if self.ticks < 1:
-            raise ConfigError(f"fixed delay must be >= 1 tick, got {self.ticks}")
+    ticks: int = setting(check=positive, key="fixed")
 
     def sample(self, rng: np.random.Generator) -> int:
         return self.ticks
@@ -52,17 +50,11 @@ class FixedDelay:
 
 
 @dataclasses.dataclass(frozen=True)
-class LogNormalDelay:
+class LogNormalDelay(Settings):
     """Log-normal edge delay; samples are rounded to integer ticks >= 1."""
 
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0.0 or not math.isfinite(self.mu) or not math.isfinite(self.sigma):
-            raise ConfigError(
-                f"log-normal delay needs finite mu and sigma > 0, got "
-                f"mu={self.mu}, sigma={self.sigma}")
+    mu: float = setting(check=lambda x: -math.inf < x < math.inf)
+    sigma: float = setting(check=lambda x: 0.0 < x < math.inf)
 
     def sample(self, rng: np.random.Generator) -> int:
         raw = math.exp(self.mu + self.sigma * rng.standard_normal())
@@ -79,17 +71,23 @@ class LogNormalDelay:
 
 
 @dataclasses.dataclass(frozen=True)
-class Edge:
+class Edge(Settings):
     """A possible camera-to-camera move with its probability and delay law."""
 
-    source: int
-    dest: int
-    prob: float
+    source: int = setting(key="from")
+    dest: int = setting(key="to")
+    prob: float = setting(check=positive)
     delay: FixedDelay | LogNormalDelay
 
 
+# generate's rows are a unit mean plus feature_noise times standard normal
+# draws: up to this scale their squared norms stay below the float maximum
+# for any draw below 1e50 in any dimension a run can hold.
+MAX_FEATURE_NOISE = 1e100
+
+
 @dataclasses.dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Settings):
     """Recipe for a synthetic scene.
 
     Identities perform independent random walks on the camera graph given by
@@ -100,42 +98,30 @@ class GeneratorSpec:
     renormalised noisy copy (isotropic Gaussian, scale feature_noise).
     """
 
-    num_cameras: int
+    num_cameras: int = setting(check=at_least_two)
     edges: tuple[Edge, ...]
-    num_identities: int
-    visits: int
-    feature_dim: int = 0
-    feature_noise: float = 0.0
-    start_spread: int = 0
-    visibility: float = 1.0
+    num_identities: int = setting(check=positive)
+    visits: int = setting(check=positive)
+    feature_dim: int = setting(0, non_negative)
+    feature_noise: float = setting(0.0, lambda x: 0.0 <= x <= MAX_FEATURE_NOISE)
+    start_spread: int = setting(0, non_negative)
+    visibility: float = setting(1.0, lambda x: 0.0 < x <= 1.0)
 
     def __post_init__(self):
-        if self.num_cameras < 2:
-            raise ConfigError(f"need at least 2 cameras, got {self.num_cameras}")
-        if self.num_identities < 1:
-            raise ConfigError("need at least one identity")
-        if self.visits < 1:
-            raise ConfigError("need at least one visit per identity")
-        if self.feature_dim < 0 or self.feature_noise < 0.0:
-            raise ConfigError("feature_dim and feature_noise must be non-negative")
-        if self.start_spread < 0:
-            raise ConfigError("start_spread must be non-negative")
-        if not 0.0 < self.visibility <= 1.0:
-            raise ConfigError(f"visibility must be in (0, 1], got {self.visibility}")
+        check_settings(self)
         outgoing: dict[int, float] = {}
         for e in self.edges:
             if not (0 <= e.source < self.num_cameras and 0 <= e.dest < self.num_cameras):
                 raise ConfigError(f"edge {e.source}->{e.dest} leaves the camera range")
-            if e.prob <= 0.0:
-                raise ConfigError(f"edge {e.source}->{e.dest} has probability {e.prob}")
             outgoing[e.source] = outgoing.get(e.source, 0.0) + e.prob
         for cam, total in outgoing.items():
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(
                     f"outgoing probabilities from camera {cam} sum to {total}, not 1")
         if len(outgoing) < self.num_cameras:
-            missing = sorted(set(range(self.num_cameras)) - set(outgoing))
-            raise ConfigError(f"cameras {missing} have no outgoing edges")
+            # the first such camera is at most len(outgoing), whatever the count
+            missing = next(c for c in range(self.num_cameras) if c not in outgoing)
+            raise ConfigError(f"camera {missing} has no outgoing edges")
 
     def edges_from(self, camera: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.source == camera)
@@ -417,67 +403,30 @@ class TransitionOracle:
 
 def spec_to_dict(spec: GeneratorSpec) -> dict:
     """JSON-ready form of a generator spec (inverse of spec_from_dict)."""
-    edges = []
-    for e in spec.edges:
-        if isinstance(e.delay, FixedDelay):
-            delay = {"fixed": e.delay.ticks}
-        else:
-            delay = {"lognormal": {"mu": e.delay.mu, "sigma": e.delay.sigma}}
-        edges.append({"from": e.source, "to": e.dest, "prob": e.prob, "delay": delay})
-    return {
-        "num_cameras": spec.num_cameras,
-        "edges": edges,
-        "num_identities": spec.num_identities,
-        "visits": spec.visits,
-        "feature_dim": spec.feature_dim,
-        "feature_noise": spec.feature_noise,
-        "start_spread": spec.start_spread,
-        "visibility": spec.visibility,
-    }
+    doc = write(spec)
+    for edge, item in zip(spec.edges, doc["edges"]):
+        if isinstance(edge.delay, LogNormalDelay):
+            item["delay"] = {"lognormal": item["delay"]}
+    return doc
 
 
-def spec_from_dict(doc: dict) -> GeneratorSpec:
-    """Parse a generator spec from its JSON form, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("generator spec must be a mapping")
-    allowed = {"num_cameras", "edges", "num_identities", "visits", "feature_dim",
-               "feature_noise", "start_spread", "visibility"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown generator keys: {', '.join(unknown)}")
-    for key in ("num_cameras", "edges", "num_identities", "visits"):
-        if key not in doc:
-            raise ConfigError(f"generator spec is missing {key!r}")
-    edges = []
-    for i, item in enumerate(doc["edges"]):
-        if not isinstance(item, dict):
-            raise ConfigError(f"edges[{i}] must be a mapping")
-        extra = sorted(set(item) - {"from", "to", "prob", "delay"})
-        if extra:
-            raise ConfigError(f"edges[{i}] has unknown keys: {', '.join(extra)}")
-        try:
-            delay_doc = item["delay"]
-            if "fixed" in delay_doc:
-                delay = FixedDelay(int(delay_doc["fixed"]))
-            elif "lognormal" in delay_doc:
-                ln = delay_doc["lognormal"]
-                delay = LogNormalDelay(float(ln["mu"]), float(ln["sigma"]))
-            else:
-                raise ConfigError(f"edges[{i}].delay must be fixed or lognormal")
-            edges.append(Edge(int(item["from"]), int(item["to"]),
-                              float(item["prob"]), delay))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"edges[{i}]: {exc}") from None
-    return GeneratorSpec(
-        num_cameras=int(doc["num_cameras"]),
-        edges=tuple(edges),
-        num_identities=int(doc["num_identities"]),
-        visits=int(doc["visits"]),
-        feature_dim=int(doc.get("feature_dim", 0)),
-        feature_noise=float(doc.get("feature_noise", 0.0)),
-        start_spread=int(doc.get("start_spread", 0)),
-        visibility=float(doc.get("visibility", 1.0)),
-    )
+def spec_from_dict(doc, path: str = "generator") -> GeneratorSpec:
+    """Parse a generator spec from its JSON form (spec_to_dict's), strictly:
+    errors name the bad value's path below path."""
+    edges = mapping(doc, path).get("edges")
+    if not isinstance(edges, list):
+        raise ConfigError(f"{path}.edges: expected a list")
+    return read(GeneratorSpec, doc, path, edges=tuple(
+        _edge(item, f"{path}.edges[{i}]") for i, item in enumerate(edges)))
+
+
+def _edge(doc, path: str) -> Edge:
+    delay = mapping(mapping(doc, path).get("delay"), f"{path}.delay")
+    if delay.keys() == {"lognormal"}:
+        law = read(LogNormalDelay, delay["lognormal"], f"{path}.delay.lognormal")
+    else:
+        law = read(FixedDelay, delay, f"{path}.delay")
+    return read(Edge, doc, path, delay=law)
 
 
 def save_spec(spec: GeneratorSpec, path) -> None:

@@ -20,6 +20,7 @@ from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
 from .scene import Observation, Scene
+from .settings import Settings, positive, setting
 from .transition import TransitionNet, batch_inputs, check_scene_compatible
 
 
@@ -57,30 +58,16 @@ LEARNED_BUDGETS = {Strategy.BANDWIDTH, Strategy.COMBINED}
 
 
 @dataclasses.dataclass(frozen=True)
-class InferenceParams:
+class InferenceParams(Settings):
     """Knobs for scoring and allocation at inference time."""
 
-    alpha: float = 0.1
-    beta: float = 0.1
-    gamma0: float = 0.01
-    gamma1: float = 0.01
-    mu: float = 0.5
-    orientation: str = "consistent"
-    time_targeted: bool = False
-
-    def __post_init__(self):
-        # written as "not x > 0" so that NaN fails too
-        if not self.alpha > 0.0 or not self.beta > 0.0:
-            raise ConfigError("alpha and beta must be positive")
-        if not self.gamma0 > 0.0:
-            raise ConfigError("gamma0 must be positive")
-        if not strat.valid_gamma1(self.gamma1):
-            raise ConfigError("gamma1 must be a normal positive float below inf")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ConfigError(f"mu must be in [0, 1], got {self.mu}")
-        if self.orientation not in strat.ORIENTATION_MODES:
-            raise ConfigError(
-                f"orientation must be one of {strat.ORIENTATION_MODES}")
+    alpha: float = setting(0.1, positive)
+    beta: float = setting(0.1, positive)
+    gamma0: float = setting(0.01, positive)
+    gamma1: float = setting(0.01, strat.valid_gamma1)
+    mu: float = setting(0.5, strat.valid_mu)
+    orientation: str = setting("consistent", strat.ORIENTATION_MODES.__contains__)
+    time_targeted: bool = setting(False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -782,14 +769,10 @@ class RunReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(Settings):
     """Which queries to run: all eligible test observations, capped."""
 
-    max_queries: int | None = None
-
-    def __post_init__(self):
-        if self.max_queries is not None and self.max_queries < 1:
-            raise ConfigError("max_queries must be >= 1 when given")
+    max_queries: int | None = setting(None, positive)
 
 
 def eligible_queries(gallery: Gallery) -> tuple[np.ndarray, int]:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
 from .scene import Scene, cross_camera_pairs
+from .settings import positive
 
 ORIENTATION_MODES = ("consistent", "inverted")
 
@@ -29,6 +30,10 @@ def valid_gamma1(gamma1) -> bool:
     1, so a normal gamma1 keeps them finite, while a subnormal one can
     overflow them and inf zeroes them. NaN fails too."""
     return sys.float_info.min <= gamma1 < math.inf
+
+
+def valid_mu(mu) -> bool:  # a convex weight; NaN fails
+    return 0.0 <= mu <= 1.0
 
 
 def _check_orientation(mode: str) -> None:
@@ -170,7 +175,7 @@ def frequency_scores(freq: FrequencyModel, source_camera, t_query,
 def fuse_scores(model_part: np.ndarray, freq_part: np.ndarray,
                 mu: float = 0.5) -> np.ndarray:
     """Convex blend (1 - mu) * model + mu * frequency."""
-    if not 0.0 <= mu <= 1.0:
+    if not valid_mu(mu):
         raise ConfigError(f"mu must be in [0, 1], got {mu}")
     a, b = as_f64(model_part), as_f64(freq_part)
     if a.shape != b.shape:
@@ -195,7 +200,7 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
     similar.
     """
     _check_orientation(orientation)
-    if not alpha > 0.0 or not beta > 0.0:  # NaN fails too
+    if not (positive(alpha) and positive(beta)):
         raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
     o = np.atleast_1d(as_f64(st_scores))
     v = np.atleast_1d(as_f64(visual))
@@ -356,7 +361,7 @@ def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
         raise ShapeError(f"logits {y.shape} and sizes {sizes.shape} differ")
     if y.shape[1] < 2:
         raise InputError("need at least two cameras to allocate")
-    if not gamma0 > 0.0:  # NaN fails too
+    if not positive(gamma0):
         raise ConfigError(f"gamma0 must be positive, got {gamma0}")
     if not valid_gamma1(gamma1):
         raise ConfigError(f"gamma1 must be a normal positive float below inf, "
@@ -368,7 +373,11 @@ def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
                           f"cameras one slot each")
     if not np.all(np.isfinite(y)):
         raise InputError("logits must be finite")
-    z = softmax(y / gamma0, axis=1) * softmax(sizes, axis=1) / gamma1
+    # y less its row maximum is at most 0, so a tiny gamma0 sends it to -inf,
+    # a zero weight, never to +inf and NaN shares
+    with np.errstate(over="ignore"):
+        scaled = (y - y.max(axis=1, keepdims=True)) / gamma0
+    z = softmax(scaled, axis=1) * softmax(sizes, axis=1) / gamma1
     shares = z / z.sum(axis=1, keepdims=True) * total
     return largest_remainder_rows(shares, total), shares
 

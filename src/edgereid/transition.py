@@ -25,6 +25,8 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      InputError, NumericError, ShapeError)
 from .nn import Param, as_f64
 from .scene import Observation, Scene, cross_camera_pairs
+from .settings import (Settings, at_least_two, non_negative, positive, read,
+                       setting)
 
 CHECKPOINT_VERSION = 1
 # Rows of TransitionNet.eval_logits' [rows, C, D] array, 512 KiB at C=8,
@@ -49,7 +51,7 @@ EVAL_WORKER_ROWS = 1024
 
 
 @dataclasses.dataclass(frozen=True)
-class TransitionNetConfig:
+class TransitionNetConfig(Settings):
     """Architecture and time-handling settings for TransitionNet.
 
     embed_dim must be even; time_scale divides raw tick differences before
@@ -57,42 +59,20 @@ class TransitionNetConfig:
     normaliser away from zero (the sum of sines and cosines can vanish).
     """
 
-    num_cameras: int
-    embed_dim: int = 32
-    num_blocks: int = 2
-    max_period: float = 10000.0
-    time_scale: float = 1.0
-    denominator_floor: float = 1e-3
-    per_node_classifier: bool = False
-
-    def __post_init__(self):
-        if self.num_cameras < 2:
-            raise ConfigError(f"need at least 2 cameras, got {self.num_cameras}")
-        if self.embed_dim <= 0 or self.embed_dim % 2 != 0:
-            raise ConfigError(f"embed_dim must be positive and even, got {self.embed_dim}")
-        if self.num_blocks < 1:
-            raise ConfigError(f"need at least one block, got {self.num_blocks}")
-        # written as "not x > bound" so that NaN fails too
-        if not self.max_period > 1.0:
-            raise ConfigError(f"max_period must exceed 1, got {self.max_period}")
-        if not self.time_scale > 0.0:
-            raise ConfigError(f"time_scale must be positive, got {self.time_scale}")
-        if not self.denominator_floor > 0.0:
-            raise ConfigError("denominator_floor must be positive, got "
-                              f"{self.denominator_floor}")
+    num_cameras: int = setting(check=at_least_two)
+    embed_dim: int = setting(32, nn.valid_embed_dim)
+    num_blocks: int = setting(2, positive)
+    max_period: float = setting(10000.0, nn.valid_max_period)
+    time_scale: float = setting(1.0, positive)
+    denominator_floor: float = setting(1e-3, positive)
+    per_node_classifier: bool = setting(False)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "TransitionNetConfig":
-        allowed = {f.name for f in dataclasses.fields(TransitionNetConfig)}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
-        if "num_cameras" not in doc:
-            raise ConfigError("model config is missing num_cameras")
-        return TransitionNetConfig(**doc)
+    @classmethod
+    def from_dict(cls, doc) -> "TransitionNetConfig":
+        return read(cls, doc, "")
 
 
 class GraphBlock:
@@ -606,27 +586,17 @@ class TransitionNet:
 
 
 @dataclasses.dataclass(frozen=True)
-class TrainSchedule:
+class TrainSchedule(Settings):
     """Optimisation settings: Adam at base_lr, decayed by lr_decay every
     lr_step_epochs epochs; pairs_per_epoch defaults to the train-split size."""
 
-    epochs: int = 90
-    base_lr: float = 0.01
-    lr_decay: float = 0.1
-    lr_step_epochs: int = 30
-    batch_size: int = 128
-    pairs_per_epoch: int | None = None
-    holdout_pairs: int = 2000
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if not self.base_lr > 0.0 or not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError("base_lr must be positive and lr_decay in (0, 1]")
-        if self.lr_step_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("lr_step_epochs and batch_size must be >= 1")
-        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
-            raise ConfigError("pairs_per_epoch must be >= 1 when given")
+    epochs: int = setting(90, non_negative)
+    base_lr: float = setting(0.01, positive)
+    lr_decay: float = setting(0.1, lambda x: 0.0 < x <= 1.0)
+    lr_step_epochs: int = setting(30, positive)
+    batch_size: int = setting(128, positive)
+    pairs_per_epoch: int | None = setting(None, positive)
+    holdout_pairs: int = setting(2000, non_negative)
 
     def lr_at(self, epoch: int) -> float:
         return self.base_lr * self.lr_decay ** (epoch // self.lr_step_epochs)
@@ -838,7 +808,7 @@ def load_checkpoint(path) -> TransitionNet:
             f"(expected {CHECKPOINT_VERSION})")
     try:
         config = TransitionNetConfig.from_dict(doc["config"])
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: bad config: {exc}") from None
     model = TransitionNet(config, np.random.default_rng(0))
     params = model.named_params()

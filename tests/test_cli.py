@@ -1,17 +1,23 @@
 """End-to-end command line flows on a tiny synthetic scene."""
 
+import copy
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import edgereid
-from edgereid import transition
+from edgereid import config, transition
 from edgereid.cli import main
-from edgereid.transition import load_checkpoint
+from edgereid.scene import GeneratorSpec
+from edgereid.transition import TransitionNetConfig, load_checkpoint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 BUNDLE = ("report.json", "report.txt", "pairs.csv", "history.json",
@@ -371,6 +377,40 @@ def test_a_subnormal_or_infinite_gamma1_exits_1_and_leaves_no_out_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    *[("feature_noise", value, f"value {value!r} out of range")
+      for value in (math.nan, math.inf, 1e308)],
+    *[(key, value, "expected an integer" if value is True else "expected int")
+      for key in ("num_identities", "visits", "start_spread")
+      for value in (2.5, "4", True)],
+])
+def test_a_bad_generator_setting_exits_1_and_leaves_no_out_directory(
+        tmp_path, config_path, capsys, key, value, message):
+    # each passed --dry-run: the noise ones then failed the run with exit 2,
+    # and the others were silently truncated (2.5 to 2, true to 1)
+    doc = base_config()
+    doc["scene"]["generator"][key] = value
+    path = config_path(doc)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main(["simulate", "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: scene.generator.{key}: {message}\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_tiny_gamma0_keeps_the_allocation_finite(tmp_path, config_path):
+    # y / gamma0 overflowed to inf and the shares to NaN, and the run exited 2
+    with open(os.path.join(CONFIG_DIR, "benchmark.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["inference"]["gamma0"] = 1e-320
+    doc["simulate"].update(max_queries=20, checkpoint=os.path.join(
+        CONFIG_DIR, os.pardir, "bench", "checkpoint.json"))
+    assert main(["simulate", "--config", config_path(doc),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("command", ["train", "simulate", "eval-central"])
 def test_a_run_that_training_rejects_leaves_no_out_directory(
         tmp_path, config_path, capsys, command):
@@ -384,7 +424,8 @@ def test_a_run_that_training_rejects_leaves_no_out_directory(
 
 
 @pytest.mark.parametrize("corrupt", ["nan_bias", "negative_variance",
-                                     "small_max_period"])
+                                     "small_max_period", "float_embed_dim",
+                                     "int_per_node_classifier"])
 def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
         tmp_path, config_path, capsys, corrupt):
     ckpt_dir = tmp_path / "ckpt"
@@ -398,9 +439,16 @@ def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
     elif corrupt == "negative_variance":
         doc["batch_norm"]["head"]["running_var"][0] = -1.0
         entry = "head.running_var"
-    else:
+    elif corrupt == "small_max_period":
         doc["config"]["max_period"] = 0.5
         entry = "max_period"
+    elif corrupt == "float_embed_dim":
+        # loaded, then failed with a TypeError traceback
+        doc["config"]["embed_dim"] = float(doc["config"]["embed_dim"])
+        entry = "embed_dim: expected int"
+    else:
+        doc["config"]["per_node_classifier"] = 0
+        entry = "per_node_classifier: expected bool"
     path.write_text(json.dumps(doc))
     run = base_config()
     run["simulate"]["checkpoint"] = str(path)
@@ -408,5 +456,69 @@ def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
     capsys.readouterr()
     assert main(["simulate", "--config", config_path(run, "ckpt.json"),
                  "--out", str(out)]) == 2
-    assert entry in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert entry in err and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# -- one bad setting, with and without --dry-run ---------------------------------
+
+# Every setting a simulate run reads, by where it sits: a config section, the
+# generator, or the config stored in the checkpoint it serves.
+SETTINGS_READ = {"scene": config.SceneSection, "scene.generator": GeneratorSpec,
+                 "model": config.ModelSection, "train": config.TrainSection,
+                 "inference": config.InferenceSection,
+                 "inference.frequency": config.FrequencySection,
+                 "simulate": config.SimulateSection,
+                 "output": config.OutputSection, "checkpoint": TransitionNetConfig}
+TARGETS = [(where, f.name) for where, kind in SETTINGS_READ.items()
+           for f in dataclasses.fields(kind) if "check" in f.metadata]
+# wrong types (2.0 for an integer), values out of most ranges, NaN and null
+FAULTS = ["1", [2], True, 2.0, None, math.nan, math.inf, -math.inf, -1, 0,
+          -0.5, 1e-320, 1e308]
+
+
+@pytest.fixture(scope="module")
+def stored_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    path = out / "run.json"
+    path.write_text(json.dumps(base_config()))
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(TARGETS), st.sampled_from(FAULTS))
+def test_one_bad_setting_fails_cleanly_and_alike_with_and_without_dry_run(
+        tmp_path, capsys, stored_checkpoint, target, value):
+    where, key = target
+    run_dir = tempfile.mkdtemp(dir=tmp_path)
+    doc = base_config()
+    if where == "checkpoint":
+        stored = copy.deepcopy(stored_checkpoint)
+        stored["config"][key] = value
+        doc["simulate"]["checkpoint"] = os.path.join(run_dir, "checkpoint.json")
+        with open(doc["simulate"]["checkpoint"], "w", encoding="utf-8") as fh:
+            json.dump(stored, fh)
+    else:
+        section = doc
+        for part in where.split("."):
+            section = section.setdefault(part, {})
+        section[key] = value
+    path = os.path.join(run_dir, "run.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = os.path.join(run_dir, "out")
+    capsys.readouterr()
+    codes = []
+    for flags in (["--dry-run"], ["--out", out]):
+        code = main(["simulate", "--config", path, *flags])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+        codes.append(code)
+    assert (codes[0] == 1) == (codes[1] == 1), codes
+    if codes[1]:
+        assert not os.path.exists(out)

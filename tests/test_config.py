@@ -1,5 +1,6 @@
 """Strict config parsing: defaults, coercions, and field-path errors."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,11 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+from edgereid import config, scene, simulate, transition
 from edgereid import strategy as sg
-from edgereid.config import RunConfig, check_paths, load_config, parse_config
+from edgereid.config import (FrequencySection, InferenceSection, ModelSection,
+                             OutputSection, RunConfig, SceneSection,
+                             SimulateSection, TrainSection, check_paths,
+                             load_config, parse_config)
 from edgereid.errors import ConfigError
-from edgereid.scene import Observation, Scene
-from edgereid.simulate import InferenceParams
+from edgereid.scene import GeneratorSpec, Observation, Scene, spec_from_dict
+from edgereid.settings import Settings
+from edgereid.simulate import InferenceParams, QuerySpec
 from edgereid.transition import TrainSchedule, TransitionNetConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -169,20 +175,41 @@ def test_bad_values_report_field_paths(doc, fragment):
         parse_config(doc)
 
 
-# Each float setting that a run also checks outside config.py, with the
-# check that runs there: the class built from the section (config._build)
-# and, for the scoring and allocation weights, the kernel that takes it.
+# Every settings class, with the config path its settings are read at and a
+# valid instance to vary one setting of: the runtime classes that a run
+# builds, then the config sections.
+SETTINGS_CLASSES = {
+    TransitionNetConfig: ("model", TransitionNetConfig(2)),
+    TrainSchedule: ("train", TrainSchedule()),
+    InferenceParams: ("inference", InferenceParams()),
+    QuerySpec: ("simulate", QuerySpec()),
+    GeneratorSpec: ("scene.generator", spec_from_dict(GENERATOR)),
+    SceneSection: ("scene", SceneSection()),
+    ModelSection: ("model", ModelSection()),
+    TrainSection: ("train", TrainSection()),
+    InferenceSection: ("inference", InferenceSection()),
+    FrequencySection: ("inference.frequency", FrequencySection()),
+    SimulateSection: ("simulate", SimulateSection()),
+    OutputSection: ("output", OutputSection()),
+}
+RUNTIME_CLASSES = (TransitionNetConfig, TrainSchedule, InferenceParams,
+                   QuerySpec, GeneratorSpec)
+
+
+def _varied(base, name):
+    return lambda x: dataclasses.replace(base, **{name: x})
+
+
+# Each setting's check on its class, named by its config path (and, for a
+# section, the class), and for the scoring and allocation weights the check
+# of the kernel that takes them.
 CLASS_CHECKS = {
-    "model.max_period": lambda x: TransitionNetConfig(2, max_period=x),
-    "model.time_scale": lambda x: TransitionNetConfig(2, time_scale=x),
-    "model.denominator_floor": lambda x: TransitionNetConfig(2, denominator_floor=x),
-    "train.base_lr": lambda x: TrainSchedule(base_lr=x),
-    "train.lr_decay": lambda x: TrainSchedule(lr_decay=x),
-    "inference.alpha": lambda x: InferenceParams(alpha=x),
-    "inference.beta": lambda x: InferenceParams(beta=x),
-    "inference.gamma0": lambda x: InferenceParams(gamma0=x),
-    "inference.gamma1": lambda x: InferenceParams(gamma1=x),
-    "inference.mu": lambda x: InferenceParams(mu=x),
+    f"{path}.{f.name}" + ("" if kind in RUNTIME_CLASSES else f"-{kind.__name__}"):
+        _varied(base, f.name)
+    for kind, (path, base) in SETTINGS_CLASSES.items()
+    for f in dataclasses.fields(kind) if "check" in f.metadata
+}
+KERNEL_CHECKS = {
     "inference.alpha-joint_similarity":
         lambda x: sg.joint_similarity([0.5], [0.5], alpha=x),
     "inference.beta-joint_similarity":
@@ -192,17 +219,39 @@ CLASS_CHECKS = {
     "inference.gamma1-allocate_bandwidth_rows": lambda x: sg.allocate_bandwidth_rows(
         np.zeros((1, 2)), np.ones((1, 2)), 2, gamma1=x),
 }
+CLASS_CHECKS.update(KERNEL_CHECKS)
 # gamma1's bounds, the smallest normal float and inf, are here with the
 # largest subnormal below it, a subnormal far below, and the largest float
 BOUNDARIES = [math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-320,
               math.nextafter(sys.float_info.min, 0.0), sys.float_info.min, 0.5,
               1.0, 1.0000000000000002, 2.0, sys.float_info.max, math.inf]
+# the classes also take the values of the other setting types; null is left
+# out, since a section's null can mean "from the scene" (model.num_cameras)
+OTHER_VALUES = [True, False, -1, 0, 1, 2, 3, 4, 7, 8, 2**63, 10**400,
+                "consistent", "inverted", "1", [], {}]
+
+
+def _document(path, key, value):
+    if path == "scene.generator":
+        return {"scene": {"generator": {**GENERATOR, key: value}}}
+    return _nested(path, key, value)
+
+
+def test_every_settings_class_is_checked_against_the_parser():
+    declared = {kind for module in (config, scene, simulate, transition)
+                for kind in vars(module).values()
+                if isinstance(kind, type) and issubclass(kind, Settings)
+                and kind is not Settings}
+    # the edges' settings are read by spec_from_dict (tests/test_scene.py)
+    edges = {scene.Edge, scene.FixedDelay, scene.LogNormalDelay}
+    assert declared == set(SETTINGS_CLASSES) | edges
 
 
 @pytest.mark.parametrize("name", CLASS_CHECKS)
 def test_class_checks_reject_what_the_config_field_rejects(name):
-    section, key = name.split("-")[0].split(".")
+    path, key = name.split("-")[0].rsplit(".", 1)
     build = CLASS_CHECKS[name]
+    values = BOUNDARIES if name in KERNEL_CHECKS else BOUNDARIES + OTHER_VALUES
 
     def rejected(call):
         try:
@@ -213,9 +262,9 @@ def test_class_checks_reject_what_the_config_field_rejects(name):
             return True
         return False
 
-    for value in BOUNDARIES:
+    for value in values:
         assert rejected(lambda: build(value)) == rejected(
-            lambda: parse_config({section: {key: value}})), value
+            lambda: parse_config(_document(path, key, value))), value
     assert rejected(lambda: build(math.nan))
 
 

@@ -241,6 +241,29 @@ def test_spec_validation():
         ring_spec(visibility=0.0)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda e: e.update({"from": 0.0}), "edges[0].from: expected int"),
+    (lambda e: e.update({"to": True}), "edges[0].to: expected an integer"),
+    (lambda e: e.update({"prob": "1"}), "edges[0].prob: expected float"),
+    (lambda e: e.update({"prob": math.nan}), "edges[0].prob: value nan out of range"),
+    (lambda e: e.update({"delay": {"fixed": 5.0}}), "edges[0].delay.fixed: expected int"),
+    (lambda e: e.update({"delay": {"fixed": 0}}), "edges[0].delay.fixed: value 0 out of range"),
+    (lambda e: e.update({"delay": {"fixed": 5, "x": 1}}), "edges[0].delay: unknown keys: x"),
+    (lambda e: e.update({"delay": {"lognormal": {"mu": "3", "sigma": 0.3}}}),
+     "edges[0].delay.lognormal.mu: expected float"),
+    (lambda e: e.update({"delay": {"lognormal": {"mu": 3.0}}}),
+     "edges[0].delay.lognormal.sigma: missing"),
+    (lambda e: e.pop("delay"), "edges[0].delay: expected a mapping"),
+])
+def test_spec_edges_are_read_strictly(edit, message):
+    # int(), float() and ignored keys used to pass such edges through
+    doc = sc.spec_to_dict(ring_spec())
+    edit(doc["edges"][0])
+    with pytest.raises(ConfigError) as err:
+        sc.spec_from_dict(doc)
+    assert str(err.value) == f"generator.{message}"
+
+
 def test_lognormal_delay_samples_are_positive_integers():
     law = sc.LogNormalDelay(math.log(40.0), 0.5)
     rng = np.random.default_rng(7)

@@ -357,7 +357,8 @@ def test_row_wise_allocation_matches_one_row_at_a_time(c, rows, extra, gamma0,
     for k in range(rows):
         # row-wise softmax rows are the 1-d softmax, bit for bit
         assert softmax(logits, axis=1)[k].tobytes() == softmax(logits[k]).tobytes()
-        z = softmax(logits[k] / gamma0) * softmax(sizes[k]) / 0.01
+        z = (softmax((logits[k] - logits[k].max()) / gamma0)
+             * softmax(sizes[k]) / 0.01)
         want = z / z.sum() * total
         assert shares[k].tobytes() == want.tobytes()
         np.testing.assert_array_equal(budgets[k],
