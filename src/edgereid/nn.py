@@ -28,6 +28,7 @@ returns it.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from typing import Callable, Mapping
@@ -94,19 +95,30 @@ class Param:
 class Workspace:
     """Reusable float64 work buffers, keyed by name.
 
-    get(name, shape) returns a C-contiguous view of the buffer stored under
-    name, allocating it only when it is missing or smaller than shape asks.
-    scope(prefix) is a view of the same buffers whose names carry the prefix,
-    so that the arrays one layer keeps for its backward pass do not collide
-    with another layer's.
+    get(name, shape) returns a C-contiguous view of the start of the buffer
+    stored under name, allocating it only when it is missing or smaller
+    than shape asks. scope(prefix) is a view of the same buffers whose names
+    carry the prefix, so that the arrays one layer keeps for its backward
+    pass do not collide with another layer's.
+
+    shared maps names to buffers common to every scope: get(name) for a
+    name in it returns the start of that buffer, whatever the scope, so
+    arrays whose lifetimes do not overlap take the same memory. The caller
+    that lists a name makes sure that the buffer's previous occupant has
+    been read for the last time. TransitionNet's training step keeps in
+    scoped buffers only what backward reads: layer norm's x_hat, GELU's
+    input and Phi, batch norm's x_hat and ReLU's output. Backward recomputes
+    layer norm's output (layer_norm_output) and the mixing product from
+    them, and every other array of the step is listed in shared.
     """
 
-    def __init__(self, buffers: dict | None = None, prefix: str = ""):
-        self._buffers = {} if buffers is None else buffers
-        self._prefix = prefix
+    def __init__(self, shared: Mapping[str, str] | None = None):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._shared = dict(shared or {})
+        self._prefix = ""
 
     def get(self, name: str, shape) -> np.ndarray:
-        key = self._prefix + name
+        key = self._shared.get(name) or self._prefix + name
         size = math.prod(shape)
         flat = self._buffers.get(key)
         if flat is None or flat.size < size:
@@ -114,7 +126,9 @@ class Workspace:
         return flat[:size].reshape(shape)
 
     def scope(self, prefix: str) -> "Workspace":
-        return Workspace(self._buffers, f"{self._prefix}{prefix}.")
+        scoped = copy.copy(self)
+        scoped._prefix = f"{self._prefix}{prefix}."
+        return scoped
 
 
 def zero_grads(params) -> None:
@@ -253,10 +267,16 @@ def layer_norm_forward(x: np.ndarray, scale: Param, shift: Param,
     x_hat = work.get("layer_norm.x_hat", x.shape)
     y = work.get("layer_norm.out", x.shape)
     inv_std = _standardize(x, x_hat, y, eps)
-    np.multiply(x_hat, scale.value, out=y)
-    y += shift.value
-    cache = (x_hat, inv_std)
-    return y, cache
+    return layer_norm_output(x_hat, scale, shift, y), (x_hat, inv_std)
+
+
+def layer_norm_output(x_hat: np.ndarray, scale: Param, shift: Param,
+                      out: np.ndarray) -> np.ndarray:
+    """x_hat * scale + shift written into out: layer_norm_forward's output
+    from its cached x_hat, with the bits it returned."""
+    np.multiply(x_hat, scale.value, out=out)
+    out += shift.value
+    return out
 
 
 def layer_norm_in_place(x: np.ndarray, scale: Param, shift: Param,
@@ -420,7 +440,8 @@ def relu(x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
 
 def relu_backward(gy: np.ndarray, x: np.ndarray,
                   work: Workspace | None = None) -> np.ndarray:
-    """gy where x > 0, else 0."""
+    """gy where x > 0, else 0. x may be relu's input or its output: the two
+    are positive at the same places, NaN in neither."""
     grad = (work or Workspace()).get("relu_backward.grad", gy.shape)
     grad[...] = 0.0
     np.copyto(grad, gy, where=x > 0.0)

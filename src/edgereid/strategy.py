@@ -213,8 +213,12 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
     # Two arrays of o's shape, each step in place, in the formula's order.
     # The spatial one is C-ordered: a row's sum in the softmax depends on the
     # memory layout, and fancy indexing can hand over F-ordered rows.
-    s = np.negative(o, out=np.empty(o.shape))  # 1 / (1 + alpha e^phi)
-    s /= beta
+    # 1 / (1 + alpha e^phi). The softmax is taken of (min(o) - o) / beta,
+    # which is at most 0 and 0 at the minimum, so a tiny beta sends it to
+    # -inf, a zero weight, never to +inf and NaN
+    s = np.subtract(o.min(axis=-1, keepdims=True), o, out=np.empty(o.shape))
+    with np.errstate(over="ignore"):
+        s /= beta
     softmax(s, out=s)
     np.exp(s, out=s)
     s *= alpha
@@ -302,9 +306,9 @@ def largest_remainder_rows(shares: np.ndarray, total: int) -> np.ndarray:
     Floors each share, hands a row's leftover units to its largest
     fractional remainders (ties to the lower column), or takes a surplus
     back one unit per positive budget from the smallest remainders; one
-    lexsort keyed by (row, remainder, column) orders every row. Then each
-    empty camera takes one unit from the largest budget (ties to the lower
-    column), computed for all rows at once.
+    stable argsort along the rows orders each by remainder, then column.
+    Then each empty camera takes one unit from the largest budget (ties to
+    the lower column), computed for all rows at once.
     """
     shares = as_f64(shares)
     if shares.ndim != 2:
@@ -319,8 +323,7 @@ def largest_remainder_rows(shares: np.ndarray, total: int) -> np.ndarray:
     if leftover.any():
         short = (leftover > 0)[:, None]
         key = np.where(short, base - shares, shares - base)
-        order = np.lexsort((np.tile(columns, rows), key.ravel(),
-                            np.repeat(np.arange(rows), n))).reshape(rows, n) % n
+        order = np.argsort(key, axis=1, kind="stable")
         positive = base[row_ids, order] > 0
         give = short & (columns < leftover[:, None])
         take = ~short & positive & (np.cumsum(positive, axis=1) <= -leftover[:, None])

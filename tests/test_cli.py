@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -409,6 +410,19 @@ def test_a_tiny_gamma0_keeps_the_allocation_finite(tmp_path, config_path):
         CONFIG_DIR, os.pardir, "bench", "checkpoint.json"))
     assert main(["simulate", "--config", config_path(doc),
                  "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval-central"])
+def test_a_tiny_beta_keeps_the_joint_similarity_finite(tmp_path, config_path,
+                                                      command):
+    # -o / beta would overflow, and the softmax turn NaN ("sort keys must
+    # not be NaN", exit 2)
+    doc = base_config()
+    doc["inference"] = {"beta": 1e-320}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", config_path(doc),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", ["train", "simulate", "eval-central"])

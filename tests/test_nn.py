@@ -473,6 +473,12 @@ def test_workspace_reuses_and_grows_buffers():
     block = work.scope("block0")
     assert not np.shares_memory(block.get("x", (2, 3)), c)
     assert np.shares_memory(block.get("x", (2, 3)), work.scope("block0").get("x", (1,)))
+    # names listed as shared take one buffer, whatever the scope
+    shared = nn.Workspace({"t": "common", "u": "common"})
+    assert np.shares_memory(shared.scope("block0").get("t", (2, 3)),
+                            shared.scope("head").get("u", (6,)))
+    assert not np.shares_memory(shared.scope("block0").get("x", (2,)),
+                                shared.scope("block1").get("x", (2,)))
     # without a workspace a kernel allocates: two calls share nothing
     x = np.ones((3, 2))
     assert not np.shares_memory(nn.relu(x), nn.relu(x))

@@ -473,9 +473,10 @@ def test_fancy_indexed_rows_are_not_c_ordered():
 
 
 def reference_joint_similarity(o, v, alpha, beta, orientation):
-    """joint_similarity's arithmetic as it was before it worked in place: a
-    fresh array per step."""
-    phi = softmax(-np.ascontiguousarray(o) / beta)
+    """joint_similarity's arithmetic on a fresh array per step, the softmax
+    taken of (min(o) - o) / beta."""
+    o = np.ascontiguousarray(o)
+    phi = softmax((o.min(axis=-1, keepdims=True) - o) / beta)
     spatial = 1.0 / (1.0 + alpha * np.exp(phi))
     gate = (v - 1.0) if orientation == "inverted" else -(v - 1.0)
     visual_term = 1.0 / (1.0 + np.exp(gate))

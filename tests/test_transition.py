@@ -494,7 +494,7 @@ def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers, per_n
         finally:
             tracemalloc.stop()
     # the pass holds two [EVAL_ROWS, C, D] arrays (512 KiB each), shared by
-    # the workers; a forward pass with a backward cache holds about seventeen
+    # the workers; a training step of as many rows holds thirteen
     assert peak < 4 * tr.EVAL_ROWS * c * d * 8
 
 
@@ -638,19 +638,22 @@ def test_graph_block_matches_the_einsum_block(c, half_d, n, seed):
     gout = rng.normal(size=(n, c, d))
     abs_adj = np.abs(block.adjacency.value)
 
-    out, cache = block.forward(a)
+    out, (_, got_pre, _) = block.forward(a)
     want_out, want_cache = einsum_block_forward(block, a)
-    normed, _, mixed, pre, phi = want_cache
+    normed, ln_cache, mixed, pre, phi = want_cache
     mixed_size = np.matmul(abs_adj, np.abs(normed))
     pre_size = mixed_size @ np.abs(block.transfer.value)
-    assert_close_to_sum(cache[2], mixed, mixed_size)
+    # the product forward runs and backward recomputes
+    got_mixed = block._mix(normed, nn.Workspace())
+    assert_close_to_sum(got_mixed, mixed, mixed_size)
     # pre and GELU's output (slope under 1.2) inherit mixed's error
-    assert_close_to_sum(cache[3], pre, pre_size)
+    assert_close_to_sum(got_pre, pre, pre_size)
     assert_close_to_sum(out, want_out, pre_size)
 
-    # both backward passes start from the reference cache, so that they
-    # differ only in their own sums
-    got = run_backward(lambda g: block.backward(g, want_cache), block, gout)
+    # both backward passes start from the reference cache, with the mixing
+    # the block recomputes, so that they differ only in their own sums
+    got = run_backward(lambda g: block.backward(g, (ln_cache, pre, phi)), block, gout)
+    want_cache = (normed, ln_cache, got_mixed, pre, phi)
     want = run_backward(lambda g: einsum_block_backward(block, g, want_cache),
                         block, gout)
     gpre = nn.gelu_backward(gout, pre, phi)
@@ -1075,10 +1078,19 @@ def random_batch(rng, n, c, spread=300):
             rng.integers(0, c, n))
 
 
-@pytest.mark.parametrize("per_node", [False, True])
-def test_a_repeated_training_step_allocates_no_layer_arrays(per_node):
+# Both head layouts at two graph blocks, the default, and at one and three,
+# where buffers shared between consecutive blocks would alias first. The
+# two-block cases are named by the layout alone.
+HEADS_AND_BLOCKS = [
+    pytest.param(per_node, blocks,
+                 id=str(per_node) if blocks == 2 else f"{per_node}-{blocks}")
+    for blocks in (2, 1, 3) for per_node in (False, True)]
+
+
+@pytest.mark.parametrize("per_node, num_blocks", HEADS_AND_BLOCKS)
+def test_a_repeated_training_step_allocates_no_layer_arrays(per_node, num_blocks):
     n, c, d = 128, 8, 32
-    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=3,
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=3,
                        per_node_classifier=per_node)
     batch = random_batch(np.random.default_rng(4), n, c)
     tr.training_step(model, batch, 0.01)  # sizes the work buffers
@@ -1091,6 +1103,27 @@ def test_a_repeated_training_step_allocates_no_layer_arrays(per_node):
         tracemalloc.stop()
     # one [n, C, D] float64 array is 256 KiB
     assert peak < 2 * n * c * d * 8
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_a_training_step_keeps_at_most_sixteen_batch_arrays(per_node):
+    n, c, d = 128, 8, 32
+    unit = n * c * d * 8  # one [n, C, D] float64 array, 256 KiB
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=3,
+                       per_node_classifier=per_node)
+    batch = random_batch(np.random.default_rng(4), n, c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.training_step(model, batch, 0.01)  # sizes the buffers from empty
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # what backward reads, kept per layer, and the shared buffers
+    held = sum(flat.nbytes for flat in model._work._buffers.values())
+    assert held <= 16 * unit
+    # Adam's two scratch arrays are spatial_weight's size, 512 KiB
+    assert peak < 16 * unit + c * d * c * d * 8
 
 
 def model_state(model):
@@ -1106,8 +1139,8 @@ def model_state(model):
     return state
 
 
-@pytest.mark.parametrize("per_node", [False, True])
-def test_training_matches_the_allocating_layers(per_node):
+@pytest.mark.parametrize("per_node, num_blocks", HEADS_AND_BLOCKS)
+def test_training_matches_the_allocating_layers(per_node, num_blocks):
     # 45 pairs in batches of 16 leave a 13-pair tail, and each epoch's
     # hold-out evaluation changes the batch shape between training steps
     scene = ring_scene(num_cameras=3, identities=40, visits=5, seed=40)
@@ -1115,8 +1148,8 @@ def test_training_matches_the_allocating_layers(per_node):
                                 holdout_pairs=300)
     runs = []
     for reference in (False, True):
-        model = tiny_model(num_cameras=3, embed_dim=8, num_blocks=2, seed=41,
-                           per_node_classifier=per_node)
+        model = tiny_model(num_cameras=3, embed_dim=8, num_blocks=num_blocks,
+                           seed=41, per_node_classifier=per_node)
         with pytest.MonkeyPatch.context() as mp:
             if reference:
                 ref.installed(mp)
