@@ -7,8 +7,6 @@ approach its conditional distribution. This prints both side by side for
 one source camera.
 """
 
-import collections
-
 import numpy as np
 
 from edgereid import scene as sc
@@ -32,18 +30,15 @@ EDGES = np.array([20.0, 45.0, 70.0, 95.0, 120.0, 145.0])
 
 def empirical_conditional(scene, camera, edges):
     """Histogram p(next camera | camera, delay bin) from consecutive visits."""
-    by_id = collections.defaultdict(list)
-    for o in scene.observations:
-        by_id[o.identity].append((o.timestamp, o.camera))
+    # each identity's sightings in time order, one after another
+    order = np.lexsort((scene.cameras, scene.timestamps, scene.identities))
+    ids, ts, cams = (col[order] for col in
+                     (scene.identities, scene.timestamps, scene.cameras))
+    step = (ids[1:] == ids[:-1]) & (cams[:-1] == camera)
+    bins = np.searchsorted(edges, (ts[1:] - ts[:-1])[step], side="right") - 1
+    inside = (bins >= 0) & (bins < edges.size - 1)
     counts = np.zeros((edges.size - 1, scene.num_cameras))
-    for steps in by_id.values():
-        steps.sort()
-        for (t0, c0), (t1, c1) in zip(steps, steps[1:]):
-            if c0 != camera:
-                continue
-            b = np.searchsorted(edges, t1 - t0, side="right") - 1
-            if 0 <= b < edges.size - 1:
-                counts[b, c1] += 1
+    np.add.at(counts, (bins[inside], cams[1:][step][inside]), 1)
     totals = counts.sum(axis=1, keepdims=True)
     out = np.zeros_like(counts)
     np.divide(counts, totals, out=out, where=totals > 0)
@@ -52,7 +47,7 @@ def empirical_conditional(scene, camera, edges):
 
 def main():
     scene = sc.generate(SPEC, np.random.default_rng(0))
-    print(f"scene: {len(scene.observations)} observations over "
+    print(f"scene: {len(scene)} observations over "
           f"{scene.num_cameras} cameras")
 
     oracle = sc.TransitionOracle(SPEC, EDGES)

@@ -25,7 +25,7 @@ def main():
     gen_rng, split_rng = np.random.default_rng(config.scene.seed).spawn(2)
     scene = split_identities(generate(config.scene.generator, gen_rng),
                              config.scene.train_fraction, split_rng)
-    print(f"scene: {len(scene.observations)} observations, "
+    print(f"scene: {len(scene)} observations, "
           f"{scene.num_cameras} cameras, "
           f"{len(scene.train_identities)} train identities")
 

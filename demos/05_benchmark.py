@@ -45,8 +45,7 @@ def main():
     print(f"trained 40 epochs in {time.monotonic() - start:.0f}s, "
           f"holdout accuracy {history[-1]['holdout_accuracy']:.3f}")
 
-    table = build_transition_table(
-        model, np.array([o.timestamp for o in scene.observations]))
+    table = build_transition_table(model, scene.timestamps)
     models = Models(transition=table)
     # alpha well above 1 makes the spatial factor bite; default 0.1 only
     # nudges scores by a few percent.

@@ -108,13 +108,12 @@ def _serving_models(config: RunConfig, scene):
     the frequency model: (model, history, Models)."""
     model, history = _obtain_model(config, scene)
     check_scene_compatible(model, scene)
-    timestamps = np.array([o.timestamp for o in scene.observations], dtype=np.int64)
     freq = config.inference.frequency
     frequency = None
     if freq.enabled:
         frequency = fit_frequency(scene, bin_width=freq.bin_width,
                                   sigma_bins=freq.sigma_bins, floor=freq.floor)
-    models = Models(build_transition_table(model, timestamps), frequency)
+    models = Models(build_transition_table(model, scene.timestamps), frequency)
     return model, history, models
 
 
@@ -136,7 +135,7 @@ def cmd_gen(config: RunConfig, dry_run: bool) -> int:
     scene = generate(spec, gen_rng)
     export_csv(scene, os.path.join(out, "scene.csv"))
     save_spec(spec, os.path.join(out, "generator.json"))
-    print(f"wrote {len(scene.observations)} observations over "
+    print(f"wrote {len(scene)} observations over "
           f"{scene.num_cameras} cameras to {os.path.join(out, 'scene.csv')}")
     return EXIT_OK
 
@@ -212,15 +211,12 @@ def cmd_gradcheck(config: RunConfig, dry_run: bool, inject_fault: bool) -> int:
     return EXIT_OK
 
 
-def _strategies_needing_features(names) -> list[str]:
-    return [n for n in names if Strategy.parse(n) is not Strategy.CENTRALIZED]
-
-
 def _check_simulate_config(config: RunConfig, num_cameras: int,
                            feature_dim: int) -> None:
     """Reject strategies that need features the scene lacks, and a bandwidth
     that cannot give every camera one slot."""
-    needy = _strategies_needing_features(config.simulate.strategies)
+    needy = [n for n in config.simulate.strategies
+             if Strategy.parse(n) is not Strategy.CENTRALIZED]
     if needy and feature_dim == 0:
         raise ConfigError(
             f"strategies {needy} need appearance features but the scene has "

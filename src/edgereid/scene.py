@@ -1,10 +1,11 @@
 """Synthetic camera-network scenes and observation datasets.
 
-A Scene is an immutable bag of (identity, camera, timestamp[, feature])
-observations on integer time ticks, optionally split into train/test
-identities. Scenes come from a generator spec (random walks on a camera
-graph with per-edge delay laws) or from a CSV file, and a spec can also be
-turned into a closed-form transition oracle for checking learned models.
+A Scene is an immutable table of sightings on integer time ticks, read by
+column (`scene.identities`, `scene.cameras`, `scene.timestamps` and the
+optional `scene.features` matrix) and optionally split into train/test
+identities, each split a Scene of its rows. Scenes come from a generator
+spec (random walks on a camera graph with per-edge delay laws) or from a CSV
+file, and a spec can also be turned into a closed-form transition oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ CSV_BASE_HEADER = ("identity", "camera", "timestamp")
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Observation:
-    """One sighting of an identity at a camera on an integer time tick."""
+    """One sighting on an integer time tick: a row of Scene.observations."""
 
     identity: int
     camera: int
@@ -127,51 +128,70 @@ class GeneratorSpec(Settings):
         return tuple(e for e in self.edges if e.source == camera)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Scene:
-    """An observation dataset over num_cameras cameras.
-
-    Observations are kept sorted by (camera, timestamp, identity). The
-    train/test identity split is optional until assigned; camera_ids records
-    the original labels when a CSV used non-contiguous camera numbers.
+    """An observation table over num_cameras cameras: int64 columns and an
+    optional [n, d] float64 features matrix, one row per sighting, sorted by
+    (camera, timestamp, identity) with ties in the order given, in read-only
+    arrays. The train/test identity split is optional until assigned;
+    camera_ids records the original labels when a CSV used non-contiguous
+    camera numbers.
     """
 
     num_cameras: int
-    observations: tuple[Observation, ...]
+    identities: np.ndarray
+    cameras: np.ndarray
+    timestamps: np.ndarray
+    features: np.ndarray | None = None
     train_identities: frozenset[int] | None = None
     test_identities: frozenset[int] | None = None
     generator: GeneratorSpec | None = None
     camera_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for obs in self.observations:
-            if not 0 <= obs.camera < self.num_cameras:
-                raise DataError(
-                    f"observation camera {obs.camera} outside [0, {self.num_cameras})")
-        ordered = tuple(sorted(
-            self.observations, key=lambda o: (o.camera, o.timestamp, o.identity)))
-        object.__setattr__(self, "observations", ordered)
+        ids, cams, ts = (np.asarray(col, dtype=np.int64) for col in
+                         (self.identities, self.cameras, self.timestamps))
+        outside = (cams < 0) | (cams >= self.num_cameras)
+        if outside.any():
+            raise DataError(f"observation camera {cams[outside][0]} outside "
+                            f"[0, {self.num_cameras})")
+        columns = {"identities": ids, "cameras": cams, "timestamps": ts}
+        if self.features is not None:
+            columns["features"] = as_f64(self.features)
+        order = np.lexsort((ids, ts, cams))
+        for name, column in columns.items():
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.identities.size
 
     @property
     def feature_dim(self) -> int:
-        for obs in self.observations:
-            if obs.feature is not None:
-                return int(obs.feature.shape[0])
-        return 0
+        return 0 if self.features is None else self.features.shape[1]
 
-    def identities(self) -> list[int]:
-        return sorted({o.identity for o in self.observations})
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """The rows as records, built anew on every read."""
+        features = [None] * len(self) if self.features is None else self.features
+        return tuple(map(Observation, self.identities.tolist(), self.cameras.tolist(),
+                         self.timestamps.tolist(), features))
 
-    def subset(self, identities: Iterable[int]) -> list[Observation]:
-        wanted = set(identities)
-        return [o for o in self.observations if o.identity in wanted]
+    def subset(self, identities: Iterable[int]) -> Scene:
+        """The rows of the given identities, as a Scene of the same kind."""
+        keep = np.isin(self.identities, np.fromiter(identities, dtype=np.int64))
+        return dataclasses.replace(
+            self, identities=self.identities[keep], cameras=self.cameras[keep],
+            timestamps=self.timestamps[keep],
+            features=None if self.features is None else self.features[keep])
 
-    def train_observations(self) -> list[Observation]:
+    def train_observations(self) -> Scene:
         if self.train_identities is None:
             raise DataError("scene has no train/test split")
         return self.subset(self.train_identities)
 
-    def test_observations(self) -> list[Observation]:
+    def test_observations(self) -> Scene:
         if self.test_identities is None:
             raise DataError("scene has no train/test split")
         return self.subset(self.test_identities)
@@ -224,9 +244,7 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator) -> Scene:
         per_camera.append((edges, cdf.tolist()))
     dim = spec.feature_dim
     always_visible = spec.visibility >= 1.0
-    identities: list[int] = []
-    cameras: list[int] = []
-    ticks: list[int] = []
+    identities, cameras, ticks = [], [], []
     means = np.empty((spec.num_identities, dim))
     noise = np.empty((spec.num_identities * spec.visits, dim))
     for ident in range(spec.num_identities):
@@ -246,16 +264,15 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator) -> Scene:
             choice = edges[bisect.bisect_right(cdf, rng.random())] if len(edges) > 1 else edges[0]
             t += choice.delay.sample(rng)
             camera = choice.dest
-    features: list[np.ndarray | None] = [None] * len(ticks)
+    features = None
     if dim:
-        rows = means[identities] + spec.feature_noise * noise[:len(ticks)]
-        rows /= np.array([math.sqrt(row.dot(row)) for row in rows])[:, None]
-        features = list(rows)
+        features = means[identities] + spec.feature_noise * noise[:len(ticks)]
+        features /= np.array([math.sqrt(row.dot(row)) for row in features])[:, None]
     unseen = sorted(set(range(spec.num_cameras)) - set(cameras))
     if unseen:
         warnings.warn(f"cameras {unseen} recorded no observations", stacklevel=2)
-    observations = tuple(map(Observation, identities, cameras, ticks, features))
-    return Scene(num_cameras=spec.num_cameras, observations=observations,
+    return Scene(num_cameras=spec.num_cameras, identities=identities,
+                 cameras=cameras, timestamps=ticks, features=features,
                  generator=spec)
 
 
@@ -264,12 +281,11 @@ def split_identities(scene: Scene, train_fraction: float,
     """Assign every identity to the train or test side, disjointly."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ids = scene.identities()
+    ids = np.unique(scene.identities).tolist()
     if len(ids) < 2:
         raise DataError("need at least two identities to split")
     order = rng.permutation(len(ids))
-    n_train = int(round(len(ids) * train_fraction))
-    n_train = min(max(n_train, 1), len(ids) - 1)
+    n_train = min(max(int(round(len(ids) * train_fraction)), 1), len(ids) - 1)
     train = frozenset(ids[i] for i in order[:n_train])
     test = frozenset(ids[i] for i in order[n_train:])
     return dataclasses.replace(scene, train_identities=train, test_identities=test)
@@ -278,17 +294,13 @@ def split_identities(scene: Scene, train_fraction: float,
 def export_csv(scene: Scene, path) -> None:
     """Write the scene as CSV with full-precision features (UTF-8, LF),
     under the original camera labels when the scene records them."""
-    dim = scene.feature_dim
-    header = list(CSV_BASE_HEADER) + [f"f{i}" for i in range(dim)]
-    lines = [",".join(header)]
-    labels = scene.camera_ids or range(scene.num_cameras)
-    for obs in scene.observations:
-        row = [str(obs.identity), str(labels[obs.camera]), str(obs.timestamp)]
-        if dim:
-            if obs.feature is None:
-                raise DataError("mixed featured and featureless observations")
-            row.extend(repr(float(v)) for v in obs.feature)
-        lines.append(",".join(row))
+    header = list(CSV_BASE_HEADER) + [f"f{i}" for i in range(scene.feature_dim)]
+    labels = np.asarray(scene.camera_ids or range(scene.num_cameras))
+    columns = [map(str, col.tolist()) for col in
+               (scene.identities, labels[scene.cameras], scene.timestamps)]
+    if scene.features is not None:
+        columns.append(",".join(map(repr, row)) for row in scene.features.tolist())
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -301,8 +313,7 @@ def ingest_csv(path) -> Scene:
     renormalised with a warning.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -312,7 +323,8 @@ def ingest_csv(path) -> Scene:
     for i, name in enumerate(header[3:]):
         if name != f"f{i}":
             raise DataError(f"{path}: feature column {i} is named {name!r}, want f{i}")
-    rows: list[tuple[int, int, int, np.ndarray | None]] = []
+    rows: list[tuple[int, int, int]] = []
+    features: list[np.ndarray] = []
     renormalised = 0
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -324,7 +336,6 @@ def ingest_csv(path) -> Scene:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if ident < 0 or ts < 0:
             raise DataError(f"{path}:{lineno}: identity and timestamp must be >= 0")
-        feature = None
         if dim:
             try:
                 feature = np.array([float(v) for v in parts[3:]], dtype=np.float64)
@@ -338,17 +349,18 @@ def ingest_csv(path) -> Scene:
             if abs(norm - 1.0) > 1e-9:
                 feature = feature / norm
                 renormalised += 1
-        rows.append((ident, camera, ts, feature))
+            features.append(feature)
+        rows.append((ident, camera, ts))
     if not rows:
         raise DataError(f"{path}: no observations")
     if renormalised:
         warnings.warn(f"{path}: renormalised {renormalised} feature vectors",
                       stacklevel=2)
-    cameras = sorted({r[1] for r in rows})
-    dense = {orig: i for i, orig in enumerate(cameras)}
-    observations = tuple(Observation(r[0], dense[r[1]], r[2], r[3]) for r in rows)
-    return Scene(num_cameras=len(cameras), observations=observations,
-                 camera_ids=tuple(cameras))
+    identities, labels, timestamps = np.array(rows, dtype=np.int64).T
+    cameras, dense = np.unique(labels, return_inverse=True)
+    return Scene(num_cameras=cameras.size, identities=identities, cameras=dense,
+                 timestamps=timestamps, features=np.array(features) if dim else None,
+                 camera_ids=tuple(cameras.tolist()))
 
 
 class TransitionOracle:

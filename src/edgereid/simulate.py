@@ -19,7 +19,7 @@ import numpy as np
 from . import strategy as strat
 from .errors import ConfigError, DataError, InputError, ShapeError
 from .nn import as_f64, softmax
-from .scene import Observation, Scene
+from .scene import Scene
 from .settings import Settings, positive, setting
 from .transition import TransitionNet, batch_inputs, check_scene_compatible
 
@@ -221,20 +221,14 @@ class Gallery:
         return IdentityIndex(items, bounds[group], bounds[group + 1], spans[group])
 
 
-def build_gallery(observations: Sequence[Observation], num_cameras: int) -> Gallery:
-    if not observations:
+def build_gallery(split: Scene, num_cameras: int) -> Gallery:
+    """A split's columns plus each camera's item indices."""
+    if not len(split):
         raise DataError("empty gallery")
-    identities = np.array([o.identity for o in observations], dtype=np.int64)
-    cameras = np.array([o.camera for o in observations], dtype=np.int64)
-    timestamps = np.array([o.timestamp for o in observations], dtype=np.int64)
-    features = None
-    if observations[0].feature is not None:
-        if any(o.feature is None for o in observations):
-            raise DataError("mixed featured and featureless observations")
-        features = np.stack([o.feature for o in observations])
-    device_items = tuple(np.flatnonzero(cameras == c) for c in range(num_cameras))
-    return Gallery(identities=identities, cameras=cameras, timestamps=timestamps,
-                   features=features, device_items=device_items)
+    device_items = tuple(np.flatnonzero(split.cameras == c) for c in range(num_cameras))
+    return Gallery(identities=split.identities, cameras=split.cameras,
+                   timestamps=split.timestamps, features=split.features,
+                   device_items=device_items)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -926,12 +920,10 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     plan plus run_rounds per (query, strategy) is the scalar reference. Each
     report keeps the outcomes as the columns computed here.
     """
-    if scene.test_identities is None:
-        raise DataError("scene has no train/test split")
+    gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     if models.transition is not None:
         check_scene_compatible(models.transition, scene)
     strategies = [Strategy.parse(s) if isinstance(s, str) else s for s in strategies]
-    gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     for strategy in strategies:
         _check_strategy(strategy, gallery, total_bandwidth, params, models)
     chosen, skipped = _choose_queries(gallery, query_spec.max_queries, rng)
@@ -1091,8 +1083,6 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     QuerySpec checks it.
     """
     QuerySpec(max_queries=max_queries)
-    if scene.test_identities is None:
-        raise DataError("scene has no train/test split")
     gallery = build_gallery(scene.test_observations(), scene.num_cameras)
     if gallery.features is None:
         raise ConfigError("centralized evaluation needs appearance features")

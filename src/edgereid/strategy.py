@@ -25,10 +25,9 @@ ORIENTATION_MODES = ("consistent", "inverted")
 
 
 def valid_gamma1(gamma1) -> bool:
-    """Whether gamma1 is a normal positive float below inf, the range the
-    allocation can divide by: its shares before the division sum to at most
-    1, so a normal gamma1 keeps them finite, while a subnormal one can
-    overflow them and inf zeroes them. NaN fails too."""
+    """Whether gamma1 is a normal positive float below inf (NaN fails): the
+    range softmax(y / gamma0) * softmax(sizes) / gamma1 can divide by. gamma1
+    cancels in the normalised shares, so no computation reads it."""
     return sys.float_info.min <= gamma1 < math.inf
 
 
@@ -122,12 +121,9 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
         raise ConfigError(f"sigma_bins must be finite, got {sigma_bins}")
     if not 0.0 < floor < math.inf:
         raise ConfigError(f"floor must be positive and finite, got {floor}")
-    observations = scene.train_observations()
-    if not observations:
-        raise DataError("train split is empty")
-    cams = np.array([o.camera for o in observations], dtype=np.int64)
-    ts = np.array([o.timestamp for o in observations], dtype=np.int64)
-    first, second = cross_camera_pairs([o.identity for o in observations], cams)
+    split = scene.train_observations()
+    cams, ts = split.cameras, split.timestamps
+    first, second = cross_camera_pairs(split.identities, cams)
     if first.size == 0:
         raise DataError("no cross-camera pairs in the train split")
     sources = np.concatenate((cams[first], cams[second]))
@@ -376,12 +372,11 @@ def allocate_bandwidth_rows(logits, gallery_sizes, total: int,
                           f"cameras one slot each")
     if not np.all(np.isfinite(y)):
         raise InputError("logits must be finite")
-    # y less its row maximum is at most 0, so a tiny gamma0 sends it to -inf,
-    # a zero weight, never to +inf and NaN shares
+    # y less its row maximum is at most 0, and 0 at the top camera: a tiny
+    # gamma0 sends the others to -inf, zero shares, never +inf and NaN ones
     with np.errstate(over="ignore"):
         scaled = (y - y.max(axis=1, keepdims=True)) / gamma0
-    z = softmax(scaled, axis=1) * softmax(sizes, axis=1) / gamma1
-    shares = z / z.sum(axis=1, keepdims=True) * total
+    shares = softmax(scaled + sizes, axis=1) * total
     return largest_remainder_rows(shares, total), shares
 
 
@@ -389,11 +384,12 @@ def allocate_bandwidth(logits, gallery_sizes, total: int, gamma0: float = 0.01,
                        gamma1: float = 0.01) -> BandwidthAllocation:
     """Split the round budget across cameras from logits and gallery sizes.
 
-    Real-valued shares follow softmax(logits / gamma0) * softmax(sizes) /
-    gamma1, renormalised to sum to the total; gamma1 cancels in the
-    normalisation but is kept for configurability. Integerisation is largest-
-    remainder with a floor of one slot per camera. This is
-    allocate_bandwidth_rows of one row.
+    Real-valued shares are softmax((logits - max logit) / gamma0 + sizes) *
+    total: softmax(logits / gamma0) * softmax(sizes) / gamma1 renormalised to
+    the total, as one softmax that cannot underflow to 0 / 0. gamma1 cancels;
+    it stays a validated argument because the benchmark's replay passes it.
+    Integerisation is largest-remainder with a floor of one slot per camera.
+    This is allocate_bandwidth_rows of one row.
     """
     budgets, shares = allocate_bandwidth_rows(
         np.atleast_1d(as_f64(logits))[None], np.atleast_1d(as_f64(gallery_sizes))[None],

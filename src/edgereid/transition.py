@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import threading
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import nn
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      InputError, NumericError, ShapeError)
 from .nn import Param, as_f64
-from .scene import Observation, Scene, cross_camera_pairs
+from .scene import Scene, cross_camera_pairs
 from .settings import (Settings, at_least_two, non_negative, positive, read,
                        setting)
 
@@ -657,18 +656,15 @@ class TrainSchedule(Settings):
         return self.base_lr * self.lr_decay ** (epoch // self.lr_step_epochs)
 
 
-def _cross_camera_pairs(observations: Sequence[Observation]):
-    """A split's unordered cross-camera observation pairs: (cameras,
-    timestamps, first, second, bounds). cameras and timestamps are the split's
-    columns; pair k joins observations first[k] and second[k]
-    (scene.cross_camera_pairs order), and the pairs of the i-th identity with
-    any, in ascending identity order, are bounds[i]:bounds[i + 1]."""
-    ids = np.array([o.identity for o in observations], dtype=np.int64)
-    cams = np.array([o.camera for o in observations], dtype=np.int64)
-    times = np.array([o.timestamp for o in observations], dtype=np.float64)
-    first, second = cross_camera_pairs(ids, cams)
-    _, starts = np.unique(ids[first], return_index=True)
-    return cams, times, first, second, np.append(starts, first.size)
+def _cross_camera_pairs(split: Scene):
+    """A split's unordered cross-camera pairs as its cameras and float64
+    timestamps plus (first, second, bounds): pair k joins rows first[k] and
+    second[k] (scene.cross_camera_pairs order), and the pairs of the i-th
+    identity with any, ascending, are bounds[i]:bounds[i + 1]."""
+    first, second = cross_camera_pairs(split.identities, split.cameras)
+    _, starts = np.unique(split.identities[first], return_index=True)
+    return (split.cameras, split.timestamps.astype(np.float64), first, second,
+            np.append(starts, first.size))
 
 
 def _pair_batch(pool, query: np.ndarray, target: np.ndarray):
@@ -773,11 +769,13 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
 
     Each row records epoch, lr, mean loss, and hold-out accuracy on a
     deterministic sample of test-split pairs. Each epoch draws its pairs from
-    one pool of cross-camera pairs built per call. A non-finite loss rolls the
-    model back to the end of the previous epoch and raises DivergenceError.
-    The model's work buffers persist from step to step within an epoch and
-    are released before each hold-out evaluation and on return.
+    one pool of cross-camera pairs built per call, once the model and scene
+    pass check_scene_compatible. A non-finite loss rolls the model back to the
+    end of the previous epoch and raises DivergenceError. The model's work
+    buffers persist from step to step within an epoch and are released before
+    each hold-out evaluation and on return.
     """
+    check_scene_compatible(model, scene)
     pair_rng, eval_rng = rng.spawn(2)
     test_pool = _cross_camera_pairs(scene.test_observations())
     holdout = _pair_batch(
@@ -793,8 +791,9 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
             pairs = _pair_batch(pool, *_draw_pairs(pool, pair_rng, per_epoch))
             losses = []
             for rows in _batches(np.arange(per_epoch), schedule.batch_size):
-                try:
-                    loss = training_step(model, tuple(col[rows] for col in pairs), lr)
+                try:  # a diverging step's inf and NaN reach the loss check
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        loss = training_step(model, tuple(col[rows] for col in pairs), lr)
                 except NumericError:
                     loss = float("nan")
                 if not np.isfinite(loss):
@@ -919,8 +918,13 @@ def _check_finite(path, entry: str, values: np.ndarray) -> None:
 
 
 def check_scene_compatible(model: TransitionNet, scene: Scene) -> None:
-    """Reject a model whose camera count differs from the scene's."""
+    """Reject a model whose camera count differs from the scene's, or whose
+    time_scale makes the scene's span, the largest delta it sees, infinite."""
     if model.config.num_cameras != scene.num_cameras:
         raise ConfigError(
             f"model covers {model.config.num_cameras} cameras but the scene "
             f"has {scene.num_cameras}")
+    span = int(np.ptp(scene.timestamps)) if len(scene) else 0
+    if not np.isfinite(span / model.config.time_scale):
+        raise DataError(f"time_scale {model.config.time_scale!r} turns the scene's "
+                        f"span of {span} ticks into a non-finite time delta")

@@ -425,6 +425,38 @@ def test_a_tiny_beta_keeps_the_joint_similarity_finite(tmp_path, config_path,
                      "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("source", ["inline", "checkpoint"])
+def test_a_time_scale_that_overflows_the_scene_span_exits_2_before_training(
+        tmp_path, config_path, capsys, monkeypatch, source):
+    # tick deltas / 1e-320 overflow to inf: the model would fail at its first
+    # forward pass with "delta_t must be finite"
+    run = base_config()
+    if source == "inline":
+        run["model"]["time_scale"] = 1e-320
+    else:
+        ckpt_dir = tmp_path / "ckpt"
+        assert main(["train", "--config", config_path(base_config()),
+                     "--out", str(ckpt_dir)]) == 0
+        path = ckpt_dir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["time_scale"] = 1e-320
+        path.write_text(json.dumps(doc))
+        run["simulate"]["checkpoint"] = str(path)
+
+    def no_pairs(*args):
+        raise AssertionError("a pair pool was built before the scene check")
+    monkeypatch.setattr(transition, "_cross_camera_pairs", no_pairs)
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", config_path(run, "sim.json"),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: time_scale 1e-320") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "simulate", "eval-central"])
 def test_a_run_that_training_rejects_leaves_no_out_directory(
         tmp_path, config_path, capsys, command):
@@ -501,6 +533,7 @@ def stored_checkpoint(tmp_path_factory):
     return json.loads((out / "checkpoint.json").read_text())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(TARGETS), st.sampled_from(FAULTS))

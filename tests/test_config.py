@@ -17,10 +17,11 @@ from edgereid.config import (FrequencySection, InferenceSection, ModelSection,
                              SimulateSection, TrainSection, check_paths,
                              load_config, parse_config)
 from edgereid.errors import ConfigError
-from edgereid.scene import GeneratorSpec, Observation, Scene, spec_from_dict
+from edgereid.scene import GeneratorSpec, Observation, spec_from_dict
 from edgereid.settings import Settings
 from edgereid.simulate import InferenceParams, QuerySpec
 from edgereid.transition import TrainSchedule, TransitionNetConfig
+from scene_references import scene_of
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -291,8 +292,8 @@ def test_frequency_settings_must_be_finite(key, value):
                        match=f"inference.frequency.{key}: value .* out of range"):
         parse_config({"inference": {"frequency": {key: value}}})
     obs = (Observation(0, 0, 0), Observation(0, 1, 50))
-    scene = Scene(num_cameras=2, observations=obs,
-                  train_identities=frozenset({0}), test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=2, train_identities=frozenset({0}),
+                     test_identities=frozenset())
     with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
         sg.fit_frequency(scene, **{key: value})
 

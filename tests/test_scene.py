@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import scene_references as ref
 from edgereid import scene as sc
+from edgereid import simulate as sim
 from edgereid.config import load_config
 from edgereid.errors import ConfigError, DataError, InputError
 
@@ -142,8 +144,8 @@ def reference_generate(spec, rng):
     unseen = sorted(set(range(spec.num_cameras)) - seen_cameras)
     if unseen:
         warnings.warn(f"cameras {unseen} recorded no observations", stacklevel=2)
-    return sc.Scene(num_cameras=spec.num_cameras, observations=tuple(observations),
-                    generator=spec)
+    return ref.RecordScene(num_cameras=spec.num_cameras,
+                           observations=tuple(observations), generator=spec)
 
 
 @st.composite
@@ -357,7 +359,7 @@ def test_split_required_for_split_views():
 
 def test_scene_rejects_out_of_range_camera():
     with pytest.raises(DataError):
-        sc.Scene(num_cameras=2, observations=(sc.Observation(0, 2, 0),))
+        sc.Scene(num_cameras=2, identities=[0], cameras=[2], timestamps=[0])
 
 
 def test_oracle_fixed_and_lognormal_masses():
@@ -500,3 +502,125 @@ def test_csv_export_ingest_round_trip(dim, single_identity, data):
             assert a.feature.tobytes() == b.feature.tobytes()
         else:
             assert a.feature is None and b.feature is None
+
+
+# -- the columnar Scene against the record reference ----------------------------
+
+IDENTITY_POOL = [0, 1, 2, 7, 40]
+
+
+@st.composite
+def record_lists(draw):
+    """(cameras, records) over 2-5 cameras: identities and timestamps from
+    small pools, so that timestamps tie across identities, a few rows
+    repeated whole (feature too), features of 1-3 dimensions or none, in a
+    random order."""
+    cameras = draw(st.integers(2, 5))
+    dim = draw(st.sampled_from([0, 0, 1, 3]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(IDENTITY_POOL),
+                                   st.integers(0, cameras - 1),
+                                   st.sampled_from([0, 3, 8, 500])),
+                         min_size=1, max_size=30))
+    noise = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    records = []
+    for ident, camera, tick in rows:
+        feature = None
+        if dim:
+            feature = noise.standard_normal(dim)
+            feature /= np.linalg.norm(feature)
+        records.append(sc.Observation(ident, camera, tick, feature))
+    repeats = draw(st.lists(st.integers(0, len(records) - 1), max_size=5))
+    records += [records[k] for k in repeats]
+    return cameras, draw(st.permutations(records))
+
+
+def assert_same_rows(scene, records):
+    """The columnar scene holds the records, row for row and bit for bit,
+    and so does its Observation view."""
+    assert len(scene) == len(records)
+    for column, field in (("identities", "identity"), ("cameras", "camera"),
+                          ("timestamps", "timestamp")):
+        values = getattr(scene, column)
+        assert values.dtype == np.int64 and not values.flags.writeable
+        assert values.tolist() == [getattr(o, field) for o in records]
+    view = scene.observations
+    assert [(o.identity, o.camera, o.timestamp) for o in view] == [
+        (o.identity, o.camera, o.timestamp) for o in records]
+    if not records:  # an empty subset keeps its scene's feature width
+        assert scene.features is None or scene.features.shape[0] == 0
+    elif records[0].feature is not None:
+        want = np.stack([o.feature for o in records])
+        assert scene.features.dtype == want.dtype and scene.features.shape == want.shape
+        assert scene.features.tobytes() == want.tobytes()
+        assert all(a.feature.tobytes() == b.feature.tobytes()
+                   for a, b in zip(view, records))
+    else:
+        assert scene.features is None and all(o.feature is None for o in view)
+
+
+def assert_same_gallery(got, want):
+    for name in ("identities", "cameras", "timestamps", "features"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(got.device_items) == len(want.device_items)
+    for a, b in zip(got.device_items, want.device_items):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(record_lists(), st.sets(st.sampled_from(IDENTITY_POOL + [99])),
+       st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2 ** 32 - 1))
+def test_columnar_scene_matches_the_record_reference(drawn, wanted, fraction, seed):
+    cameras, records = drawn
+    got = ref.scene_of(records, num_cameras=cameras)
+    want = ref.RecordScene(num_cameras=cameras, observations=tuple(records))
+    assert_same_rows(got, want.observations)
+    assert got.feature_dim == want.feature_dim
+    assert_same_rows(got.subset(wanted), want.subset(wanted))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if len(want.identities()) < 2:
+        with pytest.raises(DataError, match="two identities"):
+            sc.split_identities(got, fraction, got_rng)
+        return
+    got = sc.split_identities(got, fraction, got_rng)
+    want = ref.reference_split_identities(want, fraction, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got.train_identities == want.train_identities
+    assert got.test_identities == want.test_identities
+    for side in ("train_observations", "test_observations"):
+        split, records = getattr(got, side)(), getattr(want, side)()
+        assert len(split) == len(records)
+        assert_same_rows(split, records)
+        assert_same_gallery(sim.build_gallery(split, cameras),
+                            ref.reference_build_gallery(records, cameras))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(record_lists(), st.data())
+def test_csv_round_trip_matches_the_record_reference(drawn, data):
+    cameras, records = drawn
+    labels = tuple(sorted(data.draw(st.sets(st.integers(0, 10 ** 6),
+                                            min_size=cameras, max_size=cameras))))
+    got = ref.scene_of(records, num_cameras=cameras, camera_ids=labels)
+    want = ref.RecordScene(num_cameras=cameras, observations=tuple(records),
+                           camera_ids=labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        sc.export_csv(got, paths[0])
+        ref.reference_export_csv(want, paths[1])
+        with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+            assert fa.read() == fb.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # unit features stay as written
+            back = sc.ingest_csv(paths[0])
+    # ingest numbers the labels the file uses densely, in ascending order
+    present = sorted({o.camera for o in records})
+    dense = {camera: k for k, camera in enumerate(present)}
+    assert back.num_cameras == len(present)
+    assert back.camera_ids == tuple(labels[c] for c in present)
+    assert_same_rows(back, ref.RecordScene(len(present), tuple(
+        sc.Observation(o.identity, dense[o.camera], o.timestamp, o.feature)
+        for o in want.observations)).observations)

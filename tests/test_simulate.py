@@ -11,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scan_references as ref
+from scene_references import reference_build_gallery, scene_of
 from edgereid import simulate as sim
 from edgereid import strategy as sg
 from edgereid.errors import ConfigError, DataError, InputError, ShapeError
 from edgereid.nn import softmax
 from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation,
-                            Scene, generate, split_identities)
+                            generate, split_identities)
 from edgereid.transition import EVAL_ROWS, TransitionNet, TransitionNetConfig
 
 
@@ -34,7 +35,8 @@ def hand_gallery():
         Observation(1, 1, 90, unit([0.1, 0.9])),
         Observation(2, 1, 10, unit([0.6, 0.4])),
     )
-    return sim.build_gallery(obs, num_cameras=2)
+    # the record-walking build, to keep the items in the order written here
+    return reference_build_gallery(obs, num_cameras=2)
 
 
 def featured_scene(seed=0, num_cameras=3, identities=24, visits=5):
@@ -92,8 +94,8 @@ def test_plan_visual_order():
 
 def test_plan_joint_order_with_frequency_only_models():
     obs = (Observation(7, 0, 0), Observation(7, 1, 30))
-    train = Scene(num_cameras=2, observations=obs,
-                  train_identities=frozenset({7}), test_identities=frozenset())
+    train = scene_of(obs, num_cameras=2,
+                     train_identities=frozenset({7}), test_identities=frozenset())
     freq = sg.fit_frequency(train, bin_width=10, sigma_bins=0.0, floor=1e-9)
     models = sim.Models(frequency=freq)
     g = hand_gallery()
@@ -127,7 +129,7 @@ def test_joint_order_requires_some_model():
 
 def test_visual_strategies_require_features():
     obs = (Observation(0, 0, 0), Observation(0, 1, 10))
-    g = sim.build_gallery(obs, 2)
+    g = sim.build_gallery(scene_of(obs, num_cameras=2), 2)
     task = sim.make_task(g, 0, 10)
     with pytest.raises(ConfigError, match="features"):
         sim.plan(task, sim.Strategy.VISUAL, 2, sim.InferenceParams(),
@@ -342,14 +344,14 @@ def test_eligible_queries_and_desired_index():
            Observation(0, 1, 40, unit([1, 0.1])),
            Observation(0, 1, 40, unit([1, 0.2])),
            Observation(1, 0, 5, unit([0, 1])))
-    g = sim.build_gallery(obs, 2)
+    g = reference_build_gallery(obs, 2)  # items in the order written
     eligible, skipped = sim.eligible_queries(g)
     np.testing.assert_array_equal(eligible, [0, 1, 2])
     assert skipped == 1
     # equal distance to the target tick: earlier timestamp wins, then index
     assert sim._desired_index(g, np.array([0]), np.array([40])).tolist() == [1]
     obs2 = (Observation(0, 0, 10), Observation(0, 1, 30), Observation(0, 1, 50))
-    g2 = sim.build_gallery(obs2, 2)
+    g2 = sim.build_gallery(scene_of(obs2, num_cameras=2), 2)
     desired = sim._desired_index(g2, np.array([0, 2]), np.array([40, 0]))
     assert desired.tolist() == [1, 0]
 
@@ -635,7 +637,7 @@ def reference_partners(gallery, query_index):
                           st.integers(0, 50)), min_size=1, max_size=40))
 def test_eligible_queries_and_partners_match_the_identity_masks(items):
     gallery = sim.build_gallery(
-        [Observation(i, c, t) for i, c, t in items], num_cameras=4)
+        scene_of([Observation(i, c, t) for i, c, t in items], num_cameras=4), 4)
     eligible, skipped = sim.eligible_queries(gallery)
     assert eligible.dtype == np.int64
     assert (eligible.tolist(), skipped) == reference_eligible_queries(gallery)
@@ -731,7 +733,7 @@ def test_engine_matches_the_per_query_reference(
     model = TransitionNet(config, np.random.default_rng(seed))
     transition = model
     if model_kind == "table":
-        timestamps = np.array([o.timestamp for o in scene.observations])
+        timestamps = scene.timestamps
         transition = sim.build_transition_table(model, timestamps)
         assert isinstance(transition, sim.TransitionTable)
     models = sim.Models(
@@ -808,8 +810,7 @@ def test_closed_form_arrival_matches_run_rounds(cameras):
 
 def test_run_benchmark_raises_config_errors_before_the_first_query(monkeypatch):
     scene = featured_scene(seed=18)
-    featureless = dataclasses.replace(scene, observations=tuple(
-        dataclasses.replace(o, feature=None) for o in scene.observations))
+    featureless = dataclasses.replace(scene, features=None)
     model = TransitionNet(TransitionNetConfig(num_cameras=3, embed_dim=6),
                           np.random.default_rng(19))
     frequency = sim.Models(frequency=sg.fit_frequency(scene, bin_width=5))
@@ -990,7 +991,7 @@ def test_visual_scores_are_one_product_per_query():
     features = rng.normal(size=(4000, 3))
     features /= np.linalg.norm(features, axis=1, keepdims=True)
     obs = [Observation(i, i % 8, i, f) for i, f in enumerate(features)]
-    gallery = sim.build_gallery(obs, num_cameras=8)
+    gallery = sim.build_gallery(scene_of(obs, num_cameras=8), 8)
     queries = rng.choice(gallery.size, size=20, replace=False)
     got = sim._visual_scores(gallery, queries)
     for row, q in zip(got, queries):
@@ -1004,7 +1005,7 @@ def test_visual_scores_match_the_stacked_reference(size, dim, count, seed):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(size, dim))
     obs = [Observation(i, i % 3, i, f) for i, f in enumerate(features)]
-    gallery = sim.build_gallery(obs, num_cameras=3)
+    gallery = sim.build_gallery(scene_of(obs, num_cameras=3), 3)
     queries = rng.integers(0, size, count)  # repeats included
     want = np.stack([gallery.features @ gallery.features[q] for q in queries])
     got = sim._visual_scores(gallery, queries)
@@ -1071,7 +1072,7 @@ def test_serving_blocks_keep_a_few_block_arrays_of_memory():
     assert gallery.ticks.size * cameras < gallery.size
     model = TransitionNet(TransitionNetConfig(num_cameras=cameras, embed_dim=6),
                           np.random.default_rng(3))
-    timestamps = np.array([o.timestamp for o in scene.observations])
+    timestamps = scene.timestamps
     models = sim.Models(transition=sim.build_transition_table(model, timestamps))
     params = sim.InferenceParams()
     queries = 3 * sim.QUERY_CHUNK
@@ -1150,7 +1151,7 @@ def test_central_rankings_match_the_per_query_reference(
     model = TransitionNet(config, np.random.default_rng(seed))
     transition = model
     if model_kind == "table":
-        timestamps = np.array([o.timestamp for o in scene.observations])
+        timestamps = scene.timestamps
         transition = sim.build_transition_table(model, timestamps)
     models = sim.Models(
         transition=transition,
@@ -1184,9 +1185,9 @@ def tied_galleries(draw):
                                     st.integers(0, len(features) - 1)),
                           min_size=2, max_size=30))
     observations = tuple(Observation(i, c, t, features[f]) for i, c, t, f in items)
-    return Scene(num_cameras=cameras, observations=observations,
-                 train_identities=frozenset(),
-                 test_identities=frozenset(i for i, *_ in items))
+    return scene_of(observations, num_cameras=cameras,
+                    train_identities=frozenset(),
+                    test_identities=frozenset(i for i, *_ in items))
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)

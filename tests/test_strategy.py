@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from edgereid import strategy as sg
 from edgereid.nn import softmax
 from edgereid.errors import ConfigError, DataError, InputError, ShapeError
-from edgereid.scene import Observation, Scene
+from edgereid.scene import Observation
+from scene_references import scene_of
 
 # single gallery item, spatio-temporal softmax collapses to 1, visual gate
 # open at v=1: s = -[1 / (1 + 0.1 e)] / 2, frozen by hand
@@ -21,9 +22,8 @@ SINGLE_ITEM_JOINT = -0.3931348642402118
 def two_sighting_scene(bin_width=20):
     obs = (Observation(0, 0, 0), Observation(0, 1, 50),
            Observation(1, 0, 7), Observation(1, 0, 11))
-    scene = Scene(num_cameras=3, observations=obs,
-                  train_identities=frozenset({0, 1}),
-                  test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=3, train_identities=frozenset({0, 1}),
+                     test_identities=frozenset())
     return sg.fit_frequency(scene, bin_width=bin_width, sigma_bins=0.0,
                             floor=1e-12)
 
@@ -58,8 +58,8 @@ def test_frequency_out_of_range_uses_slice_minimum():
 
 def test_frequency_gaussian_smoothing_ratio():
     obs = (Observation(0, 0, 0), Observation(0, 1, 50))
-    scene = Scene(num_cameras=2, observations=obs,
-                  train_identities=frozenset({0}), test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=2, train_identities=frozenset({0}),
+                     test_identities=frozenset())
     freq = sg.fit_frequency(scene, bin_width=20, sigma_bins=1.0, floor=1e-15)
     centre = freq.prob(0, 1, np.array([50.0]))[0]
     side = freq.prob(0, 1, np.array([30.0]))[0]
@@ -68,8 +68,8 @@ def test_frequency_gaussian_smoothing_ratio():
 
 def test_frequency_validation():
     obs = (Observation(0, 0, 0), Observation(0, 0, 5))
-    scene = Scene(num_cameras=2, observations=obs,
-                  train_identities=frozenset({0}), test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=2, train_identities=frozenset({0}),
+                     test_identities=frozenset())
     with pytest.raises(DataError, match="cross-camera"):
         sg.fit_frequency(scene)
     with pytest.raises(ConfigError):
@@ -188,6 +188,17 @@ def test_allocation_gamma1_cancels():
     a = sg.allocate_bandwidth(logits, sizes, 12, gamma1=0.01)
     b = sg.allocate_bandwidth(logits, sizes, 12, gamma1=7.3)
     np.testing.assert_array_equal(a.budgets, b.budgets)
+
+
+def test_allocation_survives_both_softmaxes_underflowing():
+    # camera 0's logit wins by 10 / 0.01 = 1000 while camera 1 holds 800 more
+    # items: the product of the two softmaxes underflows to 0 / 0 in both
+    # cameras, while the one softmax of their sum leaves camera 0 every share
+    budgets, shares = sg.allocate_bandwidth_rows([[10.0, 0.0]], [[0.0, 800.0]],
+                                                 4, 0.01, 0.01)
+    assert np.all(np.isfinite(shares))
+    np.testing.assert_allclose(shares.sum(), 4.0)
+    np.testing.assert_array_equal(budgets, [[3, 1]])
 
 
 def test_allocation_enforces_floor_of_one():
@@ -357,9 +368,7 @@ def test_row_wise_allocation_matches_one_row_at_a_time(c, rows, extra, gamma0,
     for k in range(rows):
         # row-wise softmax rows are the 1-d softmax, bit for bit
         assert softmax(logits, axis=1)[k].tobytes() == softmax(logits[k]).tobytes()
-        z = (softmax((logits[k] - logits[k].max()) / gamma0)
-             * softmax(sizes[k]) / 0.01)
-        want = z / z.sum() * total
+        want = softmax((logits[k] - logits[k].max()) / gamma0 + sizes[k]) * total
         assert shares[k].tobytes() == want.tobytes()
         np.testing.assert_array_equal(budgets[k],
                                       reference_largest_remainder(want, total))
@@ -382,7 +391,7 @@ def reference_fit_frequency(scene, bin_width, sigma_bins, floor):
     """fit_frequency as it was before the pairs came from
     scene.cross_camera_pairs: a double loop over each identity's sightings."""
     by_identity = {}
-    for obs in scene.train_observations():
+    for obs in scene.train_observations().observations:
         by_identity.setdefault(obs.identity, []).append(obs)
     sources, dests, deltas = [], [], []
     for group in by_identity.values():
@@ -421,8 +430,8 @@ def reference_fit_frequency(scene, bin_width, sigma_bins, floor):
 def test_fit_frequency_matches_the_double_loop(items, bin_width, sigma_bins):
     obs = tuple(Observation(i, c, t) for i, c, t in items)
     idents = frozenset(i for i, _, _ in items)
-    scene = Scene(num_cameras=4, observations=obs, train_identities=idents,
-                  test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=4, train_identities=idents,
+                     test_identities=frozenset())
     try:
         table, lo, observed = reference_fit_frequency(scene, bin_width,
                                                       sigma_bins, 1e-6)

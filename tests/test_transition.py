@@ -19,8 +19,9 @@ from edgereid import transition as tr
 from edgereid.errors import (CheckpointError, ConfigError, DataError,
                              DivergenceError, InputError, NumericError,
                              ShapeError)
-from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation, Scene,
+from edgereid.scene import (Edge, FixedDelay, GeneratorSpec, Observation,
                             generate, split_identities)
+from scene_references import scene_of
 
 
 def tiny_model(num_cameras=2, embed_dim=4, num_blocks=1, seed=0, **kwargs):
@@ -709,12 +710,10 @@ def test_schedule_decay_boundaries():
 def test_sample_pairs_identity_law():
     # identity 0 has many cross-camera pairs, identity 1 exactly one; the
     # sampler still picks identities uniformly
-    from edgereid.scene import Observation, Scene
     obs = [Observation(0, 0, 0), Observation(0, 1, 10), Observation(0, 2, 20),
            Observation(0, 1, 30), Observation(1, 0, 0), Observation(1, 1, 9)]
-    scene = Scene(num_cameras=3, observations=tuple(obs),
-                  train_identities=frozenset({0, 1}),
-                  test_identities=frozenset())
+    scene = scene_of(obs, num_cameras=3, train_identities=frozenset({0, 1}),
+                     test_identities=frozenset())
     cams, tq, td, _ = tr.sample_pairs(scene, np.random.default_rng(12), 20000)
     # only identity 1's pair is 9 ticks apart
     ident1 = np.abs(td - tq) == 9
@@ -726,10 +725,8 @@ def test_sample_pairs_identity_law():
 
 
 def test_sample_pairs_needs_cross_camera_data():
-    from edgereid.scene import Observation, Scene
-    scene = Scene(num_cameras=2,
-                  observations=(Observation(0, 0, 0), Observation(0, 0, 5)),
-                  train_identities=frozenset({0}), test_identities=frozenset())
+    scene = scene_of((Observation(0, 0, 0), Observation(0, 0, 5)), num_cameras=2,
+                     train_identities=frozenset({0}), test_identities=frozenset())
     with pytest.raises(DataError):
         tr.sample_pairs(scene, np.random.default_rng(0), 1)
 
@@ -955,20 +952,21 @@ def reference_pool(observations):
     return pool
 
 
-def observation_pairs(observations, query, target):
+def observation_pairs(records, query, target):
     """(query, target) index arrays as a list of Observation pairs."""
-    return [(observations[q], observations[t]) for q, t in zip(query, target)]
+    return [(records[q], records[t]) for q, t in zip(query, target)]
 
 
-def holdout_pairs(scene, rng, cap):
-    observations = scene.test_observations()
-    pool = tr._cross_camera_pairs(observations)
-    return observation_pairs(observations, *tr._holdout_pairs(pool, rng, cap))
+def holdout_pairs(split, records, rng, cap):
+    """The hold-out pairs of a split, as pairs of its records (the split's
+    Observation view, read once so that the records compare by identity)."""
+    pool = tr._cross_camera_pairs(split)
+    return observation_pairs(records, *tr._holdout_pairs(pool, rng, cap))
 
 
-def reference_holdout_pairs(scene, rng, cap):
+def reference_holdout_pairs(records, rng, cap):
     """Build every oriented test pair, then keep a seeded sample of cap."""
-    pool = reference_pool(scene.test_observations())
+    pool = reference_pool(records)
     ordered = []
     for ident in sorted(pool):
         for a, b in pool[ident]:
@@ -1001,9 +999,8 @@ def random_split_scene(items, test_share):
     obs = tuple(Observation(i, c, t) for i, c, t in items)
     idents = sorted({i for i, _, _ in items})
     cut = int(len(idents) * test_share)
-    return Scene(num_cameras=4, observations=obs,
-                 train_identities=frozenset(idents[cut:]),
-                 test_identities=frozenset(idents[:cut]))
+    return scene_of(obs, num_cameras=4, train_identities=frozenset(idents[cut:]),
+                    test_identities=frozenset(idents[:cut]))
 
 
 scene_items = st.lists(st.tuples(st.sampled_from([0, 1, 4, 9, 23, 500]),
@@ -1014,21 +1011,24 @@ scene_items = st.lists(st.tuples(st.sampled_from([0, 1, 4, 9, 23, 500]),
 @settings(deadline=None, max_examples=100)
 @given(scene_items, st.sampled_from([0.5, 1.0]), st.integers(0, 2 ** 31 - 1))
 def test_holdout_pairs_match_build_all_then_sample(items, test_share, seed):
-    scene = random_split_scene(items, test_share)
-    oriented = len(reference_holdout_pairs(scene, None, 0))
+    split = random_split_scene(items, test_share).test_observations()
+    records = split.observations
+    oriented = len(reference_holdout_pairs(records, None, 0))
     for cap in sorted({0, 1, max(oriented - 1, 0), oriented, oriented + 5}):
-        got = holdout_pairs(scene, np.random.default_rng(seed), cap)
-        want = reference_holdout_pairs(scene, np.random.default_rng(seed), cap)
+        got = holdout_pairs(split, records, np.random.default_rng(seed), cap)
+        want = reference_holdout_pairs(records, np.random.default_rng(seed), cap)
         assert got == want
 
 
 def test_holdout_pairs_match_build_all_then_sample_on_a_ring():
     scene = ring_scene(num_cameras=4, identities=30, visits=6, seed=41)
-    oriented = len(holdout_pairs(scene, np.random.default_rng(0), 0))
+    split = scene.test_observations()
+    records = split.observations
+    oriented = len(holdout_pairs(split, records, np.random.default_rng(0), 0))
     assert oriented > 100
     for cap in (0, 7, oriented // 2, oriented - 1, oriented, oriented + 1):
-        got = holdout_pairs(scene, np.random.default_rng(42), cap)
-        assert got == reference_holdout_pairs(scene, np.random.default_rng(42), cap)
+        got = holdout_pairs(split, records, np.random.default_rng(42), cap)
+        assert got == reference_holdout_pairs(records, np.random.default_rng(42), cap)
         assert len(got) == (min(cap, oriented) if cap else oriented)
 
 
@@ -1036,13 +1036,13 @@ def test_holdout_pairs_match_build_all_then_sample_on_a_ring():
 @given(scene_items, st.integers(1, 60), st.integers(0, 2 ** 31 - 1))
 def test_draw_pairs_match_the_dict_pool(items, count, seed):
     scene = random_split_scene(items, 0.0)
-    ref_pool = reference_pool(scene.train_observations())
+    records = scene.train_observations().observations
+    ref_pool = reference_pool(records)
     if not ref_pool:
         with pytest.raises(DataError):
             tr._train_pool(scene)
         return
-    observations = scene.train_observations()
-    got = observation_pairs(observations, *tr._draw_pairs(
+    got = observation_pairs(records, *tr._draw_pairs(
         tr._train_pool(scene), np.random.default_rng(seed), count))
     assert got == reference_draw_pairs(ref_pool, np.random.default_rng(seed), count)
 
@@ -1053,11 +1053,11 @@ def test_every_pair_joins_one_identity_on_two_cameras(items, count, seed):
     scene = random_split_scene(items, 0.5)
     rng = np.random.default_rng(seed)
     splits = []
-    for observations, draw in ((scene.train_observations(), tr._draw_pairs),
-                               (scene.test_observations(), tr._holdout_pairs)):
-        pool = tr._cross_camera_pairs(observations)
+    for split, draw in ((scene.train_observations(), tr._draw_pairs),
+                        (scene.test_observations(), tr._holdout_pairs)):
+        pool = tr._cross_camera_pairs(split)
         if pool[2].size:
-            splits.append((observations, pool, draw(pool, rng, count)))
+            splits.append((split.observations, pool, draw(pool, rng, count)))
     for observations, pool, (query, target) in splits:
         for q, t in zip(query, target):
             assert observations[q].identity == observations[t].identity
