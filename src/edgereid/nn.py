@@ -6,7 +6,8 @@ C-contiguous float64; gradients accumulate into Param.grad until zero_grads
 is called. Nothing here keeps hidden global state: random initialisation and
 stochastic training draw from caller-owned numpy Generators. numpy is the
 only dependency: GELU's normal CDF is a rational fit evaluated with numpy
-ufuncs (_normal_cdf) that keeps its accuracy in both tails.
+ufuncs (_lower_tail) that keeps its accuracy in both tails, and training's
+gelu and the eval pass's gelu_in_place run one kernel.
 
 The layer kernels write their large arrays into the buffers of a Workspace
 passed by the caller, so that a training loop reuses the same memory every
@@ -321,52 +322,64 @@ def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param,
     return g_hat
 
 
-def gelu(x: np.ndarray, keep_phi: bool = False, work: Workspace | None = None):
-    """Exact Gaussian error linear unit, x * Phi(x).
-
-    With keep_phi it returns (gelu(x), Phi(x)), so that gelu_backward can
-    reuse Phi instead of computing it again. The output is the first half of
-    a [2, *x.shape] buffer whose two halves are Phi's scratch until the
-    product overwrites the first.
-    """
+def gelu(x: np.ndarray, work: Workspace | None = None):
+    """Exact Gaussian error linear unit, x * Phi(x), by gelu_in_place's
+    kernel: (gelu(x), Phi(x)) in work's buffers, so that gelu_backward can
+    reuse Phi instead of computing it again."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     work = work or Workspace()
-    scratch = work.get("gelu.out", (2,) + x.shape)
-    phi = _normal_cdf(x, work.get("gelu.phi", x.shape), scratch)
-    out = np.multiply(x, phi, out=scratch[0])
-    return (out, phi) if keep_phi else out
+    phi = work.get("gelu.phi", x.shape)
+    scratch = work.get("gelu.scratch", (gelu_scratch_size(x.size),))
+    return gelu_in_place(x, scratch, work.get("gelu.out", x.shape), phi), phi
 
 
-def gelu_in_place(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """gelu(x) written over x, with the same bits; scratch, a C-contiguous
-    float64 array, holds Phi's work. x, C-contiguous too, runs through it in
-    pieces of k values, two float64 arrays of k and k bools each, so a
-    scratch of gelu_scratch_size(x.size) values takes x in one piece.
+def gelu_in_place(x: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = None,
+                  phi: np.ndarray | None = None) -> np.ndarray:
+    """gelu(x) written over x, or into out and x left as it is; phi, when
+    given, receives Phi(x). scratch, a C-contiguous float64 array, holds
+    Phi's work. x, out and phi, C-contiguous too, run through it in pieces of
+    k values, two float64 arrays of k and k bools each, so a scratch of
+    gelu_scratch_size(x.size) values takes x in one piece.
 
     A piece keeps u = -|x| and upper, whether x's sign bit is clear, and
     its product is u * (h - upper), h = Phi(u): -|x| * (h - 1) = |x| * Phi(x)
     above and x * h below, -0.0 included. A product's rounding does not
-    depend on the signs of its factors, so these are the bits of x * Phi(x).
+    depend on the signs of its factors, so these are the bits of x * Phi(x),
+    NaN at x = -inf (-inf * 0). Phi(x) is |h - upper|: h below and 1 - h
+    above, so both tails keep their relative accuracy, Phi is monotone, and
+    Phi(-inf) = 0 and Phi(inf) = 1 exactly. Against scipy.special.ndtr the
+    absolute error is at most 2.2e-16 on [-40, 40], and the relative error on
+    [-8, 0] at most 1.2e-14 (0.5 * (1 + erf(x / sqrt 2)) loses the lower tail
+    to cancellation: 4.3e-2 there). The operations are elementwise, so an
+    element's bits do not depend on the others, on the array's shape or on
+    the pieces.
     """
-    if not (x.flags.c_contiguous and scratch.flags.c_contiguous):
+    out = x if out is None else out
+    if not all(a is None or a.flags.c_contiguous for a in (x, scratch, out, phi)):
         raise ShapeError("gelu_in_place needs C-contiguous arrays")
-    flat, space = x.reshape(-1), scratch.reshape(-1)
+    src, dst, space = x.reshape(-1), out.reshape(-1), scratch.reshape(-1)
     # the largest k with gelu_scratch_size(k) <= space.size
     step = 8 * space.size // 17
     if step == 0:
-        if flat.size:
+        if src.size:
             raise ShapeError(f"gelu_in_place needs a scratch of at least 3 "
                              f"values, got {space.size}")
-        return x
-    for start in range(0, flat.size, step):
-        u = flat[start:start + step]
-        k = u.size
-        work = space[:2 * k].reshape(2, k)
-        upper = space[2 * k:gelu_scratch_size(k)].view(np.bool_)[:k]
-        np.logical_not(np.signbit(u, out=upper), out=upper)
-        np.negative(np.abs(u, out=u), out=u)
-        h = _lower_tail(u, work)
-        u *= np.subtract(h, upper, out=work[1])
-    return x
+        return out
+    with np.errstate(invalid="ignore"):  # the product -inf * 0 at x = -inf
+        for start in range(0, src.size, step):
+            piece = slice(start, start + step)
+            u = dst[piece]
+            k = u.size
+            work = space[:2 * k].reshape(2, k)
+            upper = space[2 * k:gelu_scratch_size(k)].view(np.bool_)[:k]
+            np.logical_not(np.signbit(src[piece], out=upper), out=upper)
+            np.negative(np.abs(src[piece], out=u), out=u)
+            h = _lower_tail(u, work)
+            factor = np.subtract(h, upper, out=work[1])
+            if phi is not None:
+                np.abs(factor, out=phi.reshape(-1)[piece])
+            u *= factor
+    return out
 
 
 def gelu_scratch_size(n: int) -> int:
@@ -377,8 +390,7 @@ def gelu_scratch_size(n: int) -> int:
 
 def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray,
                   work: Workspace | None = None) -> np.ndarray:
-    """Input gradient of gelu; phi is Phi(x) as gelu(x, keep_phi=True)
-    returned it."""
+    """Input gradient of gelu; phi is Phi(x) as gelu(x) returned it."""
     grad = np.square(x, out=(work or Workspace()).get("gelu_backward.grad", x.shape))
     grad *= -0.5
     np.exp(grad, out=grad)
@@ -387,25 +399,6 @@ def gelu_backward(gy: np.ndarray, x: np.ndarray, phi: np.ndarray,
     grad += phi
     grad *= gy
     return grad
-
-
-def _normal_cdf(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Phi(x), the standard normal CDF, computed in out; scratch is a
-    [2, *x.shape] array.
-
-    Phi(x) is h = Phi(-|x|) (_lower_tail) for x < 0 and 1 - h for x >= 0,
-    written |upper - h| with upper = (x >= 0) in {0, 1}. Both tails keep
-    their relative accuracy, Phi is monotone, and Phi(-inf) = 0 and
-    Phi(inf) = 1 exactly. Against scipy.special.ndtr the absolute error is
-    at most 2.2e-16 on [-40, 40], and the relative error on [-8, 0] at most
-    1.2e-14 (0.5 * (1 + erf(x / sqrt 2)) loses the lower tail to
-    cancellation: 4.3e-2 there). The operations are elementwise, so an
-    element's bits do not depend on the others or on the array's shape.
-    """
-    h = _lower_tail(np.negative(np.abs(x, out=out), out=out), scratch)
-    upper = np.greater_equal(x, 0.0, out=scratch[1])
-    np.subtract(upper, h, out=out)
-    return np.abs(out, out=out)
 
 
 def _lower_tail(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .settings import (Settings, at_least_two, check_settings, mapping,
                        non_negative, positive, read, setting, write)
 
 CSV_BASE_HEADER = ("identity", "camera", "timestamp")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -151,16 +152,23 @@ class Scene:
     def __post_init__(self):
         ids, cams, ts = (np.asarray(col, dtype=np.int64) for col in
                          (self.identities, self.cameras, self.timestamps))
+        columns = {"identities": ids, "cameras": cams, "timestamps": ts}
+        if self.features is not None:
+            columns["features"] = as_f64(self.features)
+        if not cams.shape == ts.shape == ids.shape == (ids.size,) or (
+                "features" in columns and len(columns["features"]) != ids.size):
+            raise DataError("columns must hold one row per sighting")
         outside = (cams < 0) | (cams >= self.num_cameras)
         if outside.any():
             raise DataError(f"observation camera {cams[outside][0]} outside "
                             f"[0, {self.num_cameras})")
-        columns = {"identities": ids, "cameras": cams, "timestamps": ts}
-        if self.features is not None:
-            columns["features"] = as_f64(self.features)
-        order = np.lexsort((ids, ts, cams))
+        # a row subset of a sorted Scene is sorted already
+        ahead = ids[1:] >= ids[:-1]
+        for key in (ts, cams):
+            ahead = (key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & ahead)
+        order = None if ahead.all() else np.lexsort((ids, ts, cams))
         for name, column in columns.items():
-            column = column[order]
+            column = column.copy() if order is None else column[order]
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -336,6 +344,8 @@ def ingest_csv(path) -> Scene:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if ident < 0 or ts < 0:
             raise DataError(f"{path}:{lineno}: identity and timestamp must be >= 0")
+        if not all(_INT64.min <= v <= _INT64.max for v in (ident, camera, ts)):
+            raise DataError(f"{path}:{lineno}: a value outside int64")
         if dim:
             try:
                 feature = np.array([float(v) for v in parts[3:]], dtype=np.float64)

@@ -490,24 +490,16 @@ def _joint_order(gallery: Gallery, params: InferenceParams, models: Models,
 
 def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
                kind: str, params: InferenceParams, models: Models,
-               visual: np.ndarray | None = None) -> list:
+               visual: np.ndarray | None = None) -> list[np.ndarray]:
     """Each camera's upload orders for a block of queries under a sequence
-    kind ("time", "visual" or "joint"), each query's own item left out.
-
-    Returns one list per camera of (rows, orders) pairs: rows index the
-    queries, ascending, and orders[k] is query rows[k]'s sequence of gallery
-    indices. A camera's queries on other cameras come first and order all n
-    of its items; its queries on it come second and order n - 1; a pair
-    with no rows is left out. Time and visual keys do not depend on which
-    items are present, so those orders are sorted once over all n items (the
-    time order once per gallery, which the queries on other cameras share as
-    one read-only broadcast view) and a query on the camera drops its own
-    item; the joint score's softmax runs over the items present, so those
-    queries get an n - 1 block of their own. The joint order's transition
-    rows, with the target tick's when time-targeted, come from one model call
-    for the block, and are kept past _own_camera only when time-targeted.
-    visual, when given, is the block's _visual_scores, which the visual and
-    joint kinds share; it is computed here otherwise.
+    kind ("time", "visual" or "joint"): one C-contiguous [Q, n] int64 array
+    per camera of n items, whose row k is query k's order. A query on the
+    camera orders the other n - 1 items and puts its own item last. Time
+    and visual orders are sorted once over all n items (the time order once
+    per gallery); joint orders are scored over the items present, from one
+    model call's transition rows for the block. visual, when given, is the
+    block's _visual_scores, which the visual and joint kinds share; it is
+    computed here otherwise.
     """
     cams = gallery.cameras[queries]
     if kind != "time" and visual is None:
@@ -520,43 +512,38 @@ def _sequences(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
             transition = None  # one [queries, ticks, cameras] block fewer
     out = []
     for c, items in enumerate(gallery.device_items):
-        off, on = np.flatnonzero(cams != c), np.flatnonzero(cams == c)
-        if kind == "time":
-            order = gallery.time_orders[c]
-            off_items, on_items = np.broadcast_to(order, (off.size, order.size)), order
-        elif kind == "visual":
-            orders = _order(-np.take(visual, items, axis=1), items)
-            off_items, on_items = orders[off], orders[on]
+        on = np.flatnonzero(cams == c)
+        if kind == "joint":  # scored over the items present
+            orders = np.empty((queries.size, items.size), dtype=np.int64)
+            for rows, present in ((np.flatnonzero(cams != c), items),
+                                  (on, _drop(items, queries[on]))):
+                if rows.size:
+                    orders[rows, :present.shape[-1]] = _joint_order(
+                        gallery, params, models, queries, rows, present, visual,
+                        transition, own)
+        elif kind == "time":
+            orders = np.tile(gallery.time_orders[c], (queries.size, 1))
         else:
-            off_items = on_items = items
-        blocks = []
-        if off.size:
-            blocks.append((off, off_items))
+            orders = _order(-np.take(visual, items, axis=1), items)
+        if kind != "joint":  # sorted over all n items: the queries on c drop their own
+            orders[on, :-1] = _drop(orders[on], queries[on])
         if on.size:
-            blocks.append((on, _drop(on_items, queries[on])))
-        if kind == "joint":
-            blocks = [(rows, _joint_order(gallery, params, models, queries, rows, block,
-                                          visual, transition, own))
-                      for rows, block in blocks]
-        out.append(blocks)
+            orders[on, -1] = queries[on]
+        out.append(orders)
     return out
 
 
-def _find(blocks: list, query_cameras: np.ndarray, rows: np.ndarray,
-          items: np.ndarray, cameras: np.ndarray) -> np.ndarray:
-    """0-based position of each items[i] in query rows[i]'s sequence on
-    camera cameras[i], the item's own, read from _sequences' blocks for
-    queries on query_cameras. Each item must be in that sequence. Only the
-    rows holding an item are compared, one camera block at a time."""
+def _find(orders: list, rows: np.ndarray, items: np.ndarray,
+          cameras: np.ndarray) -> np.ndarray:
+    """0-based position of each items[i] in query rows[i]'s order on camera
+    cameras[i], the item's own, read from _sequences' orders. Each item must
+    be in that order and not be the query's own. Only the rows holding an
+    item are compared, one camera at a time."""
     out = np.empty(items.size, dtype=np.int64)
-    # which of a camera's two blocks holds each (row, item)
-    side = 2 * cameras + (query_cameras[rows] == cameras)
-    for c, camera in enumerate(blocks):
-        for block_rows, orders in camera:
-            sel = np.flatnonzero(side == 2 * c + (query_cameras[block_rows[0]] == c))
-            if sel.size:
-                picked = orders[np.searchsorted(block_rows, rows[sel])]
-                out[sel] = (picked == items[sel, None]).argmax(axis=1)
+    for c, camera in enumerate(orders):
+        sel = np.flatnonzero(cameras == c)
+        if sel.size:  # a camera with no items has no column to argmax over
+            out[sel] = (camera[rows[sel]] == items[sel, None]).argmax(axis=1)
     return out
 
 
@@ -583,16 +570,14 @@ def _budgets(gallery: Gallery, queries: np.ndarray, target_times: np.ndarray,
                                          params.gamma1)[0]
 
 
-def _split(blocks: list, count: int) -> list[tuple[np.ndarray, ...]]:
-    """Each of count queries' per-camera sequences, read-only, from the
-    blocks of _sequences."""
-    per_query = [[None] * len(blocks) for _ in range(count)]
-    for c, camera in enumerate(blocks):
-        for rows, orders in camera:
-            for r, seq in zip(rows.tolist(), orders):
-                seq.flags.writeable = False
-                per_query[r][c] = seq
-    return [tuple(sequences) for sequences in per_query]
+def _split(orders: list, cameras: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Each query's per-camera sequences, read-only views of _sequences'
+    orders for queries on cameras, without the query's own item."""
+    for camera in orders:
+        camera.flags.writeable = False
+    return [tuple(camera[k, :camera.shape[1] - (own == c)]
+                  for c, camera in enumerate(orders))
+            for k, own in enumerate(cameras.tolist())]
 
 
 def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
@@ -617,7 +602,7 @@ def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
     if sequences is None:
         sequences = _split(_sequences(task.gallery, queries, target_times,
                                       SEQUENCE_STRATEGIES[strategy], params, models),
-                           1)[0]
+                           task.gallery.cameras[queries])[0]
     if budgets is None:
         budgets = _budgets(task.gallery, queries, target_times,
                            strategy in LEARNED_BUDGETS, total_bandwidth, params,
@@ -867,25 +852,26 @@ def _serve_block(gallery: Gallery, strategies: list[Strategy], total_bandwidth: 
                  target_times: np.ndarray, budgets: dict, rows: np.ndarray,
                  items: np.ndarray) -> dict[str, np.ndarray]:
     """run_benchmark's work on one block of queries (tasks), one sequence
-    kind at a time, on one visual product: the kind's _sequences, the 0-based
-    position of each items[i] in query rows[i]'s sequence on the item's
-    camera (_find), and plan over each (query, strategy of the kind) from
-    those sequences and the budgets (the block's rows of _budgets, by
-    learned). Returns the positions by kind; a kind's orders go before the
-    next kind's are sorted, and the block's arrays when it returns."""
+    kind at a time, on one visual product: the kind's _sequences, one [Q, n]
+    order array per camera; the 0-based position of each items[i] in query
+    rows[i]'s order on the item's camera (_find); and plan over each (query,
+    strategy of the kind) from its rows of those orders (_split) and the
+    budgets (the block's rows of _budgets, by learned). Returns the
+    positions by kind; a kind's orders go before the next kind's are
+    sorted, and the block's arrays when it returns."""
     queries = np.array([task.query_index for task in tasks], dtype=np.int64)
     kinds = list(dict.fromkeys(SEQUENCE_STRATEGIES[s] for s in strategies))
     visual = (_visual_scores(gallery, queries)
               if any(kind != "time" for kind in kinds) else None)
-    cams = gallery.cameras[queries]
     found = {}
     for kind in kinds:
-        blocks = _sequences(gallery, queries, target_times, kind, params, models,
+        orders = _sequences(gallery, queries, target_times, kind, params, models,
                             visual)
-        found[kind] = _find(blocks, cams, rows, items, gallery.cameras[items])
+        found[kind] = _find(orders, rows, items, gallery.cameras[items])
         # plan assembles and checks each (query, strategy)'s upload plan
         planned = [s for s in strategies if SEQUENCE_STRATEGIES[s] == kind]
-        for k, (task, sequences) in enumerate(zip(tasks, _split(blocks, len(tasks)))):
+        split = _split(orders, gallery.cameras[queries])
+        for k, (task, sequences) in enumerate(zip(tasks, split)):
             for strategy in planned:
                 plan(task, strategy, total_bandwidth, params, models, sequences,
                      budgets[strategy in LEARNED_BUDGETS][k])
@@ -909,12 +895,12 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     allocation for the learned ones, the uniform allocation once), and
     per-pair budgets of the learned strategies (each partner's timestamp as
     the target time) from one more of each, after the last block's arrays
-    are gone. Each block of
-    QUERY_CHUNK queries runs in _serve_block: one visual product, then, one
-    sequence kind at a time, the kind's _sequences, each partner's rank and
+    are gone. Each block of QUERY_CHUNK queries runs in _serve_block: one
+    visual product, then, one sequence kind at a time, the kind's
+    _sequences (one [Q, n] order array per camera), each partner's rank and
     the desired item's position read from those orders (_find, on the rows
     that hold one), and plan for each (query, strategy) of the kind from
-    the block's sequences and the budgets. Transmission numbers are
+    its rows of the orders and the budgets. Transmission numbers are
     ceil(rank / budget), and the desired item's arrival round and merged
     position follow in closed form (_arrival), where run_rounds merges.
     plan plus run_rounds per (query, strategy) is the scalar reference. Each

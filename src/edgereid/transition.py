@@ -109,7 +109,7 @@ class GraphBlock:
                                                  self.norm_shift, work=work)
         pre = np.matmul(self._mix(normed, work), self.transfer.value,
                         out=work.get("pre", normed.shape))
-        out, phi = nn.gelu(pre, keep_phi=True, work=work)
+        out, phi = nn.gelu(pre, work=work)
         return out, (ln_cache, pre, phi)
 
     def _mix(self, normed: np.ndarray, work: nn.Workspace) -> np.ndarray:
@@ -342,18 +342,19 @@ def _run_in_threads(task, count: int) -> None:
 # The arrays of a training step that backward does not read, and the shared
 # buffer each takes (nn.Workspace), in the order the step asks for them. An
 # array takes a buffer only once its previous occupant has been read for the
-# last time. With an [n, C, D] array as one unit, "wide" holds two units,
-# and "grad" and the two scratch buffers one each; "grad" carries the
-# gradient from each layer to the one below it. Adam's two arrays, of
+# last time. With an [n, C, D] array as one unit, "wide" holds GELU's
+# 2.125-unit scratch (nn.gelu_scratch_size), and "grad" and the two scratch
+# buffers one unit each; "grad" carries each block's output forward and each
+# layer's gradient to the one below it backward. Adam's two arrays, of
 # spatial_weight's size, grow "wide" and "grad" where they are larger.
 _STEP_BUFFERS = {
     # forward
     "spatial.out": "wide",                # block 0's input, read by its layer norm
     "layer_norm.out": "scratch1",         # normed
     "mixed": "scratch2",
-    "gelu.out": "wide",                   # GELU's scratch; its first half the
-                                          # block output, read by the next layer
-                                          # norm or by the heads
+    "gelu.scratch": "wide",
+    "gelu.out": "grad",                   # the block output, read by the next
+                                          # layer norm or by the heads
     "batch_norm.out": "scratch1",
     "linear.product": "scratch2",
     # backward
@@ -770,8 +771,9 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
     Each row records epoch, lr, mean loss, and hold-out accuracy on a
     deterministic sample of test-split pairs. Each epoch draws its pairs from
     one pool of cross-camera pairs built per call, once the model and scene
-    pass check_scene_compatible. A non-finite loss rolls the model back to the
-    end of the previous epoch and raises DivergenceError. The model's work
+    pass check_scene_compatible. A non-finite loss, or non-finite parameters
+    or hold-out logits at the end of an epoch, roll the model back to the
+    end of the previous epoch and raise DivergenceError. The model's work
     buffers persist from step to step within an epoch and are released before
     each hold-out evaluation and on return.
     """
@@ -797,16 +799,20 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
                 except NumericError:
                     loss = float("nan")
                 if not np.isfinite(loss):
-                    _restore(model, snapshot)
-                    raise DivergenceError(
-                        f"non-finite loss in epoch {epoch}; rolled back to epoch "
-                        f"{epoch - 1}")
+                    raise _roll_back(model, snapshot, "loss", epoch)
                 losses.append(loss)
+            # no loss sees the last step's update: its parameters and logits do
+            if not all(np.isfinite(p.value).all() for p in model.params()):
+                raise _roll_back(model, snapshot, "parameters", epoch)
             # eval_logits runs in arrays of its own, so the workspace is
             # dropped first: bench train's peak RSS read 1.5 MiB lower, at
             # the cost of faulting the buffers in again once an epoch
             model._release_buffers()
-            acc = holdout_accuracy(model, holdout)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    acc = holdout_accuracy(model, holdout)
+            except NumericError:
+                raise _roll_back(model, snapshot, "hold-out logits", epoch) from None
             history.append({"epoch": epoch, "lr": lr,
                             "loss": float(np.mean(losses)),
                             "holdout_accuracy": acc})
@@ -822,11 +828,15 @@ def _snapshot(model: TransitionNet):
     return values, states
 
 
-def _restore(model: TransitionNet, snapshot) -> None:
+def _roll_back(model: TransitionNet, snapshot, what: str,
+               epoch: int) -> DivergenceError:
+    """Restore the snapshot and return the error to raise for non-finite what."""
     values, states = snapshot
     for name, p in model.named_params().items():
         p.value[...] = values[name]
     model.load_bn_states(states)
+    return DivergenceError(f"non-finite {what} in epoch {epoch}; rolled back to "
+                           f"epoch {epoch - 1}")
 
 
 # -- checkpoints ---------------------------------------------------------------

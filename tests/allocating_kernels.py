@@ -37,7 +37,7 @@ def layer_norm_backward(gy, cache, scale, shift, work=None):
 
 
 def normal_cdf(x):
-    """Phi(x) by the operations of nn._normal_cdf on fresh arrays: Horner's
+    """Phi(x) by the operations of nn.gelu_in_place on fresh arrays: Horner's
     scheme in u = -|x| on the kernel's coefficients, h = Phi(u), then
     |(x >= 0) - h|."""
     u = -np.abs(x)
@@ -52,10 +52,9 @@ def normal_cdf(x):
     return np.abs((x >= 0.0) - h)
 
 
-def gelu(x, keep_phi=False, work=None):
+def gelu(x, work=None):
     phi = normal_cdf(x)
-    out = x * phi
-    return (out, phi) if keep_phi else out
+    return x * phi, phi
 
 
 def gelu_backward(gy, x, phi, work=None):
@@ -147,7 +146,7 @@ def block_forward(block, a, work=None):
     normed, ln_cache = layer_norm_forward(a, block.norm_scale, block.norm_shift)
     mixed = np.matmul(block.adjacency.value, normed)
     pre = mixed @ block.transfer.value
-    out, phi = gelu(pre, keep_phi=True)
+    out, phi = gelu(pre)
     return out, (normed, ln_cache, mixed, pre, phi)
 
 

@@ -401,6 +401,20 @@ def test_a_bad_generator_setting_exits_1_and_leaves_no_out_directory(
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_diverging_last_step_exits_2_with_one_line_and_no_out(tmp_path, config_path,
+                                                               capsys):
+    # one step at base_lr 1e308: no loss saw its update, and the hold-out
+    # evaluation ran on it, failing with six RuntimeWarnings and no rollback
+    doc = base_config()
+    doc["train"].update(base_lr=1e308, epochs=1, pairs_per_epoch=64, batch_size=64)
+    out = tmp_path / "out"
+    assert main(["train", "--config", config_path(doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: non-finite hold-out logits in epoch 0; "
+                                       "rolled back to epoch -1\n")
+    assert not out.exists()
+
+
 def test_a_tiny_gamma0_keeps_the_allocation_finite(tmp_path, config_path):
     # y / gamma0 overflowed to inf and the shares to NaN, and the run exited 2
     with open(os.path.join(CONFIG_DIR, "benchmark.json"), encoding="utf-8") as fh:

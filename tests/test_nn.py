@@ -67,18 +67,19 @@ def test_embed_rejects_bad_inputs():
 
 
 def test_gelu_hand_values():
-    assert nn.gelu(np.array([0.0]))[0] == 0.0
-    np.testing.assert_allclose(nn.gelu(np.array([1.0]))[0], PHI_AT_ONE,
+    assert nn.gelu(np.array([0.0]))[0][0] == 0.0
+    np.testing.assert_allclose(nn.gelu(np.array([1.0]))[0][0], PHI_AT_ONE,
                                rtol=0, atol=1e-12)
     # odd-part identity: gelu(x) + gelu(-x) = x * erf(x / sqrt 2)
     x = np.linspace(-3, 3, 41)
-    lhs = nn.gelu(x) + nn.gelu(-x)
+    lhs = nn.gelu(x)[0] + nn.gelu(-x)[0]
     rhs = x * (2.0 * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2))) - 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def normal_cdf(x):
-    return nn._normal_cdf(x, np.empty_like(x), np.empty((2,) + x.shape))
+    """Phi(x) as the GELU kernel returns it."""
+    return nn.gelu(x)[1]
 
 
 def test_normal_cdf_matches_scipy_in_both_tails():
@@ -104,15 +105,15 @@ def test_gelu_in_place_keeps_the_bits_of_signed_zeros_and_far_tails():
     x = np.array([-0.0, 0.0, -5e-324, 5e-324, -40.0, 40.0, -1e300, 1e300, np.inf])
     got = x.copy()
     nn.gelu_in_place(got, np.empty(nn.gelu_scratch_size(x.size)))
-    assert_bit_equal(got, nn.gelu(x))
-    assert_bit_equal(got, ref.gelu(x))
+    assert_bit_equal(got, nn.gelu(x)[0])
+    assert_bit_equal(got, ref.gelu(x)[0])
 
 
 def test_gelu_gradient_matches_finite_difference():
     x = np.linspace(-2.5, 2.5, 21)
     h = 1e-6
-    numeric = (nn.gelu(x + h) - nn.gelu(x - h)) / (2 * h)
-    analytic = nn.gelu_backward(np.ones_like(x), x, nn.gelu(x, keep_phi=True)[1])
+    numeric = (nn.gelu(x + h)[0] - nn.gelu(x - h)[0]) / (2 * h)
+    analytic = nn.gelu_backward(np.ones_like(x), x, nn.gelu(x)[1])
     np.testing.assert_allclose(analytic, numeric, atol=1e-9)
 
 
@@ -431,9 +432,8 @@ def test_gelu_with_kept_phi_matches_the_recomputing_kernels(shape, spread, seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=spread, size=shape)
     gy = rng.normal(size=shape)
-    out, phi = nn.gelu(x, keep_phi=True)
+    out, phi = nn.gelu(x)
     assert_bit_equal(out, reference_gelu(x))
-    assert_bit_equal(nn.gelu(x), reference_gelu(x))
     want = reference_gelu_backward(gy, x)
     assert_bit_equal(nn.gelu_backward(gy, x, phi), want)
 
@@ -565,8 +565,8 @@ def test_gelu_with_a_workspace_matches_the_allocating_kernel(sizes, width, sprea
     for n in sizes:
         x = rng.normal(scale=spread, size=(n, width))
         gy = rng.normal(size=(n, width))
-        out, phi = nn.gelu(x, keep_phi=True, work=work)
-        want_out, want_phi = ref.gelu(x, keep_phi=True)
+        out, phi = nn.gelu(x, work=work)
+        want_out, want_phi = ref.gelu(x)
         assert_bit_equal(out, want_out)
         assert_bit_equal(phi, want_phi)
         assert_bit_equal(nn.gelu_backward(gy, x, phi, work),
@@ -608,7 +608,7 @@ def test_in_place_kernels_match_the_allocating_kernels(n, width, strided, seed):
     assert_bit_equal(nn.layer_norm_in_place(got, scale, shift, np.empty_like(x)),
                      ref.layer_norm_forward(x, scale, shift)[0])
     got = x.copy()
-    assert_bit_equal(nn.gelu_in_place(got, np.empty_like(x)), ref.gelu(x))
+    assert_bit_equal(nn.gelu_in_place(got, np.empty_like(x)), ref.gelu(x)[0])
     bn = nn.BatchNorm(width)
     bn.scale.value[...] = rng.normal(size=width)
     bn.shift.value[...] = rng.normal(size=width)

@@ -311,6 +311,13 @@ def test_ingest_rejects_malformed_files(tmp_path):
         "cols.csv": ("identity,camera,timestamp\n0,0\n", ":2"),
         "feat.csv": ("identity,camera,timestamp,f0,f1\n0,0,0,1.0\n", ":2"),
         "negative.csv": ("identity,camera,timestamp\n0,0,-5\n", ">= 0"),
+        # each overflowed int64 with an uncaught OverflowError
+        "big_id.csv": ("identity,camera,timestamp\n0,1,5\n10000000000000000000000,1,5\n",
+                       ":3: .*int64"),
+        "big_cam.csv": ("identity,camera,timestamp\n0,-9223372036854775809,5\n",
+                        ":2: .*int64"),
+        "big_ts.csv": ("identity,camera,timestamp\n0,1,9223372036854775808\n",
+                       ":2: .*int64"),
         "zero.csv": ("identity,camera,timestamp,f0\n0,0,0,0.0\n", "zero feature"),
         "fname.csv": ("identity,camera,timestamp,g0\n0,0,0,1.0\n", "f0"),
         "empty.csv": ("", "empty"),
@@ -360,6 +367,15 @@ def test_split_required_for_split_views():
 def test_scene_rejects_out_of_range_camera():
     with pytest.raises(DataError):
         sc.Scene(num_cameras=2, identities=[0], cameras=[2], timestamps=[0])
+
+
+def test_scene_rejects_columns_of_different_lengths():
+    # rows that look sorted skip the sort, which no longer catches the mismatch
+    with pytest.raises(DataError, match="one row per sighting"):
+        sc.Scene(num_cameras=2, identities=[0, 1], cameras=[0, 0], timestamps=[0, 1, 2])
+    with pytest.raises(DataError, match="one row per sighting"):
+        sc.Scene(num_cameras=2, identities=[0, 1], cameras=[0, 0], timestamps=[0, 1],
+                 features=[[1.0]])
 
 
 def test_oracle_fixed_and_lognormal_masses():

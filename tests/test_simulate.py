@@ -753,6 +753,48 @@ def test_engine_matches_the_per_query_reference(
             assert (got[name].pairs, got[name].queries) == records[name], (chunk, name)
 
 
+def edge_scene():
+    """Four cameras whose test split leaves camera 3 empty and gives camera 2
+    one item, identity 0's: the query on it has nothing else there."""
+    rng = np.random.default_rng(8)
+    sightings = [(0, 0, 5), (0, 2, 9), (1, 0, 3), (1, 1, 12), (1, 0, 20),
+                 (2, 1, 4), (2, 0, 15), (3, 1, 7), (3, 3, 2)]
+    return scene_of([Observation(i, c, t, unit(rng.normal(size=3)))
+                     for i, c, t in sightings], num_cameras=4,
+                    train_identities=frozenset({3}),
+                    test_identities=frozenset({0, 1, 2}))
+
+
+@pytest.mark.parametrize("time_targeted", [False, True])
+@pytest.mark.parametrize("max_queries", [None, 1])
+def test_engine_and_plan_match_the_reference_on_empty_and_own_only_cameras(
+        time_targeted, max_queries):
+    scene = edge_scene()
+    gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
+    assert [items.size for items in gallery.device_items] == [4, 2, 1, 0]
+    model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6),
+                          np.random.default_rng(9))
+    models = sim.Models(transition=model)
+    params = sim.InferenceParams(gamma0=1.0, time_targeted=time_targeted)
+    args = (scene, list(sim.Strategy), models, 6, params,
+            sim.QuerySpec(max_queries=max_queries))
+    want, records = reference_run_benchmark(*args, np.random.default_rng(10))
+    for chunk in (1, 3, sim.QUERY_CHUNK):  # one-query blocks, a tail, one block
+        with mock.patch.object(sim, "QUERY_CHUNK", chunk):
+            got = sim.run_benchmark(*args, np.random.default_rng(10))
+        for name in want:
+            assert got[name] == want[name], (chunk, name)
+            assert (got[name].pairs, got[name].queries) == records[name], (chunk, name)
+    own_only = int(gallery.device_items[2][0])
+    for q in sim.eligible_queries(gallery)[0].tolist():
+        task = sim.make_task(gallery, q, int(gallery.timestamps[own_only]))
+        for strategy in sim.Strategy:
+            got = sim.plan(task, strategy, 6, params, models)
+            assert_same_plan(got, reference_plan(task, strategy, 6, params, models))
+            assert got.sequences[3].size == 0
+            assert got.sequences[2].tolist() == ([] if q == own_only else [own_only])
+
+
 def test_run_report_columns_are_read_only_int64():
     *_, reports = benchmark_fixture(list(sim.Strategy))
     for report in reports.values():
@@ -1016,13 +1058,12 @@ def test_visual_scores_match_the_stacked_reference(size, dim, count, seed):
 # -- ranks read from the block's orders -------------------------------------------
 
 
-def reference_positions(blocks, count, gallery_size, rows, items):
+def reference_positions(orders, count, gallery_size, rows, items):
     """0-based positions by the rank_of scatter that _find replaced: every
     order scattered into a [queries, gallery] array."""
     rank_of = np.zeros((count, gallery_size), dtype=np.int64)
-    for camera in blocks:
-        for block_rows, orders in camera:
-            rank_of[block_rows[:, None], orders] = np.arange(1, orders.shape[-1] + 1)
+    for camera in orders:
+        rank_of[np.arange(count)[:, None], camera] = np.arange(1, camera.shape[1] + 1)
     return rank_of[rows, items] - 1
 
 
@@ -1039,13 +1080,12 @@ def test_find_matches_the_rank_scatter(cameras, identities, visits, kind, count,
                           np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     queries = rng.choice(gallery.size, size=min(count, gallery.size), replace=False)
-    blocks = sim._sequences(gallery, queries, gallery.timestamps[queries], kind,
+    orders = sim._sequences(gallery, queries, gallery.timestamps[queries], kind,
                             sim.InferenceParams(), sim.Models(transition=model))
     # every (query row, item) pair but each query's own item
     rows, items = np.nonzero(np.arange(gallery.size) != queries[:, None])
-    got = sim._find(blocks, gallery.cameras[queries], rows, items,
-                    gallery.cameras[items])
-    want = reference_positions(blocks, queries.size, gallery.size, rows, items)
+    got = sim._find(orders, rows, items, gallery.cameras[items])
+    want = reference_positions(orders, queries.size, gallery.size, rows, items)
     np.testing.assert_array_equal(got, want)
 
 

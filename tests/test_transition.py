@@ -586,7 +586,7 @@ def einsum_block_forward(block, a):
     normed, ln_cache = nn.layer_norm_forward(a, block.norm_scale, block.norm_shift)
     mixed = np.einsum("uv,nvd->nud", block.adjacency.value, normed)
     pre = mixed @ block.transfer.value
-    out, phi = nn.gelu(pre, keep_phi=True)
+    out, phi = nn.gelu(pre)
     return out, (normed, ln_cache, mixed, pre, phi)
 
 
@@ -804,6 +804,32 @@ def test_divergence_rolls_back_and_raises():
     with pytest.raises(DivergenceError, match="epoch 0"), \
             np.errstate(over="ignore"):
         tr.train(model, scene, tr.TrainSchedule(epochs=2, pairs_per_epoch=64),
+                 np.random.default_rng(18))
+    for name, p in model.named_params().items():
+        np.testing.assert_array_equal(p.value, before[name])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, what", [(math.nan, "parameters"),
+                                         (1e308, "hold-out logits")])
+def test_a_diverging_last_step_rolls_back_before_the_holdout(monkeypatch, value,
+                                                             what):
+    # no loss sees the last step's update: a NaN parameter, or parameters
+    # so large that the hold-out logits overflow, must still roll back
+    scene = ring_scene(num_cameras=3, identities=30, visits=4, seed=16)
+    model = tiny_model(num_cameras=3, embed_dim=4, seed=17)
+    before = {k: p.value.copy() for k, p in model.named_params().items()}
+    adam = nn.adam_step
+
+    def diverging(params, lr, **kwargs):
+        adam(params, lr, **kwargs)
+        for p in params:
+            p.value[...] = value
+
+    monkeypatch.setattr(nn, "adam_step", diverging)
+    with pytest.raises(DivergenceError, match=f"non-finite {what} in epoch 0"):
+        tr.train(model, scene, tr.TrainSchedule(epochs=1, pairs_per_epoch=64,
+                                                batch_size=64),
                  np.random.default_rng(18))
     for name, p in model.named_params().items():
         np.testing.assert_array_equal(p.value, before[name])
