@@ -129,10 +129,10 @@ def cmd_gen(config: RunConfig, dry_run: bool) -> int:
               f"{spec.visits} visits over {spec.num_cameras} cameras "
               f"(seed {config.scene.seed})")
         return EXIT_OK
-    out = _ensure_out(config)
     rng = np.random.default_rng(config.scene.seed)
     gen_rng, _ = rng.spawn(2)
     scene = generate(spec, gen_rng)
+    out = _ensure_out(config)
     export_csv(scene, os.path.join(out, "scene.csv"))
     save_spec(spec, os.path.join(out, "generator.json"))
     print(f"wrote {len(scene)} observations over "

@@ -106,7 +106,7 @@ class GeneratorSpec(Settings):
     visits: int = setting(check=positive)
     feature_dim: int = setting(0, non_negative)
     feature_noise: float = setting(0.0, lambda x: 0.0 <= x <= MAX_FEATURE_NOISE)
-    start_spread: int = setting(0, non_negative)
+    start_spread: int = setting(0, lambda x: 0 <= x <= _INT64.max)
     visibility: float = setting(1.0, lambda x: 0.0 < x <= 1.0)
 
     def __post_init__(self):
@@ -240,48 +240,116 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator) -> Scene:
           has more than one outgoing edge;
        d. the delay, one `standard_normal` draw, when the edge is log-normal.
 
-    The noise rows are drawn into one buffer, and the features assembled
-    after the walks with the same elementwise arithmetic and one `dot` per
-    norm, so the bits match a per-visit computation.
+    Normal draws that follow each other in this list with no `random` or
+    `integers` draw between them are one `standard_normal` call into one
+    buffer: a visit's delay with the next visit's noise row, a mean with
+    its identity's first noise row, the last visit's delay with the next
+    identity's mean. A filled array takes each value from the generator
+    with the routine a scalar call uses, in order, so the stream, every
+    value and the generator's final state are those of one call per draw.
+    The delay is applied on the next visit with the scalar `math.exp` and
+    `round`; the last visit's delay is drawn but never applied. The features
+    are assembled after the walks with the same elementwise arithmetic and
+    stacked `matmul` norms, which give the bits of one `dot` per row.
+
+    Raises DataError when an identity's walk reaches a tick past the int64
+    range.
     """
-    per_camera = []
+    moves = []
     for c in range(spec.num_cameras):
         edges = spec.edges_from(c)
         cdf = np.array([e.prob for e in edges]).cumsum()
         cdf /= cdf[-1]
-        per_camera.append((edges, cdf.tolist()))
+        # (dest, fixed ticks or 0 for a log-normal law, mu, sigma) per edge
+        moves.append((cdf.tolist() if len(edges) > 1 else None, tuple(
+            (e.dest, e.delay.ticks, 0.0, 0.0) if isinstance(e.delay, FixedDelay)
+            else (e.dest, 0, e.delay.mu, e.delay.sigma) for e in edges)))
     dim = spec.feature_dim
     always_visible = spec.visibility >= 1.0
+    # every normal draw in stream order: `owed` of them are due, `drawn` made
+    normals = np.empty(spec.num_identities * (dim + spec.visits * (dim + 1)))
+    drawn = owed = 0
+    # looked up once: the walk calls them on every visit
+    random, normal, item = rng.random, rng.standard_normal, normals.item
+    exp, bisect_right = math.exp, bisect.bisect_right
+    # what each normal draw is for, in stream order: 0 a mean, 1 noise, 2 a delay
+    kinds = bytearray()
+    mean_kind, noise_kind, delay_kind = bytes(dim), b"\x01" * dim, b"\x02"
     identities, cameras, ticks = [], [], []
-    means = np.empty((spec.num_identities, dim))
-    noise = np.empty((spec.num_identities * spec.visits, dim))
     for ident in range(spec.num_identities):
         camera = ident % spec.num_cameras
-        t = int(rng.integers(0, spec.start_spread + 1)) if spec.start_spread else 0
-        if dim:
-            mean = rng.standard_normal(out=means[ident])
-            mean /= math.sqrt(mean.dot(mean))
-        for _ in range(spec.visits):
-            if always_visible or rng.random() < spec.visibility:
-                if dim:
-                    rng.standard_normal(out=noise[len(ticks)])
+        t = 0
+        if spec.start_spread:
+            if owed > drawn:
+                normal(out=normals[drawn:owed])
+                drawn = owed
+            t = int(rng.integers(0, spec.start_spread + 1))
+        kinds += mean_kind
+        owed += dim
+        for visit in range(spec.visits):
+            visible = always_visible
+            if not visible:
+                if owed > drawn:
+                    normal(out=normals[drawn:owed])
+                    drawn = owed
+                visible = random() < spec.visibility
+            if visible:
+                kinds += noise_kind
+                owed += dim
+            if visit:  # the previous visit's delay
+                if fixed:
+                    t += fixed
+                else:
+                    if owed > drawn:
+                        normal(out=normals[drawn:owed])
+                        drawn = owed
+                    try:
+                        t += max(1, round(exp(mu + sigma * item(z_at))))
+                    except OverflowError:  # a delay past float's range
+                        t = math.inf
+            if visible:
                 identities.append(ident)
                 cameras.append(camera)
                 ticks.append(t)
-            edges, cdf = per_camera[camera]
-            choice = edges[bisect.bisect_right(cdf, rng.random())] if len(edges) > 1 else edges[0]
-            t += choice.delay.sample(rng)
-            camera = choice.dest
+            cdf, out = moves[camera]
+            if cdf is None:
+                camera, fixed, mu, sigma = out[0]
+            else:
+                if owed > drawn:
+                    normal(out=normals[drawn:owed])
+                    drawn = owed
+                camera, fixed, mu, sigma = out[bisect_right(cdf, random())]
+            if not fixed:
+                kinds += delay_kind
+                z_at = owed
+                owed += 1
+        if t > _INT64.max:  # ticks never fall, so the last is the latest
+            raise DataError(f"identity {ident}'s walk passes tick "
+                            f"{_INT64.max}, the int64 limit")
+    if owed > drawn:  # the draws that no visit reads
+        normal(out=normals[drawn:owed])
     features = None
     if dim:
-        features = means[identities] + spec.feature_noise * noise[:len(ticks)]
-        features /= np.array([math.sqrt(row.dot(row)) for row in features])[:, None]
+        kind = np.frombuffer(kinds, dtype=np.uint8)
+        means = normals[:owed][kind == 0].reshape(-1, dim)
+        means /= np.sqrt(_squared_norms(means))
+        # x + y and y + x have the same bits: scale and shift the noise in place
+        features = normals[:owed][kind == 1].reshape(-1, dim)
+        features *= spec.feature_noise
+        features += means[identities]
+        features /= np.sqrt(_squared_norms(features))
     unseen = sorted(set(range(spec.num_cameras)) - set(cameras))
     if unseen:
         warnings.warn(f"cameras {unseen} recorded no observations", stacklevel=2)
     return Scene(num_cameras=spec.num_cameras, identities=identities,
                  cameras=cameras, timestamps=ticks, features=features,
                  generator=spec)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot with itself, as a column: a stacked matmul of [1, d]
+    by [d, 1] takes the path and the bits of one `row.dot(row)` per row."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0]
 
 
 def split_identities(scene: Scene, train_fraction: float,

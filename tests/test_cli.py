@@ -521,6 +521,98 @@ def test_a_corrupt_checkpoint_exits_2_and_leaves_no_out_directory(
     assert not out.exists()
 
 
+def ring_config(**laws):
+    """base_config with the given delay laws on the ring's edges, by index."""
+    doc = base_config()
+    doc["scene"]["generator"] = copy.deepcopy(RING)
+    for index, law in laws.items():
+        doc["scene"]["generator"]["edges"][int(index[1:])]["delay"] = law
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("laws", [
+    {"e0": {"fixed": 2 ** 62}, "e2": {"fixed": 2 ** 62}},
+    {"e1": {"lognormal": {"mu": 50.0, "sigma": 0.3}}},
+    {"e1": {"lognormal": {"mu": 1e300, "sigma": 0.3}}},
+    {"e1": {"lognormal": {"mu": 3.0, "sigma": 1e300}}},
+], ids=["fixed-2**62", "mu-50", "mu-1e300", "sigma-1e300"])
+def test_a_walk_past_int64_ticks_exits_2_and_leaves_no_out_directory(
+        tmp_path, config_path, capsys, command, laws):
+    # each passed --dry-run, then raised OverflowError with a traceback, and
+    # gen left its --out behind
+    path = config_path(ring_config(**laws))
+    assert main([command, "--config", path, "--dry-run"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: identity ") and err.count("\n") == 1, err
+    assert "int64 limit" in err
+    assert not out.exists()
+
+
+# -- extreme generator values, with and without --dry-run ------------------------
+
+EXTREME_FLOATS = (5e-324, sys.float_info.min, 1e-300, 1e300, sys.float_info.max)
+EXTREME_TICKS = (1, 2 ** 62, 2 ** 63 - 1)
+EXTREMES = [
+    *[("mu", v) for v in EXTREME_FLOATS + tuple(-v for v in EXTREME_FLOATS)],
+    *[(key, v) for key in ("sigma", "feature_noise") for v in EXTREME_FLOATS],
+    *[(key, v) for key in ("fixed", "start_spread") for v in EXTREME_TICKS],
+]
+
+
+def extreme_config(key, value):
+    """base_config with one extreme value: on the ring's log-normal edge, on
+    both its fixed edges, or on the generator."""
+    if key in ("mu", "sigma"):
+        law = copy.deepcopy(RING["edges"][1]["delay"])
+        law["lognormal"][key] = value
+        return ring_config(e1=law)
+    if key == "fixed":
+        return ring_config(e0={"fixed": value}, e2={"fixed": value})
+    doc = ring_config()
+    doc["scene"]["generator"][key] = value
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+@pytest.mark.parametrize("key, value", EXTREMES)
+def test_an_extreme_generator_value_fails_cleanly_and_alike_with_and_without_dry_run(
+        tmp_path, config_path, capsys, command, key, value):
+    path = config_path(extreme_config(key, value))
+    out = tmp_path / "out"
+    codes = []
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        code = main([command, "--config", path, *flags])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+        codes.append(code)
+    assert (codes[0] == 1) == (codes[1] == 1), codes
+    if codes[1]:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+def test_a_start_spread_past_int64_exits_1_with_and_without_dry_run(
+        tmp_path, config_path, capsys, command):
+    # passed the check, then the start draw raised "high is out of bounds"
+    # with a traceback
+    path = config_path(extreme_config("start_spread", 2 ** 63))
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", path, *flags]) == 1
+        assert capsys.readouterr().err == (
+            "config error: scene.generator.start_spread: "
+            "value 9223372036854775808 out of range\n")
+    assert not out.exists()
+
+
 # -- one bad setting, with and without --dry-run ---------------------------------
 
 # Every setting a simulate run reads, by where it sits: a config section, the

@@ -1,5 +1,6 @@
 """Scene generation, CSV round trips, splits, and the closed-form oracle."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -181,8 +182,27 @@ def generate_recording_warnings(generator, spec, seed):
     return scene, rng, [(w.category, str(w.message), w.filename) for w in caught]
 
 
+def log_normal_edge(source, dest, prob, mu=3.0, sigma=0.4):
+    return sc.Edge(source, dest, prob, sc.LogNormalDelay(mu, sigma))
+
+
 @settings(deadline=None, max_examples=150)
 @given(generator_specs(), st.integers(0, 2 ** 32 - 1))
+# every draw normal but camera 0's edge: one identity's delay, the next
+# identity's mean and its first noise row follow one another
+@example(spec=sc.GeneratorSpec(
+    num_cameras=3, edges=(log_normal_edge(0, 1, 0.5), log_normal_edge(0, 2, 0.5, 1.0),
+                          log_normal_edge(1, 2, 1.0), log_normal_edge(2, 0, 1.0, 2.0)),
+    num_identities=5, visits=4, feature_dim=3, feature_noise=0.3), seed=11)
+# camera 0 mixes a fixed and a log-normal edge, under partial visibility
+@example(spec=sc.GeneratorSpec(
+    num_cameras=2, edges=(sc.Edge(0, 1, 0.4, sc.FixedDelay(5)), log_normal_edge(0, 1, 0.6),
+                          log_normal_edge(1, 0, 1.0)),
+    num_identities=6, visits=5, feature_dim=2, feature_noise=0.2, start_spread=7,
+    visibility=0.5), seed=12)
+@example(spec=sc.GeneratorSpec(
+    num_cameras=2, edges=(log_normal_edge(0, 1, 1.0), log_normal_edge(1, 0, 1.0)),
+    num_identities=4, visits=1, feature_dim=2, feature_noise=0.5), seed=13)
 def test_generate_matches_the_per_visit_reference(spec, seed):
     got, got_rng, got_warnings = generate_recording_warnings(sc.generate, spec, seed)
     want, want_rng, want_warnings = generate_recording_warnings(
@@ -198,6 +218,40 @@ def test_generate_matches_the_per_visit_reference(spec, seed):
         else:
             assert a.feature is None and b.feature is None
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def overflowing_spec(**delays):
+    """A three-camera ring whose edges take the given delay laws."""
+    laws = [delays.get(name, sc.FixedDelay(10)) for name in ("first", "second", "third")]
+    return sc.GeneratorSpec(
+        num_cameras=3, edges=tuple(sc.Edge(i, (i + 1) % 3, 1.0, law)
+                                   for i, law in enumerate(laws)),
+        num_identities=2, visits=4, feature_dim=2, feature_noise=0.1)
+
+
+@pytest.mark.parametrize("delays", [
+    {"first": sc.FixedDelay(2 ** 62), "third": sc.FixedDelay(2 ** 62)},
+    {"second": sc.LogNormalDelay(50.0, 0.3)},
+    {"second": sc.LogNormalDelay(1e300, 0.3)},
+    {"second": sc.LogNormalDelay(3.0, 1e300)},
+])
+def test_a_walk_past_int64_ticks_raises_a_data_error(delays):
+    # each raised OverflowError: from Scene's int64 columns, or from math.exp
+    # and round on an infinite delay
+    with pytest.raises(DataError, match=r"^identity 0's walk passes tick "
+                                        r"9223372036854775807, the int64 limit$"):
+        sc.generate(overflowing_spec(**delays), np.random.default_rng(0))
+
+
+def test_the_last_visits_delay_is_drawn_but_never_applied():
+    # a delay past float's range, drawn after an identity's only visit
+    spec = dataclasses.replace(overflowing_spec(first=sc.LogNormalDelay(1e300, 1.0)),
+                               num_identities=3, visits=1)
+    rng = np.random.default_rng(0)
+    assert sc.generate(spec, rng).timestamps.tolist() == [0, 0, 0]
+    want = np.random.default_rng(0)
+    want.standard_normal(3 * (2 + 2) + 1)  # three means and noise rows, one delay
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def scene_digest(scene):
