@@ -17,14 +17,19 @@ every array a kernel returned from it, belongs to one caller at a time: the
 next call that uses the workspace overwrites them, and two threads sharing
 one would write into each other's temporaries. The in-place kernels below
 only read their parameters, so threads may run them at once on disjoint
-arrays: TransitionNet.eval_logits' workers each do so on their own rows.
+arrays: TransitionNet.eval_logits' workers each do so on the groups of rows
+they take, one at a time, from a shared iterator.
 
 An eval pass needs no cache, so layer norm and GELU also come in place
 (layer_norm_in_place, gelu_in_place) with the bits the cached kernel
 returns, each writing its temporaries into a scratch array the caller
 passes, and eval-mode batch norm comes only in place (BatchNorm.eval_in_place).
-TransitionNet.eval_logits, the one eval entry, runs them; forward(train=False)
-returns it.
+gelu_in_place runs over its input in pieces as large as that scratch
+takes, with the same bits for any piece size: the eval pass hands it
+544 KiB, pieces of 32,768 values, whatever the group's size, and training
+a scratch that takes the whole batch in one piece.
+TransitionNet.eval_logits, the one eval entry, runs them;
+forward(train=False) returns it.
 """
 
 from __future__ import annotations

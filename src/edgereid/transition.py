@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -24,27 +25,37 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      InputError, NumericError, ShapeError)
 from .nn import Param, as_f64
 from .scene import Scene, cross_camera_pairs
-from .settings import (Settings, at_least_two, non_negative, positive, read,
-                       setting)
+from .settings import (Settings, at_least_two, check_settings, non_negative,
+                       positive, read, setting)
 
 CHECKPOINT_VERSION = 1
-# Rows of TransitionNet.eval_logits' [rows, C, D] array, 512 KiB at C=8,
-# D=32, and of its scratch, 2.125 times that (nn.gelu_scratch_size), shared
-# by its workers: each runs groups of EVAL_ROWS // workers rows, so the
-# pass's memory does not grow with the worker count. On bench
-# longspan (2 cores, BLAS on one thread, three 20 s runs per size) one
-# worker gave a median 62.0 ops/s at 256 rows against 59.3 at 128 and 57.3
-# at 512, at peak RSS within 1.2 MiB of each other. Two workers of 128 rows
-# each then read 55.2 -> 87.4 ops/s (1.58x, ten alternating 30 s pairs) at a
-# median peak RSS of 71.8 -> 71.5 MiB.
-EVAL_ROWS = 256
+# Rows of TransitionNet.eval_logits' groups, shared by its workers: on w
+# workers each runs groups of EVAL_ROWS // w rows through its own [rows, C,
+# D] array and a scratch of _eval_scratch_size values, so the pass's memory
+# does not grow with the worker count. GELU takes the scratch in pieces of
+# EVAL_GELU_PIECE values (256 KiB of float64, its work 544 KiB), so that at
+# any C it runs in the 2 MiB L2 of the cores measured, and the scratch is
+# the group's [rows, C, D] size, or one piece's work where that is larger.
+# Against 256 rows run as one fixed slice per worker, with GELU over each
+# whole group (2 vCPUs, BLAS on one thread): bench longspan read a median
+# 103.1 -> 123.7 ops/s over ten alternating pairs of 30 s runs, ahead in 9;
+# tools/eval_cost.py (12 alternating rounds of 4,096-row calls) put a C=32,
+# D=32 row at 92.9 -> 69.3 us on one worker and 56.5 -> 47.0 us on two, and
+# 18,000 rows of the shipped C=8 checkpoint at 15.9 -> 13.0 us a row on two
+# workers and 18.3 -> 18.6 us on one (6 rounds). The pass's traced peak over
+# 1,543 rows at C=8 rose from 1.9 to 2.7 MiB.
+EVAL_ROWS = 512
+EVAL_GELU_PIECE = 32768
 # eval_logits runs on at most EVAL_MAX_WORKERS workers, the one count measured
 # (2 cores), and gives each at least EVAL_WORKER_ROWS rows. On the shipped
 # checkpoint, with calls alternating between one and two workers (30-40
 # calls each per size, three runs), two workers read 1.5-1.7x at 2,048 rows
 # and above in every run, but 0.9-1.6x from one run to the next at 256-1,024
 # rows: a 128-row group's kernels are short, so the two threads' GIL
-# hand-offs can cost what the second core gains.
+# hand-offs can cost what the second core gains. With 256-row groups taken
+# on demand (tools/eval_cost.py, six rounds of 40 calls) two workers read
+# 0.95-1.6x a round at 1,024 rows and 1.0-2.1x at 2,048, so the threshold
+# stays.
 EVAL_MAX_WORKERS = 2
 EVAL_WORKER_ROWS = 1024
 
@@ -122,13 +133,16 @@ class GraphBlock:
         """forward's output written over a, by the same operations in the
         same order (so the same bits) and with no cache; scratch, a
         C-contiguous array of a.size values or more, takes the squares and
-        the mixing in its first a.size values, and GELU's work
-        (gelu_scratch_size(a.size) values take it in one piece)."""
-        b = scratch.reshape(-1)[:a.size].reshape(a.shape)
+        the mixing in its first a.size values, and then GELU's work in its
+        first gelu_scratch_size(EVAL_GELU_PIECE) values: GELU runs over a in
+        pieces of EVAL_GELU_PIECE values, or of fewer where scratch is
+        shorter (_eval_scratch_size(a.size) values take a smaller a in one)."""
+        flat = scratch.reshape(-1)
+        b = flat[:a.size].reshape(a.shape)
         nn.layer_norm_in_place(a, self.norm_scale, self.norm_shift, scratch=b)
         np.matmul(self.adjacency.value, a, out=b)
         np.matmul(b, self.transfer.value, out=a)
-        return nn.gelu_in_place(a, scratch)
+        return nn.gelu_in_place(a, flat[:nn.gelu_scratch_size(EVAL_GELU_PIECE)])
 
     def backward(self, gout: np.ndarray, cache,
                  work: nn.Workspace | None = None) -> np.ndarray:
@@ -305,6 +319,13 @@ def _eval_workers(n: int) -> int:
     return max(1, min(_available_cpus(), EVAL_MAX_WORKERS, n // EVAL_WORKER_ROWS))
 
 
+def _eval_scratch_size(size: int) -> int:
+    """Values of the scratch an eval group of size values in its [rows, C, D]
+    array runs through (GraphBlock.eval_in_place): the group's size for the
+    mixing, or GELU's work on one piece where that is larger."""
+    return max(size, nn.gelu_scratch_size(min(size, EVAL_GELU_PIECE)))
+
+
 def _run_in_threads(task, count: int) -> None:
     """task(0) in the calling thread and task(1), ..., task(count - 1) each
     in a thread of its own, started here and joined before returning or
@@ -400,12 +421,13 @@ class TransitionNet:
     used by one caller at a time, never shared across threads: a second
     caller's forward pass would overwrite the first one's cache.
 
-    eval_logits keeps no cache and leaves the workspace alone: it splits a
-    large batch over up to EVAL_MAX_WORKERS workers, the calling thread and
-    threads of its own that it joins before returning, and each worker runs
-    its groups of rows through its own part of two arrays, dropped on
-    return. The workers only read the model and write disjoint slices, so
-    the logits have the same bits whatever their number.
+    eval_logits keeps no cache and leaves the workspace alone: it runs a
+    large batch on up to EVAL_MAX_WORKERS workers, the calling thread and
+    threads of its own that it joins before returning, which take groups of
+    rows on demand and run each through their own part of two arrays,
+    dropped on return. The workers only read the model and write disjoint
+    groups of rows, so the logits have the same bits whatever their number
+    or schedule.
     """
 
     def __init__(self, config: TransitionNetConfig, rng: np.random.Generator):
@@ -572,21 +594,26 @@ class TransitionNet:
         EVAL_MAX_WORKERS of the CPUs the process may run on.
 
         Inputs broadcast and are checked as in forward, before any worker
-        starts. The batch is cut into one contiguous slice per worker
-        (_eval_workers); the calling thread runs the first slice and threads
-        started for the call run the others (_run_in_threads). A worker runs
-        its slice in groups of EVAL_ROWS // workers rows through its own part
-        of two arrays, dropped on return: a, of a group's [rows, C, D], and
-        b, a flat scratch that takes a group's GELU in one piece. The
-        spatial output goes into a, each graph block and the heads overwrite
-        a with b as scratch, and the linear products go into b. Every kernel
-        is row-wise and runs the training pass's operations in the same
-        order (batch norm aside, which reads its running statistics), so an
-        eval-mode row's logits do not depend on the other rows of its batch:
-        the result has the same bits as one pass over the whole batch, or
-        over each row alone, whatever the worker count. A non-finite logit raises
-        NumericError. The model's work buffers are left alone; a pending
-        forward cache is cleared, so backward cannot follow.
+        starts. The batch is cut into groups of EVAL_ROWS // workers rows
+        (_eval_workers), and the workers, the calling thread and threads
+        started for the call (_run_in_threads), take the next group in batch
+        order from one shared iterator whenever they finish one, so that no
+        worker waits on another's last group. A worker runs each group
+        through its own part of two arrays, dropped on return: a, of a
+        group's [rows, C, D], and b, a flat scratch of _eval_scratch_size
+        values. The spatial output goes into a, each graph block and the
+        heads overwrite a with b as scratch, and the linear products go into
+        b. Every kernel is row-wise or elementwise and runs the training
+        pass's operations in the same order (batch norm aside, which reads
+        its running statistics), so an eval-mode row's logits do not depend
+        on the other rows of its batch: the result has the same bits as one
+        pass over the whole batch, or over each row alone, whatever the
+        worker count, the group size or which worker took which group. A
+        non-finite logit raises NumericError. A worker whose group raises
+        takes no further group, nor do the others once they finish theirs;
+        the error of the first failing group in batch order is raised, as
+        one worker would raise it. The model's work buffers are left alone;
+        a pending forward cache is cleared, so backward cannot follow.
         """
         cfg = self.config
         cams, deltas = self._inputs(cameras, t_query, t_target)
@@ -600,35 +627,45 @@ class TransitionNet:
         workers = _eval_workers(n)
         rows = min(EVAL_ROWS // workers, n)
         a = np.empty((workers, rows, c, d))
-        b = np.empty((workers, nn.gelu_scratch_size(rows * c * d)))
-        bounds = [n * i // workers for i in range(workers + 1)]
+        b = np.empty((workers, _eval_scratch_size(rows * c * d)))
+        starts = iter(range(0, n, rows))
+        lock = threading.Lock()
+        failed: dict[int, BaseException] = {}
 
         def run(i):
-            part = slice(bounds[i], bounds[i + 1])
-            self._eval_slice(cams[part], deltas[part], out[part], a[i], b[i])
+            while not failed:
+                with lock:
+                    start = next(starts, n)
+                if start == n:
+                    return
+                group = slice(start, start + rows)
+                try:
+                    self._eval_group(cams[group], deltas[group], out[group],
+                                     a[i], b[i])
+                except BaseException as exc:
+                    failed[start] = exc
 
         _run_in_threads(run, workers)
+        if failed:
+            raise failed[min(failed)]
         return out
 
-    def _eval_slice(self, cams, deltas, out, a, b) -> None:
-        """eval_logits' pass over one worker's slice, written into out, in
-        groups of a's rows, with a and b, a flat array of
-        nn.gelu_scratch_size(a.size) values, as its buffers."""
+    def _eval_group(self, cams, deltas, out, a, b) -> None:
+        """eval_logits' pass over one group of at most a's rows, written into
+        out, with a and b, a flat array of _eval_scratch_size(a.size) values,
+        as its buffers."""
         cfg = self.config
         d = cfg.embed_dim
-        for start in range(0, cams.size, a.shape[0]):
-            rows = slice(start, start + a.shape[0])
-            m = cams[rows].size
-            x = a[:m]
-            embed = nn._embed(deltas[rows], d, cfg.max_period)
-            self._spatial(cams[rows], embed, x)
-            for block in self.blocks:
-                block.eval_in_place(x, b)
-            for _, head, columns in self._head_items():
-                scores = head.eval_in_place(x[:, columns].reshape(-1, d), b)
-                out[rows, columns] = scores.reshape(m, -1)
-            if not np.all(np.isfinite(out[rows])):
-                raise NumericError("non-finite logits; check inputs and learning rate")
+        x = a[:cams.size]
+        embed = nn._embed(deltas, d, cfg.max_period)
+        self._spatial(cams, embed, x)
+        for block in self.blocks:
+            block.eval_in_place(x, b)
+        for _, head, columns in self._head_items():
+            scores = head.eval_in_place(x[:, columns].reshape(-1, d), b)
+            out[:, columns] = scores.reshape(cams.size, -1)
+        if not np.all(np.isfinite(out)):
+            raise NumericError("non-finite logits; check inputs and learning rate")
 
     def distribution(self, cameras, t_query, t_target) -> np.ndarray:
         """Softmax of eval_logits: p(camera at target time), normalised in
@@ -653,8 +690,22 @@ class TrainSchedule(Settings):
     pairs_per_epoch: int | None = setting(None, positive)
     holdout_pairs: int = setting(2000, non_negative)
 
+    def __post_init__(self):
+        check_settings(self)
+        # lr_at never rises, so the last epoch's is the least: one that
+        # underflows to 0 would fail adam_step's check partway through training
+        last = self.epochs - 1
+        if self.epochs and not self.lr_at(last) >= sys.float_info.min:
+            raise ConfigError(
+                f"learning rate {self.lr_at(last)!r} at epoch {last} is below the "
+                f"smallest normal float {sys.float_info.min!r}; raise base_lr "
+                f"or lr_decay")
+
     def lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.lr_decay ** (epoch // self.lr_step_epochs)
+        # by 2**64 decays any lr_decay below 1 has reached 0.0; the cap keeps
+        # an epoch count past float's range from overflowing the power
+        steps = min(epoch // self.lr_step_epochs, 2**64)
+        return self.base_lr * self.lr_decay ** steps
 
 
 def _cross_camera_pairs(split: Scene):

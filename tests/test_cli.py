@@ -415,6 +415,30 @@ def test_a_diverging_last_step_exits_2_with_one_line_and_no_out(tmp_path, config
     assert not out.exists()
 
 
+@pytest.mark.parametrize("train", [{"base_lr": 5e-324}, {"lr_decay": 1e-300},
+                                   {"lr_decay": 5e-324}])
+def test_a_learning_rate_that_underflows_fails_validation(tmp_path, config_path,
+                                                          capsys, train):
+    # the last epoch's rate 0.0 passed --dry-run (exit 0), and adam_step then
+    # stopped the run at epoch 1 ("learning rate must be positive")
+    with open(os.path.join(CONFIG_DIR, "cycle.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["train"].update(epochs=3, lr_step_epochs=1, **train)
+    path = config_path(doc)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main(["train", "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: train: learning rate 0.0 at epoch 2 is below the "
+            "smallest normal float 2.2250738585072014e-308; raise base_lr or "
+            "lr_decay\n")
+    assert not out.exists()
+    # a decay whose last rate (0.01 * 1e-300) is still normal trains
+    doc["train"].update(base_lr=0.01, lr_decay=1e-150)
+    assert main(["train", "--config", config_path(doc), "--out", str(out)]) == 0
+
+
 def test_a_tiny_gamma0_keeps_the_allocation_finite(tmp_path, config_path):
     # y / gamma0 overflowed to inf and the shares to NaN, and the run exited 2
     with open(os.path.join(CONFIG_DIR, "benchmark.json"), encoding="utf-8") as fh:

@@ -421,9 +421,15 @@ def test_eval_workers_are_capped_and_get_enough_rows(monkeypatch, cpus, n, worke
 
 
 def nonfinite_tail_model(c, per_node):
-    """A model whose rows from source camera c - 1 have non-finite logits."""
+    """A model whose rows from source camera c - 1 have non-finite logits,
+    through an invalid operation at any time difference: the spatial weight
+    that the embedding's first cosine takes is infinite there, and a cosine
+    is never 0, so such a row's spatial output is infinite of one sign and
+    layer norm's inf - inf is invalid. (An infinite weight on every
+    embedding value gives inf - inf or 0 * inf inside einsum, which sets no
+    floating-point error, wherever the embedding has mixed signs or a 0.)"""
     model = eval_model(c, 4, per_node, seed=5)
-    model.spatial_weight.value[c - 1] = np.inf
+    model.spatial_weight.value[c - 1, 1] = np.inf
     return model
 
 
@@ -443,9 +449,26 @@ def test_a_nonfinite_row_in_the_last_slice_raises_and_joins_every_worker(
         assert threading.active_count() == threads
         message = rejected(NumericError, lambda: model.eval_logits(cams, tq, td))
     assert message == "non-finite logits; check inputs and learning rate"
-    # the caller's errstate holds in every worker
-    with eval_workers(workers), np.errstate(all="raise"):
+    # the caller's errstate holds in every worker. Which worker takes the
+    # last group varies, so each worker also records its errstate as it
+    # starts its first group, and waits there until every worker has one.
+    states = {}
+    barrier = threading.Barrier(workers, timeout=30)
+    eval_group = tr.TransitionNet._eval_group
+
+    def recording(self, *args):
+        if threading.get_ident() not in states:
+            states[threading.get_ident()] = np.geterr()
+            barrier.wait()
+        eval_group(self, *args)
+
+    with eval_workers(workers), np.errstate(all="raise"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr.TransitionNet, "_eval_group", recording)
         rejected(FloatingPointError, lambda: model.eval_logits(cams, tq, td))
+        caller = np.geterr()
+    assert len(states) == workers
+    assert all(state == caller for state in states.values())
     assert threading.active_count() == threads
 
 
@@ -497,6 +520,47 @@ def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers, per_n
     # the pass holds two [EVAL_ROWS, C, D] arrays (512 KiB each), shared by
     # the workers; a training step of as many rows holds thirteen
     assert peak < 4 * tr.EVAL_ROWS * c * d * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_eval_logits_peak_stays_under_three_row_blocks(eval_workers, workers,
+                                                       per_node):
+    # the workers' [rows, C, D] arrays make one [EVAL_ROWS, C, D] block and
+    # their scratch at most 1.0625 more: GELU runs in EVAL_GELU_PIECE-value
+    # pieces, not over a whole group's 2.125 blocks
+    c, d = 8, 32
+    n = 3 * tr.EVAL_ROWS + 7
+    model = eval_model(c, d, per_node, seed=3)
+    cams, tq, td, _ = random_batch(np.random.default_rng(4), n, c)
+    with eval_workers(workers):
+        model.eval_logits(cams[:2], tq[:2], td[:2])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.eval_logits(cams, tq, td)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * tr.EVAL_ROWS * c * d * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_eval_pieces_at_c32_give_each_row_its_bits_alone(eval_workers, workers):
+    # at C=32, D=32 a row is 1,024 values, so a group of EVAL_ROWS // workers
+    # rows runs GELU in several EVAL_GELU_PIECE-value pieces; 600 rows end
+    # in a short group on 1, 2 and 3 workers
+    c, d, n = 32, 32, 600
+    assert tr.EVAL_ROWS // 3 * c * d > tr.EVAL_GELU_PIECE
+    assert all(n % (tr.EVAL_ROWS // w) for w in (1, 2, 3))
+    model = eval_model(c, d, False, seed=8)
+    cams, tq, td, _ = random_batch(np.random.default_rng(9), n, c)
+    with eval_workers(workers):
+        got = model.eval_logits(cams, tq, td)
+    with eval_workers(1):
+        alone = np.concatenate([model.eval_logits(cams[i], tq[i], td[i])
+                                for i in range(n)])
+    assert_bit_equal(got, alone)
 
 
 def rejected(error, call):
@@ -705,6 +769,18 @@ def test_schedule_decay_boundaries():
         tr.TrainSchedule(base_lr=0.0)
     with pytest.raises(ConfigError):
         tr.TrainSchedule(lr_decay=1.5)
+
+
+def test_the_last_epochs_learning_rate_must_be_normal():
+    tiny = sys.float_info.min
+    # the default schedule's last epoch, 89, runs at base_lr * lr_decay**2
+    assert tr.TrainSchedule(base_lr=4 * tiny, lr_decay=0.5).lr_at(89) == tiny
+    with pytest.raises(ConfigError, match="at epoch 89 is below"):
+        tr.TrainSchedule(base_lr=4 * tiny, lr_decay=0.25)
+    with pytest.raises(ConfigError, match="learning rate 5e-324 at epoch 0"):
+        tr.TrainSchedule(base_lr=5e-324, epochs=1)
+    # no epoch, no learning rate
+    assert tr.TrainSchedule(base_lr=5e-324, epochs=0).epochs == 0
 
 
 def test_sample_pairs_identity_law():
