@@ -8,7 +8,6 @@ referenced files must exist before any work starts.
 
 import dataclasses
 import json
-import math
 import os
 
 from .errors import ConfigError
@@ -16,6 +15,7 @@ from .scene import GeneratorSpec, spec_from_dict, spec_to_dict
 from .settings import (Settings, at_least_two, mapping, non_negative, positive,
                        read, setting, write)
 from .simulate import InferenceParams, QuerySpec, Strategy
+from .strategy import valid_floor, valid_sigma_bins
 from .transition import TrainSchedule, TransitionNetConfig
 
 DEFAULT_RANK_KS = (1, 5, 10, 20)
@@ -66,8 +66,8 @@ class TrainSection(TrainSchedule):
 class FrequencySection(Settings):
     enabled: bool = setting(False)
     bin_width: int = setting(100, positive)
-    sigma_bins: float = setting(2.0, lambda x: 0.0 <= x < math.inf)
-    floor: float = setting(1e-6, lambda x: 0.0 < x < math.inf)
+    sigma_bins: float = setting(2.0, valid_sigma_bins)
+    floor: float = setting(1e-6, valid_floor)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,12 +134,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     model = read(ModelSection, doc.get("model", {}), "model")
     train = read(TrainSection, doc.get("train", {}), "train")
-    if model.per_node_classifier:
-        # a per-node head batch-normalises one row per pair
-        for key in ("batch_size", "pairs_per_epoch"):
-            if getattr(train, key) == 1:
-                raise ConfigError(f"train.{key}: must be at least 2 with "
-                                  f"model.per_node_classifier")
 
     inf_doc = mapping(doc.get("inference", {}), "inference")
     inference = read(

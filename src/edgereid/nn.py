@@ -7,7 +7,8 @@ is called. Nothing here keeps hidden global state: random initialisation and
 stochastic training draw from caller-owned numpy Generators. numpy is the
 only dependency: GELU's normal CDF is a rational fit evaluated with numpy
 ufuncs (_lower_tail) that keeps its accuracy in both tails, and training's
-gelu and the eval pass's gelu_in_place run one kernel.
+gelu and the eval pass's gelu_in_place run one kernel. Layer norm and
+training batch norm run the same kernels, over the last axis and axis 0.
 
 The layer kernels write their large arrays into the buffers of a Workspace
 passed by the caller, so that a training loop reuses the same memory every
@@ -272,14 +273,14 @@ def layer_norm_forward(x: np.ndarray, scale: Param, shift: Param,
     work = work or Workspace()
     x_hat = work.get("layer_norm.x_hat", x.shape)
     y = work.get("layer_norm.out", x.shape)
-    inv_std = _standardize(x, x_hat, y, eps)
+    _, _, inv_std = _standardize(x, x_hat, y, eps)
     return layer_norm_output(x_hat, scale, shift, y), (x_hat, inv_std)
 
 
 def layer_norm_output(x_hat: np.ndarray, scale: Param, shift: Param,
                       out: np.ndarray) -> np.ndarray:
-    """x_hat * scale + shift written into out: layer_norm_forward's output
-    from its cached x_hat, with the bits it returned."""
+    """x_hat * scale + shift written into out: layer norm's and batch norm's
+    output from their cached x_hat, with the bits forward returned."""
     np.multiply(x_hat, scale.value, out=out)
     out += shift.value
     return out
@@ -297,31 +298,40 @@ def layer_norm_in_place(x: np.ndarray, scale: Param, shift: Param,
 
 
 def _standardize(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-                 eps: float) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps) over the last axis, written into out
-    (which may be x itself), with the squares in scratch; returns the
-    1 / sqrt(var + eps) factors."""
-    mean = x.mean(axis=-1, keepdims=True)
+                 eps: float, axis: int = -1):
+    """(x - mean) / sqrt(var + eps) over axis (the last for layer norm, 0
+    for batch norm), written into out (which may be x itself), with the
+    squares in scratch. Returns the mean, the variance and the
+    1 / sqrt(var + eps) factors, each keeping axis with length 1."""
+    mean = x.mean(axis=axis, keepdims=True)
     centred = np.subtract(x, mean, out=out)
-    var = np.mean(np.square(centred, out=scratch), axis=-1, keepdims=True)
+    var = np.mean(np.square(centred, out=scratch), axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     out *= inv_std
-    return inv_std
+    return mean, var, inv_std
 
 
 def layer_norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param,
                         work: Workspace | None = None) -> np.ndarray:
+    return _norm_backward(gy, cache, scale, shift, work or Workspace(),
+                          "layer_norm_backward", axis=-1)
+
+
+def _norm_backward(gy: np.ndarray, cache, scale: Param, shift: Param,
+                   work: Workspace, name: str, axis: int) -> np.ndarray:
+    """Input gradient of a normalisation over axis from its cached (x_hat,
+    inv_std), in work's name.grad buffer with name.tmp as scratch; the scale
+    and shift gradients sum over every axis but the last."""
     x_hat, inv_std = cache
-    work = work or Workspace()
-    tmp = work.get("layer_norm_backward.tmp", gy.shape)
-    g_hat = work.get("layer_norm_backward.grad", gy.shape)
+    tmp = work.get(f"{name}.tmp", gy.shape)
+    g_hat = work.get(f"{name}.grad", gy.shape)
     axes = tuple(range(gy.ndim - 1))
     scale.grad += np.sum(np.multiply(gy, x_hat, out=tmp), axis=axes)
     shift.grad += np.sum(gy, axis=axes)
     np.multiply(gy, scale.value, out=g_hat)
     # (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) * inv_std, in g_hat
-    proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=-1, keepdims=True)
-    g_hat -= g_hat.mean(axis=-1, keepdims=True)
+    proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=axis, keepdims=True)
+    g_hat -= g_hat.mean(axis=axis, keepdims=True)
     g_hat -= np.multiply(x_hat, proj, out=tmp)
     g_hat *= inv_std
     return g_hat
@@ -451,8 +461,10 @@ class BatchNorm:
 
     forward(x) trains: it normalises with the batch statistics, updates the
     running averages (momentum 0.1, unbiased variance) and returns the cache
-    backward reads. eval_in_place normalises with the running statistics, in
-    place and with no cache: the eval mode, for TransitionNet.eval_logits.
+    backward reads, by layer norm's kernels (_standardize, layer_norm_output,
+    _norm_backward) over axis 0. eval_in_place normalises with the running
+    statistics, in place and with no cache: the eval mode, for
+    TransitionNet.eval_logits.
     """
 
     def __init__(self, width: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -479,17 +491,12 @@ class BatchNorm:
         work = work or Workspace()
         x_hat = work.get("batch_norm.x_hat", x.shape)
         y = work.get("batch_norm.out", x.shape)
-        mean = x.mean(axis=0)
-        centred = np.subtract(x, mean, out=x_hat)
-        var = np.mean(np.square(centred, out=y), axis=0)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= inv_std
+        mean, var, inv_std = (stat[0] for stat in
+                              _standardize(x, x_hat, y, self.eps, axis=0))
         self.running_mean += self.momentum * (mean - self.running_mean)
         unbiased = var * n / (n - 1)
         self.running_var += self.momentum * (unbiased - self.running_var)
-        np.multiply(x_hat, self.scale.value, out=y)
-        y += self.shift.value
-        return y, (x_hat, inv_std)
+        return layer_norm_output(x_hat, self.scale, self.shift, y), (x_hat, inv_std)
 
     def eval_in_place(self, x: np.ndarray) -> np.ndarray:
         """(x - running_mean) / sqrt(running_var + eps) * scale + shift,
@@ -502,19 +509,8 @@ class BatchNorm:
 
     def backward(self, gy: np.ndarray, cache,
                  work: Workspace | None = None) -> np.ndarray:
-        x_hat, inv_std = cache
-        work = work or Workspace()
-        tmp = work.get("batch_norm_backward.tmp", gy.shape)
-        g_hat = work.get("batch_norm_backward.grad", gy.shape)
-        self.scale.grad += np.sum(np.multiply(gy, x_hat, out=tmp), axis=0)
-        self.shift.grad += np.sum(gy, axis=0)
-        np.multiply(gy, self.scale.value, out=g_hat)
-        # (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) * inv_std, in g_hat
-        proj = np.mean(np.multiply(g_hat, x_hat, out=tmp), axis=0)
-        g_hat -= g_hat.mean(axis=0)
-        g_hat -= np.multiply(x_hat, proj, out=tmp)
-        g_hat *= inv_std
-        return g_hat
+        return _norm_backward(gy, cache, self.scale, self.shift,
+                              work or Workspace(), "batch_norm_backward", axis=0)
 
     def state(self) -> dict:
         return {"running_mean": self.running_mean.copy(),

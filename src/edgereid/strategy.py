@@ -22,6 +22,12 @@ from .scene import Scene, cross_camera_pairs
 from .settings import positive
 
 ORIENTATION_MODES = ("consistent", "inverted")
+# fit_frequency's bounds. sigma_bins: a kernel of 8 * MAX_SIGMA_BINS + 1
+# taps, which widens every camera pair's bins as much; wider smoothing is a
+# wider bin_width away. floor: a pseudo-count added to every bin, at most one
+# co-observed pair's count; above it the floor drowns the observations, and
+# near float's range it overflows the per-camera totals.
+MAX_SIGMA_BINS, MAX_FLOOR = 256.0, 1.0
 
 
 def valid_gamma1(gamma1) -> bool:
@@ -33,6 +39,14 @@ def valid_gamma1(gamma1) -> bool:
 
 def valid_mu(mu) -> bool:  # a convex weight; NaN fails
     return 0.0 <= mu <= 1.0
+
+
+def valid_sigma_bins(sigma_bins) -> bool:  # in [0, MAX_SIGMA_BINS]; NaN fails
+    return 0.0 <= sigma_bins <= MAX_SIGMA_BINS
+
+
+def valid_floor(floor) -> bool:  # in (0, MAX_FLOOR]; NaN fails
+    return 0.0 < floor <= MAX_FLOOR
 
 
 def _check_orientation(mode: str) -> None:
@@ -89,9 +103,11 @@ class FrequencyModel:
         """prob rescaled to [0, 1] by the (source, dest) maximum; zero when
         the pair has no observed co-occurrences."""
         source, dest = self._cameras(source, dest)
-        return np.where(self.observed[source, dest],
-                        self.prob(source, dest, delta_t) / self._pair_max[source, dest],
-                        0.0)
+        prob = self.prob(source, dest, delta_t)
+        # divided only where seen: an unseen pair's maximum is the floor's
+        # share, which underflows to 0 for a subnormal floor
+        return np.divide(prob, self._pair_max[source, dest], out=np.zeros_like(prob),
+                         where=self.observed[source, dest])
 
     def _cameras(self, source, dest) -> tuple[np.ndarray, np.ndarray]:
         source = np.asarray(source, dtype=np.int64)
@@ -107,7 +123,10 @@ def _gaussian_kernel(sigma_bins: float) -> np.ndarray:
         return np.array([1.0])
     radius = max(1, int(np.ceil(4.0 * sigma_bins)))
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * np.square(xs / sigma_bins))
+    # below sigma_bins ~ 1e-154 the square overflows to inf off the centre,
+    # where exp(-inf) = 0 is exact: the kernel is one-hot
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * np.square(xs / sigma_bins))
     return kernel / kernel.sum()
 
 
@@ -117,10 +136,12 @@ def fit_frequency(scene: Scene, bin_width: int = 100, sigma_bins: float = 2.0,
     pairs, smooth, floor, and normalise per source camera."""
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    if not math.isfinite(sigma_bins):
-        raise ConfigError(f"sigma_bins must be finite, got {sigma_bins}")
-    if not 0.0 < floor < math.inf:
-        raise ConfigError(f"floor must be positive and finite, got {floor}")
+    if not valid_sigma_bins(sigma_bins):
+        raise ConfigError(f"sigma_bins must be finite, in [0, {MAX_SIGMA_BINS:g}], "
+                          f"got {sigma_bins}")
+    if not valid_floor(floor):
+        raise ConfigError(f"floor must be positive and finite, at most "
+                          f"{MAX_FLOOR:g}, got {floor}")
     split = scene.train_observations()
     cams, ts = split.cameras, split.timestamps
     first, second = cross_camera_pairs(split.identities, cams)

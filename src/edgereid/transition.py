@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import operator
 import os
 import sys
 import threading
@@ -75,7 +76,11 @@ class TransitionNetConfig(Settings):
     max_period: float = setting(10000.0, nn.valid_max_period)
     time_scale: float = setting(1.0, positive)
     denominator_floor: float = setting(1e-3, positive)
-    per_node_classifier: bool = setting(False)
+    # One shared head scores every camera's row, so the key accepts only
+    # false. It stays because stored checkpoints and report.json's config
+    # echo carry it: they load and write the same bytes, and one that says
+    # true is refused where it is read.
+    per_node_classifier: bool = setting(False, operator.not_)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -375,15 +380,15 @@ _STEP_BUFFERS = {
     "mixed": "scratch2",
     "gelu.scratch": "wide",
     "gelu.out": "grad",                   # the block output, read by the next
-                                          # layer norm or by the heads
+                                          # layer norm or by the head
     "batch_norm.out": "scratch1",
     "linear.product": "scratch2",
     # backward
-    "head_backward.ga": "grad",           # the gradient of the heads' input
+    "head_backward.ga": "grad",           # the gradient of the head's input
     "linear_backward.grad": "scratch1",
     "relu_backward.grad": "scratch2",
     "batch_norm_backward.tmp": "scratch1",
-    "batch_norm_backward.grad": "wide",   # copied into the heads' ga
+    "batch_norm_backward.grad": "wide",   # copied into the head's ga
     "gelu_backward.grad": "wide",         # gpre, then gnormed
     # a block recomputes normed and mixed into their forward buffers here
     "graph_block_backward.gmixed": "scratch2",
@@ -409,7 +414,7 @@ class TransitionNet:
     forward, backward and Adam write their large arrays into one
     nn.Workspace the model owns. A training step keeps per layer only what
     backward reads: each graph block's layer-norm x_hat and 1 / std, its
-    GELU input and Phi, and each head's batch-norm x_hat and 1 / std and
+    GELU input and Phi, and the head's batch-norm x_hat and 1 / std and
     its ReLU output (hidden > 0 is the mask of the batch-norm output > 0).
     Backward recomputes a block's layer-norm output and adjacency mixing by
     forward's operations, so with forward's bits. Every other array of the
@@ -437,8 +442,7 @@ class TransitionNet:
         self.spatial_weight = Param(rng.uniform(-bound, bound, (c, d, c, d)))
         self.spatial_bias = Param(np.zeros((c, d)))
         self.blocks = [GraphBlock(c, d, rng) for _ in range(config.num_blocks)]
-        self.heads = [_Head(d, rng)
-                      for _ in range(c if config.per_node_classifier else 1)]
+        self.head = _Head(d, rng)
         self.metadata: dict = {}
         self._cache = None
         self._work: nn.Workspace | None = None
@@ -467,8 +471,7 @@ class TransitionNet:
                "spatial_bias": self.spatial_bias}
         for i, block in enumerate(self.blocks):
             out.update(block.named_params(f"block{i}"))
-        for name, head, _ in self._head_items():
-            out.update(head.named_params(name))
+        out.update(self.head.named_params("head"))
         return out
 
     def params(self) -> list[Param]:
@@ -478,21 +481,12 @@ class TransitionNet:
         nn.zero_grads(self.params())
 
     def bn_states(self) -> dict[str, dict]:
-        return {name: head.bn.state() for name, head, _ in self._head_items()}
+        return {"head": self.head.bn.state()}
 
     def load_bn_states(self, states: dict) -> None:
-        for name, head, _ in self._head_items():
-            if name not in states:
-                raise CheckpointError(f"missing batch-norm state for {name}")
-            head.bn.load_state(states[name])
-
-    def _head_items(self) -> list[tuple[str, _Head, slice]]:
-        """(name, head, columns) per head, columns being the cameras it scores:
-        ("head", shared head, slice(None)), or ("head{i}", head i, slice(i, i + 1))."""
-        if len(self.heads) == 1:
-            return [("head", self.heads[0], slice(None))]
-        return [(f"head{i}", head, slice(i, i + 1))
-                for i, head in enumerate(self.heads)]
+        if "head" not in states:
+            raise CheckpointError("missing batch-norm state for head")
+        self.head.bn.load_state(states["head"])
 
     # -- forward / backward ------------------------------------------------
 
@@ -546,16 +540,11 @@ class TransitionNet:
             a, cache = block.forward(a, work.scope(f"block{i}"))
             block_caches.append(cache)
 
-        logits = np.empty((n, c))
-        head_caches = []
-        for name, head, columns in self._head_items():
-            scores, cache = head.forward(a[:, columns].reshape(-1, d), work.scope(name))
-            logits[:, columns] = scores.reshape(n, -1)
-            head_caches.append(cache)
-
+        scores, head_cache = self.head.forward(a.reshape(n * c, d), work.scope("head"))
+        logits = scores.reshape(n, c)
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits; check inputs and learning rate")
-        self._cache = (order, bounds, weights, block_caches, head_caches, n)
+        self._cache = (order, bounds, weights, block_caches, head_cache, n)
         return logits
 
     def backward(self, glogits: np.ndarray) -> None:
@@ -566,7 +555,7 @@ class TransitionNet:
         """
         if self._cache is None:
             raise InputError("backward called before forward")
-        order, bounds, weights, block_caches, head_caches, n = self._cache
+        order, bounds, weights, block_caches, head_cache, n = self._cache
         cfg = self.config
         c, d = cfg.num_cameras, cfg.embed_dim
         glogits = as_f64(glogits)
@@ -574,12 +563,12 @@ class TransitionNet:
             raise ShapeError(f"gradient shape {glogits.shape} != ({n}, {c})")
 
         # each layer reads its input gradient from "grad" and writes its
-        # output gradient there (_STEP_BUFFERS)
+        # output gradient there (_STEP_BUFFERS): the head's is copied in,
+        # since it comes in "wide", which the blocks' GELU backward takes
         work = self._workspace()
         ga = work.get("head_backward.ga", (n, c, d))
-        for (_, head, columns), cache in zip(self._head_items(), head_caches):
-            grows = head.backward(glogits[:, columns].reshape(-1, 1), cache, work)
-            ga[:, columns] = grows.reshape(n, -1, d)
+        ga[...] = self.head.backward(glogits.reshape(n * c, 1), head_cache,
+                                     work).reshape(n, c, d)
 
         for block, cache in zip(reversed(self.blocks), reversed(block_caches)):
             ga = block.backward(ga, cache, work)
@@ -589,7 +578,7 @@ class TransitionNet:
         self._cache = None
 
     def eval_logits(self, cameras, t_query, t_target) -> np.ndarray:
-        """Eval-mode logits [n, C], each head's batch norm on its running
+        """Eval-mode logits [n, C], the head's batch norm on its running
         statistics: the model's one eval pass, which keeps no cache, on up to
         EVAL_MAX_WORKERS of the CPUs the process may run on.
 
@@ -602,7 +591,7 @@ class TransitionNet:
         through its own part of two arrays, dropped on return: a, of a
         group's [rows, C, D], and b, a flat scratch of _eval_scratch_size
         values. The spatial output goes into a, each graph block and the
-        heads overwrite a with b as scratch, and the linear products go into
+        head overwrite a with b as scratch, and the linear products go into
         b. Every kernel is row-wise or elementwise and runs the training
         pass's operations in the same order (batch norm aside, which reads
         its running statistics), so an eval-mode row's logits do not depend
@@ -661,9 +650,7 @@ class TransitionNet:
         self._spatial(cams, embed, x)
         for block in self.blocks:
             block.eval_in_place(x, b)
-        for _, head, columns in self._head_items():
-            scores = head.eval_in_place(x[:, columns].reshape(-1, d), b)
-            out[:, columns] = scores.reshape(cams.size, -1)
+        out[...] = self.head.eval_in_place(x.reshape(-1, d), b).reshape(out.shape)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite logits; check inputs and learning rate")
 
@@ -804,17 +791,6 @@ def holdout_accuracy(model: TransitionNet, batch) -> float:
     return int(hits.sum()) / targets.size
 
 
-def _batches(pairs, batch_size: int) -> list:
-    """Consecutive batch_size slices of a sequence; a one-item tail joins the
-    batch before it, because a batch-norm head cannot train on a batch of
-    one."""
-    starts = list(range(0, len(pairs), batch_size))
-    if len(starts) > 1 and len(pairs) - starts[-1] == 1:
-        starts.pop()
-    ends = starts[1:] + [len(pairs)]
-    return [pairs[a:b] for a, b in zip(starts, ends)]
-
-
 def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
           rng: np.random.Generator) -> list[dict]:
     """Train on the scene's train split; returns per-epoch history rows.
@@ -843,7 +819,10 @@ def train(model: TransitionNet, scene: Scene, schedule: TrainSchedule,
             lr = schedule.lr_at(epoch)
             pairs = _pair_batch(pool, *_draw_pairs(pool, pair_rng, per_epoch))
             losses = []
-            for rows in _batches(np.arange(per_epoch), schedule.batch_size):
+            # the head batch-normalises n x C >= 2 rows, so a one-pair tail
+            # trains as a step of its own
+            for start in range(0, per_epoch, schedule.batch_size):
+                rows = slice(start, start + schedule.batch_size)
                 try:  # a diverging step's inf and NaN reach the loss check
                     with np.errstate(over="ignore", invalid="ignore"):
                         loss = training_step(model, tuple(col[rows] for col in pairs), lr)

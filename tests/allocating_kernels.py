@@ -218,21 +218,12 @@ def net_forward(model, cameras, t_query, t_target, train=False):
     for block in model.blocks:
         a, cache = block_forward(block, a)
         block_caches.append(cache)
-    if cfg.per_node_classifier:
-        logits = np.empty((n, c))
-        head_caches = []
-        for node, head in enumerate(model.heads):
-            col, cache = head_forward(head, a[:, node, :], train)
-            logits[:, node] = col[:, 0]
-            head_caches.append(cache)
-    else:
-        flat, cache = head_forward(model.heads[0], a.reshape(n * c, d), train)
-        logits = flat.reshape(n, c)
-        head_caches = [cache]
+    flat, head_cache = head_forward(model.head, a.reshape(n * c, d), train)
+    logits = flat.reshape(n, c)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits; check inputs and learning rate")
     # as in the package, an eval pass leaves nothing for backward
-    model._cache = ((order, bounds, weights, block_caches, head_caches, n)
+    model._cache = ((order, bounds, weights, block_caches, head_cache, n)
                     if train else None)
     return logits
 
@@ -253,18 +244,12 @@ def net_eval_logits(model, cameras, t_query, t_target):
 def net_backward(model, glogits):
     if model._cache is None:
         raise InputError("backward called before forward")
-    order, bounds, weights, block_caches, head_caches, n = model._cache
+    order, bounds, weights, block_caches, head_cache, n = model._cache
     cfg = model.config
     c, d = cfg.num_cameras, cfg.embed_dim
     glogits = nn.as_f64(glogits)
-    if cfg.per_node_classifier:
-        ga = np.empty((n, c, d))
-        for node, head in enumerate(model.heads):
-            ga[:, node, :] = head_backward(head, glogits[:, node:node + 1],
-                                           head_caches[node])
-    else:
-        ga = head_backward(model.heads[0], glogits.reshape(n * c, 1),
-                           head_caches[0]).reshape(n, c, d)
+    ga = head_backward(model.head, glogits.reshape(n * c, 1),
+                       head_cache).reshape(n, c, d)
     for block, cache in zip(reversed(model.blocks), reversed(block_caches)):
         ga = block_backward(block, ga, cache)
     model.spatial_bias.grad += ga.sum(axis=0)

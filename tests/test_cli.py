@@ -272,14 +272,22 @@ def test_simulate_checks_an_ingested_scene_before_training(
     assert message in capsys.readouterr().err
 
 
-def test_per_node_heads_with_one_pair_batches_exit_1(tmp_path, config_path,
-                                                     capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "simulate", "eval-central",
+                                     "gradcheck"])
+def test_per_node_heads_exit_1_with_and_without_dry_run(tmp_path, config_path,
+                                                        capsys, command):
+    # one shared head scores every camera's row: the key accepts only false
     doc = base_config()
     doc["model"]["per_node_classifier"] = True
-    doc["train"]["batch_size"] = 1
-    out = tmp_path / "train"
-    assert main(["train", "--config", config_path(doc), "--out", str(out)]) == 1
-    assert "train.batch_size" in capsys.readouterr().err
+    path = config_path(doc)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: model.per_node_classifier: "
+                                "value True out of range\n")
+        assert captured.out == ""
     assert not out.exists()
 
 
@@ -586,11 +594,25 @@ EXTREMES = [
     *[(key, v) for key in ("sigma", "feature_noise") for v in EXTREME_FLOATS],
     *[(key, v) for key in ("fixed", "start_spread") for v in EXTREME_TICKS],
 ]
+FREQUENCY_EXTREMES = [(key, v) for key in ("sigma_bins", "floor")
+                      for v in EXTREME_FLOATS]
+# generator values on gen and simulate, frequency values (with frequency
+# enabled) on the two commands that fit the frequency model
+EXTREME_RUNS = [
+    pytest.param(key, value, command, id=f"{key}-{value}-{command}")
+    for commands, extremes in ((("gen", "simulate"), EXTREMES),
+                               (("simulate", "eval-central"), FREQUENCY_EXTREMES))
+    for key, value in extremes for command in commands]
 
 
 def extreme_config(key, value):
     """base_config with one extreme value: on the ring's log-normal edge, on
-    both its fixed edges, or on the generator."""
+    both its fixed edges, on the generator, or on the enabled frequency
+    model."""
+    if key in ("sigma_bins", "floor"):
+        doc = ring_config()
+        doc["inference"] = {"frequency": {"enabled": True, key: value}}
+        return doc
     if key in ("mu", "sigma"):
         law = copy.deepcopy(RING["edges"][1]["delay"])
         law["lognormal"][key] = value
@@ -603,8 +625,7 @@ def extreme_config(key, value):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command", ["gen", "simulate"])
-@pytest.mark.parametrize("key, value", EXTREMES)
+@pytest.mark.parametrize("key, value, command", EXTREME_RUNS)
 def test_an_extreme_generator_value_fails_cleanly_and_alike_with_and_without_dry_run(
         tmp_path, config_path, capsys, command, key, value):
     path = config_path(extreme_config(key, value))

@@ -101,7 +101,7 @@ SETTINGS = [
     ("model", "max_period", "1e4", "float", 1.0, False),
     ("model", "time_scale", "1", "float", 0.0, False),
     ("model", "denominator_floor", [0.1], "float", 0.0, False),
-    ("model", "per_node_classifier", "true", "bool", None, False),
+    ("model", "per_node_classifier", "true", "bool", True, False),
     ("model", "seed", "7", "int", -1, False),
     ("train", "epochs", 2.5, "int", -1, False),
     ("train", "base_lr", "0.01", "float", 0.0, False),
@@ -327,10 +327,8 @@ def test_model_section_scene_mismatch():
 
 
 @pytest.mark.parametrize("key", ["batch_size", "pairs_per_epoch"])
-def test_per_node_heads_need_two_pairs_per_batch(key):
-    with pytest.raises(ConfigError, match=f"train.{key}: must be at least 2"):
-        parse_config({"model": {"per_node_classifier": True}, "train": {key: 1}})
-    # a shared head normalises every camera's row, so one pair is enough
+def test_one_pair_per_batch_is_enough(key):
+    # the head batch-normalises every camera's row, C >= 2 rows a pair
     assert getattr(parse_config({"train": {key: 1}}).train, key) == 1
 
 

@@ -532,7 +532,7 @@ def test_batch_norm_with_a_workspace_matches_the_allocating_kernel(
         got.value[...] = want.value[...] = rng.normal(size=width)
     for n in sizes:
         block = rng.normal(loc=3.0, size=(n, 3, width))
-        # a per-node head normalises one camera's column of a block output
+        # a column of a block output, strided, or a contiguous copy of it
         x = block[:, 1, :] if strided else np.ascontiguousarray(block[:, 1, :])
         gy = rng.normal(size=(n, width))
         if n < 2:
@@ -614,7 +614,7 @@ def test_in_place_kernels_match_the_allocating_kernels(n, width, strided, seed):
     bn.shift.value[...] = rng.normal(size=width)
     bn.load_state({"running_mean": rng.normal(size=width),
                    "running_var": rng.uniform(0.5, 2.0, width)})
-    # a per-node head normalises one camera's column of a block output
+    # a column of a block output, strided, or a contiguous copy of it
     got = x.copy()[:, 1, :] if strided else x[:, 1, :].copy()
     assert_bit_equal(bn.eval_in_place(got),
                      ref.batch_norm_forward(bn, x[:, 1, :], False)[0])

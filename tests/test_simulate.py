@@ -239,11 +239,9 @@ def test_transition_table_rejects_what_the_model_rejects(cameras, t_query):
 
 def test_transition_table_with_a_one_row_tail_matches_the_model():
     # 2 * EVAL_ROWS + 1 deltas per camera, so the one fill of a camera's
-    # cells ends eval_logits' blocks in a one-row tail, which joins the block
-    # before it; the table still holds the bits of one forward pass over all
-    # the deltas
-    model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6,
-                                              per_node_classifier=True),
+    # cells ends eval_logits' groups in a one-row tail; the table still holds
+    # the bits of one forward pass over all the deltas
+    model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6),
                           np.random.default_rng(5))
     table = sim.TransitionTable(model, -EVAL_ROWS, EVAL_ROWS)
     deltas = np.arange(-EVAL_ROWS, EVAL_ROWS + 1, dtype=np.float64)
@@ -294,12 +292,9 @@ def test_a_lookup_evaluates_only_the_cells_no_lookup_filled(monkeypatch):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(2, 4), st.booleans(), st.booleans(),
-       st.integers(0, 2**32 - 1), st.data())
-def test_lazy_table_matches_the_eager_reference(cameras, per_node, tail, seed,
-                                                data):
-    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
-                                 per_node_classifier=per_node)
+@given(st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_lazy_table_matches_the_eager_reference(cameras, tail, seed, data):
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6)
     model = TransitionNet(config, np.random.default_rng(seed))
     # a first fill of all 2 * EVAL_ROWS + 1 cells of a camera ends
     # eval_logits' blocks in a one-row tail
@@ -718,7 +713,7 @@ def columns(kind, records):
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 4), st.integers(4, 16), st.integers(2, 4),
-       st.sampled_from(["table", "shared", "per-node"]), st.booleans(),
+       st.sampled_from(["table", "model"]), st.booleans(),
        st.booleans(), st.integers(0, 6), st.sampled_from([None, 1, 5]),
        st.sampled_from([0.03, 1.0]), st.integers(0, 2**32 - 1))
 def test_engine_matches_the_per_query_reference(
@@ -728,8 +723,7 @@ def test_engine_matches_the_per_query_reference(
                            visits=visits)
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     assume(sim.eligible_queries(gallery)[0].size > 0)
-    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
-                                 per_node_classifier=model_kind == "per-node")
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6)
     model = TransitionNet(config, np.random.default_rng(seed))
     transition = model
     if model_kind == "table":
@@ -1176,7 +1170,7 @@ def assert_same_rankings(got, want):
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 4), st.integers(4, 14), st.integers(2, 4),
-       st.sampled_from(["table", "shared", "per-node"]), st.booleans(),
+       st.sampled_from(["table", "model"]), st.booleans(),
        st.sampled_from(["consistent", "inverted"]), st.sampled_from([None, 1, 5]),
        st.integers(0, 2**32 - 1))
 def test_central_rankings_match_the_per_query_reference(
@@ -1186,8 +1180,7 @@ def test_central_rankings_match_the_per_query_reference(
                            visits=visits)
     gallery = sim.build_gallery(scene.test_observations(), scene.num_cameras)
     assume(sim.eligible_queries(gallery)[0].size > 0)
-    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6,
-                                 per_node_classifier=model_kind == "per-node")
+    config = TransitionNetConfig(num_cameras=cameras, embed_dim=6)
     model = TransitionNet(config, np.random.default_rng(seed))
     transition = model
     if model_kind == "table":

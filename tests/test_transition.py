@@ -79,7 +79,7 @@ def manual_forward(model, cams, t_query, t_target):
             pre = mixed @ block.transfer.value
             a = pre * 0.5 * (1.0 + np.vectorize(math.erf)(pre / math.sqrt(2.0)))
         for u in range(c):
-            head = model.heads[u if cfg.per_node_classifier else 0]
+            head = model.head
             x_hat = ((a[u] - head.bn.running_mean)
                      / np.sqrt(head.bn.running_var + head.bn.eps))
             bn_out = x_hat * head.bn.scale.value + head.bn.shift.value
@@ -221,20 +221,17 @@ def test_grouped_contraction_fixed_shapes(c, d, cams):
 
 
 @settings(deadline=None, max_examples=25)
-@given(camera_batches(), st.booleans())
-def test_grouped_contraction_matches_reference_through_the_model(batch, per_node):
+@given(camera_batches())
+def test_grouped_contraction_matches_reference_through_the_model(batch):
     c, d, cams, seed = batch
     rng = np.random.default_rng(seed)
-    # training batch norm needs two rows: a one-row batch runs twice over
-    cams = np.tile(cams, 2) if cams.size == 1 else cams
     n = cams.size
     tq = rng.integers(0, 500, n).astype(float)
     td = tq + rng.integers(-300, 301, n)
     glogits = rng.normal(size=(n, c))
     runs = []
     for reference in (False, True):
-        model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed,
-                           per_node_classifier=per_node)
+        model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             if reference:
                 mp.setattr(tr, "_spatial_forward", gather_forward)
@@ -273,14 +270,6 @@ def test_full_gradient_check_shared_head():
     assert report.passed, report.worst()
 
 
-def test_full_gradient_check_per_node_heads():
-    model = tiny_model(num_cameras=2, embed_dim=4, seed=9,
-                       per_node_classifier=True)
-    assert set(model.named_params()) >= {"head0.fc_weight", "head1.fc_weight"}
-    report = run_gradcheck(model, batch=3, seed=10)
-    assert report.passed, report.worst()
-
-
 def test_forward_input_validation():
     model = tiny_model()
     with pytest.raises(InputError):
@@ -300,10 +289,9 @@ def test_distribution_rows_are_probabilities():
     assert np.all(rows > 0.0)
 
 
-def eval_model(c, d, per_node, seed, num_blocks=2):
+def eval_model(c, d, seed, num_blocks=2):
     """A model whose batch-norm running statistics are not the identity."""
-    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=seed,
-                       per_node_classifier=per_node)
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=seed)
     rng = np.random.default_rng(seed)
     model.load_bn_states({name: {"running_mean": rng.normal(size=d),
                                  "running_var": rng.uniform(0.5, 2.0, d)}
@@ -327,10 +315,10 @@ BLOCK_SIZES = (1, tr.EVAL_ROWS - 1, tr.EVAL_ROWS, tr.EVAL_ROWS + 1,
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 8), st.integers(1, 8), st.sampled_from(BLOCK_SIZES),
-       st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
-                                                       num_blocks, seed):
-    model = eval_model(c, 2 * half_d, per_node, seed, num_blocks)
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, num_blocks,
+                                                       seed):
+    model = eval_model(c, 2 * half_d, seed, num_blocks)
     rng = np.random.default_rng(seed)
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
@@ -346,10 +334,9 @@ def test_blocked_distribution_matches_one_forward_pass(c, half_d, n, per_node,
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(2, 8), st.sampled_from([1, 2, 300]), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_distribution_in_place_matches_a_fresh_softmax(c, n, per_node, seed):
-    model = eval_model(c, 4, per_node, seed)
+@given(st.integers(2, 8), st.sampled_from([1, 2, 300]), st.integers(0, 2**32 - 1))
+def test_distribution_in_place_matches_a_fresh_softmax(c, n, seed):
+    model = eval_model(c, 4, seed)
     cams, tq, td, _ = random_batch(np.random.default_rng(seed), n, c)
     logits = model.eval_logits(cams, tq, td)
     # the softmax distribution used before it normalised the logits in place
@@ -369,15 +356,14 @@ def worker_sizes(workers):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(2, 8), st.integers(1, 16),
-       st.sampled_from((1, 2, 3)), st.data(), st.booleans(),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from((1, 2, 3)), st.data(), st.integers(0, 2**32 - 1))
 def test_eval_logits_matches_the_allocating_forward_pass(
-        eval_workers, num_blocks, c, half_d, workers, data, per_node, seed):
+        eval_workers, num_blocks, c, half_d, workers, data, seed):
     # the cache-free pass on 1, 2 or 3 workers against the forward pass as
     # it was before any work buffers: every array allocated afresh, nothing
     # overwritten, one thread
     n = data.draw(st.sampled_from(worker_sizes(workers)), label="n")
-    model = eval_model(c, 2 * half_d, per_node, seed, num_blocks)
+    model = eval_model(c, 2 * half_d, seed, num_blocks)
     rng = np.random.default_rng(seed)
     cams = rng.integers(0, c, n)
     tq = rng.integers(0, 10_000, n).astype(float)
@@ -392,13 +378,11 @@ def test_eval_logits_matches_the_allocating_forward_pass(
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("per_node", [False, True])
-def test_workers_at_the_shipped_width_match_the_reference(eval_workers, workers,
-                                                          per_node):
+def test_workers_at_the_shipped_width_match_the_reference(eval_workers, workers):
     # at C=8, D=32 a group's kernels run long enough to overlap across
     # threads, and a short switch interval interleaves the rest, so workers
     # sharing rows of the arrays or of the output would show here
-    model = eval_model(8, 32, per_node, seed=6)
+    model = eval_model(8, 32, seed=6)
     cams, tq, td, _ = random_batch(np.random.default_rng(7), 3 * tr.EVAL_ROWS + 7, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -420,7 +404,7 @@ def test_eval_workers_are_capped_and_get_enough_rows(monkeypatch, cpus, n, worke
     assert tr._eval_workers(n) == workers
 
 
-def nonfinite_tail_model(c, per_node):
+def nonfinite_tail_model(c):
     """A model whose rows from source camera c - 1 have non-finite logits,
     through an invalid operation at any time difference: the spatial weight
     that the embedding's first cosine takes is infinite there, and a cosine
@@ -428,17 +412,16 @@ def nonfinite_tail_model(c, per_node):
     layer norm's inf - inf is invalid. (An infinite weight on every
     embedding value gives inf - inf or 0 * inf inside einsum, which sets no
     floating-point error, wherever the embedding has mixed signs or a 0.)"""
-    model = eval_model(c, 4, per_node, seed=5)
+    model = eval_model(c, 4, seed=5)
     model.spatial_weight.value[c - 1, 1] = np.inf
     return model
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("per_node", [False, True])
 def test_a_nonfinite_row_in_the_last_slice_raises_and_joins_every_worker(
-        eval_workers, workers, per_node):
+        eval_workers, workers):
     c, n = 3, 3 * tr.EVAL_ROWS + 7
-    model = nonfinite_tail_model(c, per_node)
+    model = nonfinite_tail_model(c)
     cams = np.zeros(n, dtype=np.int64)
     cams[-1] = c - 1
     tq = np.zeros(n)
@@ -502,11 +485,10 @@ def test_bad_inputs_raise_before_any_worker_starts(eval_workers, bad_column):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("per_node", [False, True])
-def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers, per_node):
+def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers):
     c, d = 8, 32
     n = 3 * tr.EVAL_ROWS + 7
-    model = eval_model(c, d, per_node, seed=3)
+    model = eval_model(c, d, seed=3)
     cams, tq, td, _ = random_batch(np.random.default_rng(4), n, c)
     with eval_workers(workers):
         model.eval_logits(cams[:2], tq[:2], td[:2])
@@ -523,15 +505,13 @@ def test_eval_logits_keeps_two_row_blocks_of_memory(eval_workers, workers, per_n
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("per_node", [False, True])
-def test_eval_logits_peak_stays_under_three_row_blocks(eval_workers, workers,
-                                                       per_node):
+def test_eval_logits_peak_stays_under_three_row_blocks(eval_workers, workers):
     # the workers' [rows, C, D] arrays make one [EVAL_ROWS, C, D] block and
     # their scratch at most 1.0625 more: GELU runs in EVAL_GELU_PIECE-value
     # pieces, not over a whole group's 2.125 blocks
     c, d = 8, 32
     n = 3 * tr.EVAL_ROWS + 7
-    model = eval_model(c, d, per_node, seed=3)
+    model = eval_model(c, d, seed=3)
     cams, tq, td, _ = random_batch(np.random.default_rng(4), n, c)
     with eval_workers(workers):
         model.eval_logits(cams[:2], tq[:2], td[:2])
@@ -553,7 +533,7 @@ def test_eval_pieces_at_c32_give_each_row_its_bits_alone(eval_workers, workers):
     c, d, n = 32, 32, 600
     assert tr.EVAL_ROWS // 3 * c * d > tr.EVAL_GELU_PIECE
     assert all(n % (tr.EVAL_ROWS // w) for w in (1, 2, 3))
-    model = eval_model(c, d, False, seed=8)
+    model = eval_model(c, d, seed=8)
     cams, tq, td, _ = random_batch(np.random.default_rng(9), n, c)
     with eval_workers(workers):
         got = model.eval_logits(cams, tq, td)
@@ -596,10 +576,10 @@ def test_inputs_that_do_not_broadcast_raise_shape_error(cameras, t_query, t_targ
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
 def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
-    # when a per-node head's linear layer ran on BLAS, a one-row batch took
-    # numpy's dot path there, which moved the last bit of 1 in 3 rows of this
-    # 3-camera, embed-2 model
-    model = eval_model(3, 2, True, seed)
+    # when the head's linear layer ran on BLAS, a one-row product took
+    # numpy's dot path, which moved the last bit of 1 in 3 rows of a
+    # 3-camera, embed-2 model with a head per camera
+    model = eval_model(3, 2, seed)
     rng = np.random.default_rng(seed)
     cams = rng.integers(0, 3, n)
     tq = rng.integers(0, 10_000, n).astype(float)
@@ -609,11 +589,11 @@ def test_a_row_evaluated_alone_matches_the_row_in_a_batch(n, seed):
         assert_bit_equal(model.eval_logits(cams[i], tq[i], td[i]), batch[i:i + 1])
 
 
-def check_batch_invariance(c, d, per_node, seed, num_blocks=2):
+def check_batch_invariance(c, d, seed, num_blocks=2):
     """A row's eval-mode logits, evaluated alone, equal the row's bits in a
     2-row batch, inside eval_logits' EVAL_ROWS blocks, and in a shuffled
     batch."""
-    model = eval_model(c, d, per_node, seed, num_blocks)
+    model = eval_model(c, d, seed, num_blocks)
     rng = np.random.default_rng(seed)
     n = 2 * tr.EVAL_ROWS + int(rng.integers(2, 60))
     cams = rng.integers(0, c, n)
@@ -631,18 +611,16 @@ def check_batch_invariance(c, d, per_node, seed, num_blocks=2):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(2, 8), st.integers(1, 16), st.booleans(), st.integers(1, 3),
+@given(st.integers(2, 8), st.integers(1, 16), st.integers(1, 3),
        st.integers(0, 2**32 - 1))
-def test_a_row_gets_the_same_bits_in_any_batch(c, half_d, per_node, num_blocks,
-                                               seed):
-    check_batch_invariance(c, 2 * half_d, per_node, seed, num_blocks)
+def test_a_row_gets_the_same_bits_in_any_batch(c, half_d, num_blocks, seed):
+    check_batch_invariance(c, 2 * half_d, seed, num_blocks)
 
 
-@pytest.mark.parametrize("per_node", [False, True])
 @pytest.mark.parametrize("c, d", [(6, 32), (8, 32)])
-def test_a_row_gets_the_same_bits_in_any_batch_fixed_shapes(c, d, per_node):
+def test_a_row_gets_the_same_bits_in_any_batch_fixed_shapes(c, d):
     for seed in range(3):
-        check_batch_invariance(c, d, per_node, seed)
+        check_batch_invariance(c, d, seed)
 
 
 def einsum_block_forward(block, a):
@@ -742,11 +720,10 @@ def test_backward_after_distribution_raises():
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
-@given(st.integers(2, 8), st.integers(1, 8), st.integers(1, 600), st.booleans(),
+@given(st.integers(2, 8), st.integers(1, 8), st.integers(1, 600),
        st.integers(0, 2**32 - 1))
-def test_eval_mode_forward_is_eval_logits_and_leaves_no_cache(c, half_d, n,
-                                                              per_node, seed):
-    model = eval_model(c, 2 * half_d, per_node, seed)
+def test_eval_mode_forward_is_eval_logits_and_leaves_no_cache(c, half_d, n, seed):
+    model = eval_model(c, 2 * half_d, seed)
     rng = np.random.default_rng(seed)
     cams, tq, td, _ = random_batch(rng, n, c)
     # a pending training cache, which the eval pass clears
@@ -831,26 +808,35 @@ def test_train_builds_the_pair_pool_once(monkeypatch):
 
 
 @pytest.mark.parametrize("count, size, sizes", [
-    (129, 128, [129]),
+    (129, 128, [128, 1]),
     (130, 128, [128, 2]),
     (128, 128, [128]),
     (1, 128, [1]),
-    (5, 2, [2, 3]),
-    (7, 3, [3, 4]),
+    (5, 2, [2, 2, 1]),
 ])
-def test_one_pair_tail_joins_the_previous_batch(count, size, sizes):
-    batches = tr._batches(list(range(count)), size)
-    assert [len(b) for b in batches] == sizes
-    assert sum(batches, []) == list(range(count))
-
-
-def test_per_node_heads_train_through_a_one_pair_tail():
+def test_an_epoch_trains_on_consecutive_batches_and_a_one_pair_tail(
+        monkeypatch, count, size, sizes):
+    # the head batch-normalises C rows a pair, so one pair is a batch
     scene = ring_scene(num_cameras=3, identities=20, visits=5, seed=34)
-    model = tiny_model(num_cameras=3, per_node_classifier=True, seed=35)
-    schedule = tr.TrainSchedule(epochs=2, pairs_per_epoch=129, batch_size=128,
+    step, batches = tr.training_step, []
+
+    def recording(model, batch, lr):
+        batches.append(batch)
+        return step(model, batch, lr)
+
+    monkeypatch.setattr(tr, "training_step", recording)
+    schedule = tr.TrainSchedule(epochs=1, pairs_per_epoch=count, batch_size=size,
                                 holdout_pairs=50)
-    history = tr.train(model, scene, schedule, np.random.default_rng(36))
-    assert len(history) == 2 and all(np.isfinite(r["loss"]) for r in history)
+    history = tr.train(tiny_model(num_cameras=3, seed=35), scene, schedule,
+                       np.random.default_rng(36))
+    assert np.isfinite(history[0]["loss"])
+    assert [b[0].size for b in batches] == sizes
+    # the epoch's pairs, drawn again from train's stream, in batch order
+    pool = tr._train_pool(scene)
+    pair_rng = np.random.default_rng(36).spawn(2)[0]
+    pairs = tr._pair_batch(pool, *tr._draw_pairs(pool, pair_rng, count))
+    for column, got in zip(pairs, zip(*batches)):
+        assert_bit_equal(np.concatenate(got), column)
 
 
 def test_training_learns_a_deterministic_ring():
@@ -875,7 +861,7 @@ def test_training_step_rejects_empty_batch():
 def test_divergence_rolls_back_and_raises():
     scene = ring_scene(num_cameras=3, identities=30, visits=4, seed=16)
     model = tiny_model(num_cameras=3, embed_dim=4, seed=17)
-    model.heads[0].fc_weight.value[...] = 1e308  # overflow on first batch
+    model.head.fc_weight.value[...] = 1e308  # overflow on first batch
     before = {k: p.value.copy() for k, p in model.named_params().items()}
     with pytest.raises(DivergenceError, match="epoch 0"), \
             np.errstate(over="ignore"):
@@ -913,18 +899,16 @@ def test_a_diverging_last_step_rolls_back_before_the_holdout(monkeypatch, value,
 
 def test_forward_flags_nonfinite_logits():
     model = tiny_model()
-    model.heads[0].fc_weight.value[...] = 1e308
-    model.heads[0].bn.shift.value[...] = 1.0  # keeps relu output positive
+    model.head.fc_weight.value[...] = 1e308
+    model.head.bn.shift.value[...] = 1.0  # keeps relu output positive
     with pytest.raises(NumericError), np.errstate(over="ignore"):
         model.forward([0], [0.0], [5.0])
 
 
-@pytest.mark.parametrize("per_node", [False, True])
-def test_eval_logits_flags_nonfinite_logits(per_node):
-    model = tiny_model(per_node_classifier=per_node)
-    for head in model.heads:
-        head.fc_weight.value[...] = 1e308
-        head.bn.shift.value[...] = 1.0
+def test_eval_logits_flags_nonfinite_logits():
+    model = tiny_model()
+    model.head.fc_weight.value[...] = 1e308
+    model.head.bn.shift.value[...] = 1.0
     for call in (model.eval_logits, model.distribution):
         with pytest.raises(NumericError), np.errstate(over="ignore"):
             call([0, 1], 0.0, [5.0, 6.0])
@@ -947,14 +931,18 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
                                   model.forward(cams, tq, td))
 
 
-def test_checkpoint_roundtrip_per_node_heads(tmp_path):
-    model = tiny_model(num_cameras=2, embed_dim=4, seed=22,
-                       per_node_classifier=True)
+def test_a_checkpoint_storing_per_node_heads_is_refused(tmp_path):
+    # the key stays in every checkpoint, false; one head per camera is gone
     path = tmp_path / "model.json"
-    tr.save_checkpoint(model, path)
-    loaded = tr.load_checkpoint(path)
-    np.testing.assert_array_equal(loaded.forward([0], [0.0], [3.0]),
-                                  model.forward([0], [0.0], [3.0]))
+    tr.save_checkpoint(tiny_model(num_cameras=2, embed_dim=4, seed=22), path)
+    doc = json.loads(path.read_text())
+    assert doc["config"]["per_node_classifier"] is False
+    assert set(doc["batch_norm"]) == {"head"}
+    doc["config"]["per_node_classifier"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="bad config: per_node_classifier: "
+                                              "value True out of range"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_tampering(tmp_path):
@@ -1031,8 +1019,10 @@ def test_scene_compatibility_check():
 
 def test_config_dict_roundtrip():
     config = tr.TransitionNetConfig(num_cameras=5, embed_dim=10, num_blocks=3,
-                                    time_scale=2.0, per_node_classifier=True)
+                                    time_scale=2.0)
     assert tr.TransitionNetConfig.from_dict(config.to_dict()) == config
+    with pytest.raises(ConfigError, match="per_node_classifier"):
+        tr.TransitionNetConfig(num_cameras=5, per_node_classifier=True)
     with pytest.raises(ConfigError, match="unknown"):
         tr.TransitionNetConfig.from_dict({"num_cameras": 2, "bogus": 1})
     with pytest.raises(ConfigError):
@@ -1180,20 +1170,15 @@ def random_batch(rng, n, c, spread=300):
             rng.integers(0, c, n))
 
 
-# Both head layouts at two graph blocks, the default, and at one and three,
-# where buffers shared between consecutive blocks would alias first. The
-# two-block cases are named by the layout alone.
-HEADS_AND_BLOCKS = [
-    pytest.param(per_node, blocks,
-                 id=str(per_node) if blocks == 2 else f"{per_node}-{blocks}")
-    for blocks in (2, 1, 3) for per_node in (False, True)]
+# Two graph blocks, the default, and one and three, where buffers shared
+# between consecutive blocks would alias first.
+BLOCK_COUNTS = (2, 1, 3)
 
 
-@pytest.mark.parametrize("per_node, num_blocks", HEADS_AND_BLOCKS)
-def test_a_repeated_training_step_allocates_no_layer_arrays(per_node, num_blocks):
+@pytest.mark.parametrize("num_blocks", BLOCK_COUNTS)
+def test_a_repeated_training_step_allocates_no_layer_arrays(num_blocks):
     n, c, d = 128, 8, 32
-    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=3,
-                       per_node_classifier=per_node)
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=num_blocks, seed=3)
     batch = random_batch(np.random.default_rng(4), n, c)
     tr.training_step(model, batch, 0.01)  # sizes the work buffers
     tracemalloc.start()
@@ -1207,12 +1192,10 @@ def test_a_repeated_training_step_allocates_no_layer_arrays(per_node, num_blocks
     assert peak < 2 * n * c * d * 8
 
 
-@pytest.mark.parametrize("per_node", [False, True])
-def test_a_training_step_keeps_at_most_sixteen_batch_arrays(per_node):
+def test_a_training_step_keeps_at_most_sixteen_batch_arrays():
     n, c, d = 128, 8, 32
     unit = n * c * d * 8  # one [n, C, D] float64 array, 256 KiB
-    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=3,
-                       per_node_classifier=per_node)
+    model = tiny_model(num_cameras=c, embed_dim=d, num_blocks=2, seed=3)
     batch = random_batch(np.random.default_rng(4), n, c)
     tracemalloc.start()
     try:
@@ -1241,8 +1224,8 @@ def model_state(model):
     return state
 
 
-@pytest.mark.parametrize("per_node, num_blocks", HEADS_AND_BLOCKS)
-def test_training_matches_the_allocating_layers(per_node, num_blocks):
+@pytest.mark.parametrize("num_blocks", BLOCK_COUNTS)
+def test_training_matches_the_allocating_layers(num_blocks):
     # 45 pairs in batches of 16 leave a 13-pair tail, and each epoch's
     # hold-out evaluation changes the batch shape between training steps
     scene = ring_scene(num_cameras=3, identities=40, visits=5, seed=40)
@@ -1251,7 +1234,7 @@ def test_training_matches_the_allocating_layers(per_node, num_blocks):
     runs = []
     for reference in (False, True):
         model = tiny_model(num_cameras=3, embed_dim=8, num_blocks=num_blocks,
-                           seed=41, per_node_classifier=per_node)
+                           seed=41)
         with pytest.MonkeyPatch.context() as mp:
             if reference:
                 ref.installed(mp)
@@ -1270,13 +1253,12 @@ def test_training_matches_the_allocating_layers(per_node, num_blocks):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 6), st.integers(1, 6), st.lists(st.integers(2, 40), min_size=2,
                                                       max_size=4),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_forward_and_backward_match_the_allocating_layers(c, half_d, sizes, per_node,
-                                                          seed):
+       st.integers(0, 2**32 - 1))
+def test_forward_and_backward_match_the_allocating_layers(c, half_d, sizes, seed):
     rng = np.random.default_rng(seed)
     got_model, want_model = (
-        tiny_model(num_cameras=c, embed_dim=2 * half_d, num_blocks=2, seed=seed,
-                   per_node_classifier=per_node) for _ in range(2))
+        tiny_model(num_cameras=c, embed_dim=2 * half_d, num_blocks=2, seed=seed)
+        for _ in range(2))
     for n in sizes:
         cams, tq, td, _ = random_batch(rng, n, c)
         glogits = rng.normal(size=(n, c))
@@ -1343,7 +1325,7 @@ def test_train_and_eval_logits_release_the_work_buffers(tmp_path):
     assert ((tmp_path / "held.json").read_bytes()
             == (tmp_path / "evaluated.json").read_bytes())
     # a divergence leaves no buffers behind either
-    model.heads[0].fc_weight.value[...] = 1e308
+    model.head.fc_weight.value[...] = 1e308
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
         tr.train(model, scene, tr.TrainSchedule(epochs=1, pairs_per_epoch=40),
                  np.random.default_rng(11))
@@ -1351,11 +1333,11 @@ def test_train_and_eval_logits_release_the_work_buffers(tmp_path):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(2, 5), st.integers(1, 120), st.integers(1, 6), st.booleans(),
+@given(st.integers(2, 5), st.integers(1, 120), st.integers(1, 6),
        st.integers(0, 2**32 - 1))
 def test_holdout_accuracy_on_distinct_keys_matches_the_per_row_argmax(
-        c, n, deltas, per_node, seed):
-    model = eval_model(c, 4, per_node, seed)
+        c, n, deltas, seed):
+    model = eval_model(c, 4, seed)
     rng = np.random.default_rng(seed)
     # few cameras and deltas, so that keys repeat, at shifted query times
     cams = rng.integers(0, c, n)
