@@ -6,6 +6,11 @@ upload benchmark), eval-central (centralised ranking quality). All output
 files are deterministic for a fixed config and seed: no timestamps, sorted
 keys, full-precision floats.
 
+--dry-run runs the run's own set-up (scene, serving rules, model checked
+against the scene, frequency model) and stops before the first training
+step, serving call or file write, so it exits 1 exactly when the run does;
+gen's dry run only prints.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 gradient
 check over tolerance.
 """
@@ -27,8 +32,8 @@ from .errors import ConfigError, EdgeReidError
 from .metrics import cmc_map, summarize
 from .nn import cross_entropy, gradient_check
 from .scene import export_csv, generate, ingest_csv, save_spec, split_identities
-from .simulate import (Models, Strategy, build_transition_table,
-                       central_rankings, run_benchmark)
+from .simulate import (Models, Strategy, build_transition_table, central_rankings,
+                       check_scoring, check_strategies, run_benchmark)
 from .strategy import fit_frequency
 from .transition import (TransitionNet, check_scene_compatible,
                          load_checkpoint, save_checkpoint, train)
@@ -87,34 +92,37 @@ def _build_scene(config: RunConfig):
     return split_identities(scene, config.scene.train_fraction, split_rng)
 
 
-def _train_model(config: RunConfig, scene):
-    model = TransitionNet(config.model.build_config(scene.num_cameras),
-                          np.random.default_rng(config.model.seed))
-    history = train(model, scene, config.train.schedule(),
-                    np.random.default_rng(config.train.seed))
-    return model, history
-
-
-def _obtain_model(config: RunConfig, scene):
-    """Load the configured checkpoint, or train from scratch."""
-    if config.simulate.checkpoint is not None:
-        return load_checkpoint(config.simulate.checkpoint), []
-    return _train_model(config, scene)
-
-
-def _serving_models(config: RunConfig, scene):
-    """Obtain the model and check it covers the scene, then wrap it in a
-    transition table that fills its cells as serving asks for them, and fit
-    the frequency model: (model, history, Models)."""
-    model, history = _obtain_model(config, scene)
+def _model_source(config: RunConfig, scene, checkpoint: str | None):
+    """The network a run trains or serves, checked against the scene: the
+    checkpoint, loaded, or else a new network of the configured shape."""
+    if checkpoint is not None:
+        model = load_checkpoint(checkpoint)
+    else:
+        model = TransitionNet(config.model.build_config(scene.num_cameras),
+                              np.random.default_rng(config.model.seed))
     check_scene_compatible(model, scene)
+    return model
+
+
+def _serving_setup(config: RunConfig, scene):
+    """A serving command's model (_model_source) and its frequency model,
+    None when disabled."""
+    model = _model_source(config, scene, config.simulate.checkpoint)
     freq = config.inference.frequency
-    frequency = None
-    if freq.enabled:
-        frequency = fit_frequency(scene, bin_width=freq.bin_width,
-                                  sigma_bins=freq.sigma_bins, floor=freq.floor)
-    models = Models(build_transition_table(model, scene.timestamps), frequency)
-    return model, history, models
+    if not freq.enabled:
+        return model, None
+    return model, fit_frequency(scene, bin_width=freq.bin_width,
+                                sigma_bins=freq.sigma_bins, floor=freq.floor)
+
+
+def _serve(config: RunConfig, scene, model, frequency):
+    """Train the model unless it came from a checkpoint, then serve it from a
+    transition table that fills its cells on demand: (history, Models)."""
+    history = []
+    if config.simulate.checkpoint is None:
+        history = train(model, scene, config.train.schedule(),
+                        np.random.default_rng(config.train.seed))
+    return history, Models(build_transition_table(model, scene.timestamps), frequency)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -141,13 +149,15 @@ def cmd_gen(config: RunConfig, dry_run: bool) -> int:
 
 
 def cmd_train(config: RunConfig, dry_run: bool) -> int:
+    scene = _build_scene(config)
+    model = _model_source(config, scene, None)
     if dry_run:
         print(f"would train {config.train.epochs} epochs at base lr "
               f"{config.train.base_lr} (scene seed {config.scene.seed}, "
               f"model seed {config.model.seed}, train seed {config.train.seed})")
         return EXIT_OK
-    scene = _build_scene(config)
-    model, history = _train_model(config, scene)
+    history = train(model, scene, config.train.schedule(),
+                    np.random.default_rng(config.train.seed))
     out = _ensure_out(config)
     final_acc = history[-1]["holdout_accuracy"] if history else None
     metadata = {"tool": "edgereid", "version": __version__,
@@ -211,23 +221,6 @@ def cmd_gradcheck(config: RunConfig, dry_run: bool, inject_fault: bool) -> int:
     return EXIT_OK
 
 
-def _check_simulate_config(config: RunConfig, num_cameras: int,
-                           feature_dim: int) -> None:
-    """Reject strategies that need features the scene lacks, and a bandwidth
-    that cannot give every camera one slot."""
-    needy = [n for n in config.simulate.strategies
-             if Strategy.parse(n) is not Strategy.CENTRALIZED]
-    if needy and feature_dim == 0:
-        raise ConfigError(
-            f"strategies {needy} need appearance features but the scene has "
-            f"feature_dim 0")
-    bandwidth = config.inference.bandwidth(num_cameras)
-    if bandwidth < num_cameras:
-        raise ConfigError(
-            f"inference.total_bandwidth {bandwidth} cannot give "
-            f"{num_cameras} cameras one slot each")
-
-
 def _report_table(summaries, ks) -> str:
     headers = ["strategy", "mtn"] + [f"pr@{k}" for k in ks] + ["mpr", "pairs"]
     rows = []
@@ -246,24 +239,23 @@ def _report_table(summaries, ks) -> str:
 
 
 def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
-    spec = config.scene.generator
-    if spec is not None:
-        _check_simulate_config(config, spec.num_cameras, spec.feature_dim)
+    scene = _build_scene(config)
+    strategies = [Strategy.parse(s) for s in config.simulate.strategies]
+    bandwidth = config.inference.bandwidth(scene.num_cameras)
+    params = config.inference.params()
+    check_strategies(strategies, scene.num_cameras, bandwidth, params,
+                     has_features=scene.features is not None, has_transition=True,
+                     has_frequency=config.inference.frequency.enabled)
+    model, frequency = _serving_setup(config, scene)
     if dry_run:
         source = ("checkpoint " + config.simulate.checkpoint
                   if config.simulate.checkpoint else "inline training")
         print(f"would simulate strategies {list(config.simulate.strategies)} "
               f"with model from {source} (simulate seed {config.simulate.seed})")
         return EXIT_OK
-    scene = _build_scene(config)
-    # an ingested scene is known only now, and must pass before any training
-    _check_simulate_config(config, scene.num_cameras, scene.feature_dim)
-    model, history, models = _serving_models(config, scene)
-    bandwidth = config.inference.bandwidth(scene.num_cameras)
-    reports = run_benchmark(
-        scene, [Strategy.parse(s) for s in config.simulate.strategies], models,
-        bandwidth, config.inference.params(), config.simulate,
-        np.random.default_rng(config.simulate.seed))
+    history, models = _serve(config, scene, model, frequency)
+    reports = run_benchmark(scene, strategies, models, bandwidth, params,
+                            config.simulate, np.random.default_rng(config.simulate.seed))
 
     out = _ensure_out(config)
     ks = config.simulate.rank_ks
@@ -308,21 +300,17 @@ def cmd_simulate(config: RunConfig, dry_run: bool) -> int:
     return EXIT_OK
 
 
-def _check_central_features(feature_dim: int) -> None:
-    if feature_dim == 0:
-        raise ConfigError("centralized evaluation needs appearance features")
-
-
 def cmd_eval_central(config: RunConfig, dry_run: bool) -> int:
-    if config.scene.generator is not None:
-        _check_central_features(config.scene.generator.feature_dim)
+    scene = _build_scene(config)
+    # central_rankings' rules: it ranks visually and jointly, untargeted
+    check_scoring("joint", time_targeted=False, has_features=scene.features is not None,
+                  has_transition=True, has_frequency=config.inference.frequency.enabled)
+    model, frequency = _serving_setup(config, scene)
     if dry_run:
         print(f"would rank the merged test gallery visually and jointly "
               f"(simulate seed {config.simulate.seed})")
         return EXIT_OK
-    scene = _build_scene(config)
-    _check_central_features(scene.feature_dim)
-    _, _, models = _serving_models(config, scene)
+    _, models = _serve(config, scene, model, frequency)
     visual, joint = central_rankings(
         scene, models, config.inference.params(), config.simulate.max_queries,
         np.random.default_rng(config.simulate.seed))
@@ -359,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="DIR",
                         help="override output.dir")
     common.add_argument("--dry-run", action="store_true",
-                        help="validate the config and print the plan only")
+                        help="run the set-up and print the plan, without training, "
+                        "serving or writing")
     parser = argparse.ArgumentParser(
         prog="edgereid",
         description="bandwidth-aware retrieval across edge cameras")
@@ -381,6 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"gen": cmd_gen, "train": cmd_train, "simulate": cmd_simulate,
+            "eval-central": cmd_eval_central}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -388,31 +381,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = config.override_seed(args.seed)
         if args.out is not None:
-            config = dataclasses.replace(config,
-                                         output=OutputSection(dir=args.out))
+            config = dataclasses.replace(config, output=OutputSection(dir=args.out))
         check_paths(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "gen":
-            return cmd_gen(config, args.dry_run)
-        if args.command == "train":
-            return cmd_train(config, args.dry_run)
         if args.command == "gradcheck":
             return cmd_gradcheck(config, args.dry_run, args.inject_fault)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.dry_run)
-        if args.command == "eval-central":
-            return cmd_eval_central(config, args.dry_run)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](config, args.dry_run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EdgeReidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (EdgeReidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

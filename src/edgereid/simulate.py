@@ -61,7 +61,7 @@ LEARNED_BUDGETS = {Strategy.BANDWIDTH, Strategy.COMBINED}
 class InferenceParams(Settings):
     """Knobs for scoring and allocation at inference time."""
 
-    alpha: float = setting(0.1, positive)
+    alpha: float = setting(0.1, strat.valid_alpha)
     beta: float = setting(0.1, positive)
     gamma0: float = setting(0.01, positive)
     gamma1: float = setting(0.01, strat.valid_gamma1)
@@ -308,25 +308,35 @@ class ArrivalLog:
     position_of: np.ndarray
 
 
-def _check_strategy(strategy: Strategy, gallery: Gallery, total_bandwidth: int,
-                    params: InferenceParams, models: Models) -> None:
-    """Raise the ConfigError a strategy would meet while planning on this
-    gallery with these models, before any work is done."""
-    c = gallery.num_cameras
-    if total_bandwidth < c:
-        raise ConfigError(
-            f"total bandwidth {total_bandwidth} cannot give {c} cameras one "
-            f"slot each")
-    if strategy in LEARNED_BUDGETS and models.transition is None:
-        raise ConfigError("learned budgets need a transition model")
-    kind = SEQUENCE_STRATEGIES[strategy]
-    if kind != "time" and gallery.features is None:
-        raise ConfigError("this strategy needs appearance features")
-    if kind == "joint" and models.transition is None:
-        if models.frequency is None:
-            raise ConfigError("this strategy needs a transition or frequency model")
-        if params.time_targeted:
+def check_scoring(kind: str, time_targeted: bool, has_features: bool,
+                  has_transition: bool, has_frequency: bool) -> None:
+    """The scoring rules of a sequence kind (SEQUENCE_STRATEGIES): visual
+    and joint scores need appearance features, joint ones a transition or
+    frequency model, and time-targeted joint ones a transition model."""
+    if kind != "time" and not has_features:
+        raise ConfigError(f"{kind} scoring needs appearance features")
+    if kind == "joint" and not has_transition:
+        if not has_frequency:
+            raise ConfigError("joint scoring needs a transition or frequency model")
+        if time_targeted:
             raise ConfigError("time-targeted scoring needs a transition model")
+
+
+def check_strategies(strategies, num_cameras: int, total_bandwidth: int,
+                     params: InferenceParams, has_features: bool,
+                     has_transition: bool, has_frequency: bool) -> None:
+    """Raise the ConfigError the first of the strategies would meet while
+    planning, from the facts it reads, before any work is done. Attribute
+    reads only: plan calls it once per (query, strategy)."""
+    if total_bandwidth < num_cameras:
+        raise ConfigError(
+            f"total bandwidth {total_bandwidth} cannot give {num_cameras} "
+            f"cameras one slot each")
+    for strategy in strategies:
+        if strategy in LEARNED_BUDGETS and not has_transition:
+            raise ConfigError("learned budgets need a transition model")
+        check_scoring(SEQUENCE_STRATEGIES[strategy], params.time_targeted,
+                      has_features, has_transition, has_frequency)
 
 
 # Queries per block of the array serving paths (run_benchmark,
@@ -402,20 +412,18 @@ def _st_scores(models: Models, params: InferenceParams, gallery: Gallery,
     indices, [m], shared, or [R, m], one row each (read only with a
     frequency model, and may be None without one), and model_part the
     queries' _own_camera at those items, or None without a transition
-    model."""
+    model; check_scoring ensures one of the two."""
     freq_part = None
     if models.frequency is not None:
         freq_part = strat.frequency_scores(
             models.frequency, gallery.cameras[queries][:, None],
             gallery.timestamps[queries][:, None], gallery.cameras[items],
             gallery.timestamps[items])
-    if model_part is not None and freq_part is not None:
-        return strat.fuse_scores(model_part, freq_part, params.mu)
-    if model_part is not None:
+    if freq_part is None:
         return model_part
-    if freq_part is not None:
+    if model_part is None:
         return freq_part
-    raise ConfigError("this strategy needs a transition or frequency model")
+    return strat.fuse_scores(model_part, freq_part, params.mu)
 
 
 def _order(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -596,7 +604,9 @@ def plan(task: QueryTask, strategy: Strategy, total_bandwidth: int,
     models: run_benchmark computes those for blocks of queries and hands
     each (query, strategy) its own.
     """
-    _check_strategy(strategy, task.gallery, total_bandwidth, params, models)
+    check_strategies((strategy,), task.gallery.num_cameras, total_bandwidth, params,
+                     task.gallery.features is not None, models.transition is not None,
+                     models.frequency is not None)
     queries = np.array([task.query_index])
     target_times = np.array([task.target_time])
     if sequences is None:
@@ -777,6 +787,20 @@ def _choose_queries(gallery: Gallery, max_queries: int | None,
     return eligible, skipped
 
 
+def _serving_setup(scene: Scene, models: Models, check, max_queries: int | None,
+                   rng: np.random.Generator) -> tuple[Gallery, np.ndarray, int]:
+    """run_benchmark's and central_rankings' set-up: the test gallery, the
+    model checked against the scene, the caller's rules check(has_features,
+    has_transition, has_frequency), and _choose_queries' result."""
+    gallery = build_gallery(scene.test_observations(), scene.num_cameras)
+    if models.transition is not None:
+        check_scene_compatible(models.transition, scene)
+    check(gallery.features is not None, models.transition is not None,
+          models.frequency is not None)
+    chosen, skipped = _choose_queries(gallery, max_queries, rng)
+    return gallery, chosen, skipped
+
+
 def _members(gallery: Gallery, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each query's identity's items, the query's own included, as flat
     (row, item) arrays: rows index the queries, ascending, and each row's
@@ -885,10 +909,11 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     """Run every strategy over the scene's eligible test queries.
 
     Each query's target time is the timestamp of a seeded-random same-identity
-    cross-camera partner. Every strategy's ConfigError is raised before the
-    first query. The eligible queries, each query's partners and its
-    desired item are read from the test gallery's identity index. The
-    target-time draws and the tasks are made per query, the rest on arrays.
+    cross-camera partner. The model is checked against the scene and every
+    strategy's ConfigError raised before the first query (_serving_setup).
+    The eligible queries, each query's partners and its desired item are
+    read from the test gallery's identity index. The target-time draws and
+    the tasks are made per query, the rest on arrays.
     Unlike central_rankings, the blocks still sort: every (query, strategy)
     gets a full upload sequence from plan. Query-level budgets come from one
     _budgets call per budget kind (one eval_logits call and one row-wise
@@ -906,13 +931,10 @@ def run_benchmark(scene: Scene, strategies: Sequence[Strategy], models: Models,
     plan plus run_rounds per (query, strategy) is the scalar reference. Each
     report keeps the outcomes as the columns computed here.
     """
-    gallery = build_gallery(scene.test_observations(), scene.num_cameras)
-    if models.transition is not None:
-        check_scene_compatible(models.transition, scene)
-    strategies = [Strategy.parse(s) if isinstance(s, str) else s for s in strategies]
-    for strategy in strategies:
-        _check_strategy(strategy, gallery, total_bandwidth, params, models)
-    chosen, skipped = _choose_queries(gallery, query_spec.max_queries, rng)
+    rules = functools.partial(check_strategies, strategies, scene.num_cameras,
+                              total_bandwidth, params)
+    gallery, chosen, skipped = _serving_setup(scene, models, rules,
+                                              query_spec.max_queries, rng)
     pair_row, targets = _partners(gallery, chosen)
     pair_query = chosen[pair_row]
     counts = np.bincount(pair_row, minlength=chosen.size)
@@ -1066,13 +1088,13 @@ def central_rankings(scene: Scene, models: Models, params: InferenceParams,
     similarity and two counts per block. A block's scores leave out each
     query's own item by one mask (_without), and the visual positions are
     counted before the joint scores exist. max_queries is checked as
-    QuerySpec checks it.
+    QuerySpec checks it, and the model and the rules of untargeted joint
+    scores as run_benchmark checks them (_serving_setup).
     """
     QuerySpec(max_queries=max_queries)
-    gallery = build_gallery(scene.test_observations(), scene.num_cameras)
-    if gallery.features is None:
-        raise ConfigError("centralized evaluation needs appearance features")
-    chosen, _ = _choose_queries(gallery, max_queries, rng)
+    gallery, chosen, _ = _serving_setup(
+        scene, models, functools.partial(check_scoring, "joint", False),
+        max_queries, rng)
     visual_lists: list[RankedQuery] = []
     joint_lists: list[RankedQuery] = []
     everything = np.arange(gallery.size)

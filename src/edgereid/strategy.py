@@ -26,8 +26,9 @@ ORIENTATION_MODES = ("consistent", "inverted")
 # taps, which widens every camera pair's bins as much; wider smoothing is a
 # wider bin_width away. floor: a pseudo-count added to every bin, at most one
 # co-observed pair's count; above it the floor drowns the observations, and
-# near float's range it overflows the per-camera totals.
-MAX_SIGMA_BINS, MAX_FLOOR = 256.0, 1.0
+# near float's range it overflows the per-camera totals. joint_similarity's
+# alpha: up to MAX_ALPHA, alpha * exp(softmax) in [1, e] stays finite.
+MAX_SIGMA_BINS, MAX_FLOOR, MAX_ALPHA = 256.0, 1.0, 1e300
 
 
 def valid_gamma1(gamma1) -> bool:
@@ -35,6 +36,10 @@ def valid_gamma1(gamma1) -> bool:
     range softmax(y / gamma0) * softmax(sizes) / gamma1 can divide by. gamma1
     cancels in the normalised shares, so no computation reads it."""
     return sys.float_info.min <= gamma1 < math.inf
+
+
+def valid_alpha(alpha) -> bool:  # in (0, MAX_ALPHA]; NaN fails
+    return 0.0 < alpha <= MAX_ALPHA
 
 
 def valid_mu(mu) -> bool:  # a convex weight; NaN fails
@@ -217,8 +222,9 @@ def joint_similarity(st_scores, visual, alpha: float = 0.1, beta: float = 0.1,
     similar.
     """
     _check_orientation(orientation)
-    if not (positive(alpha) and positive(beta)):
-        raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    if not (valid_alpha(alpha) and positive(beta)):
+        raise ConfigError(f"alpha must be in (0, {MAX_ALPHA:g}] and beta positive, "
+                          f"got {alpha}, {beta}")
     o = np.atleast_1d(as_f64(st_scores))
     v = np.atleast_1d(as_f64(visual))
     if o.shape != v.shape or o.ndim > 2:

@@ -523,8 +523,9 @@ class TransitionNet:
         returns fresh logits [n, C] and retains the cache consumed by
         backward, which reuses the batch's grouping by source camera for the
         spatial-weight gradient. The cache lives in the model's work buffers,
-        which the next forward pass overwrites.
-        """
+        which the next forward pass overwrites. Non-finite logits raise
+        NumericError, also under np.errstate(all="raise") for a value made
+        in the spatial contraction: np.einsum sets no floating-point flag."""
         if not train:
             return self.eval_logits(cameras, t_query, t_target)
         cfg = self.config
@@ -598,10 +599,11 @@ class TransitionNet:
         on the other rows of its batch: the result has the same bits as one
         pass over the whole batch, or over each row alone, whatever the
         worker count, the group size or which worker took which group. A
-        non-finite logit raises NumericError. A worker whose group raises
-        takes no further group, nor do the others once they finish theirs;
-        the error of the first failing group in batch order is raised, as
-        one worker would raise it. The model's work buffers are left alone;
+        non-finite logit raises NumericError, as in forward (np.einsum
+        sets no floating-point flag). A worker whose group raises takes no
+        further group, nor do the others once they finish theirs; the error
+        of the first failing group in batch order is raised, as one worker
+        would raise it. The model's work buffers are left alone;
         a pending forward cache is cleared, so backward cannot follow.
         """
         cfg = self.config

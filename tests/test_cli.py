@@ -263,9 +263,9 @@ def test_simulate_checks_an_ingested_scene_before_training(
         doc["inference"] = {"total_bandwidth": bandwidth}
 
     def no_training(*args):
-        raise AssertionError("the model was built before the scene was checked")
+        raise AssertionError("the model was trained before the scene was checked")
 
-    monkeypatch.setattr("edgereid.cli._obtain_model", no_training)
+    monkeypatch.setattr("edgereid.cli.train", no_training)
     capsys.readouterr()
     assert main(["simulate", "--config", config_path(doc),
                  "--out", str(tmp_path / "sim")]) == 1
@@ -573,15 +573,21 @@ def ring_config(**laws):
 def test_a_walk_past_int64_ticks_exits_2_and_leaves_no_out_directory(
         tmp_path, config_path, capsys, command, laws):
     # each passed --dry-run, then raised OverflowError with a traceback, and
-    # gen left its --out behind
+    # gen left its --out behind; train's dry run builds the scene as its run
+    # does, while gen's only prints
     path = config_path(ring_config(**laws))
-    assert main([command, "--config", path, "--dry-run"]) == 0
-    capsys.readouterr()
     out = tmp_path / "out"
-    assert main([command, "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: identity ") and err.count("\n") == 1, err
-    assert "int64 limit" in err
+    flag_runs = [["--out", str(out)]]
+    if command == "gen":
+        assert main([command, "--config", path, "--dry-run"]) == 0
+    else:
+        flag_runs.insert(0, ["--dry-run"])
+    capsys.readouterr()
+    for flags in flag_runs:
+        assert main([command, "--config", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: identity ") and err.count("\n") == 1, err
+        assert "int64 limit" in err
     assert not out.exists()
 
 
@@ -594,24 +600,28 @@ EXTREMES = [
     *[(key, v) for key in ("sigma", "feature_noise") for v in EXTREME_FLOATS],
     *[(key, v) for key in ("fixed", "start_spread") for v in EXTREME_TICKS],
 ]
-FREQUENCY_EXTREMES = [(key, v) for key in ("sigma_bins", "floor")
+INFERENCE_EXTREMES = [(key, v) for key in ("sigma_bins", "floor", "alpha")
                       for v in EXTREME_FLOATS]
-# generator values on gen and simulate, frequency values (with frequency
-# enabled) on the two commands that fit the frequency model
+# generator values on gen and simulate, inference values (frequency ones
+# with frequency enabled) on the two commands that score jointly
 EXTREME_RUNS = [
     pytest.param(key, value, command, id=f"{key}-{value}-{command}")
     for commands, extremes in ((("gen", "simulate"), EXTREMES),
-                               (("simulate", "eval-central"), FREQUENCY_EXTREMES))
+                               (("simulate", "eval-central"), INFERENCE_EXTREMES))
     for key, value in extremes for command in commands]
 
 
 def extreme_config(key, value):
     """base_config with one extreme value: on the ring's log-normal edge, on
-    both its fixed edges, on the generator, or on the enabled frequency
-    model."""
+    both its fixed edges, on the generator, on the enabled frequency model,
+    or on the joint score's alpha."""
     if key in ("sigma_bins", "floor"):
         doc = ring_config()
         doc["inference"] = {"frequency": {"enabled": True, key: value}}
+        return doc
+    if key == "alpha":
+        doc = ring_config()
+        doc["inference"] = {"alpha": value}
         return doc
     if key in ("mu", "sigma"):
         law = copy.deepcopy(RING["edges"][1]["delay"])
@@ -655,6 +665,55 @@ def test_a_start_spread_past_int64_exits_1_with_and_without_dry_run(
         assert capsys.readouterr().err == (
             "config error: scene.generator.start_spread: "
             "value 9223372036854775808 out of range\n")
+    assert not out.exists()
+
+
+# -- a valid config the run rejects, with and without --dry-run ------------------
+
+BENCH_CHECKPOINT = os.path.join(CONFIG_DIR, os.pardir, "bench", "checkpoint.json")
+
+
+def parity_gap_config(gap, tmp_path):
+    """base_config (three cameras) with one setting that only the scene
+    shows to be wrong: a model of four cameras, the stored checkpoint of
+    eight, or an ingested scene without features."""
+    doc = base_config()
+    if gap == "model-cameras":
+        doc["model"]["num_cameras"] = 4
+    elif gap == "checkpoint-cameras":
+        doc["simulate"]["checkpoint"] = BENCH_CHECKPOINT
+    else:
+        doc["scene"]["generator"]["feature_dim"] = 0
+        doc["scene"]["generator"]["feature_noise"] = 0.0
+        gen_out = tmp_path / "gen"
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(doc))
+        assert main(["gen", "--config", str(gen), "--out", str(gen_out)]) == 0
+        doc["scene"] = {"ingest": str(gen_out / "scene.csv"), "seed": 3}
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gap, command", [
+    ("model-cameras", "train"), ("model-cameras", "simulate"),
+    ("model-cameras", "eval-central"), ("checkpoint-cameras", "simulate"),
+    ("checkpoint-cameras", "eval-central"), ("ingested-featureless", "simulate"),
+    ("ingested-featureless", "eval-central")])
+def test_a_config_the_scene_rejects_exits_1_with_and_without_dry_run(
+        tmp_path, config_path, capsys, gap, command):
+    # each passed --dry-run (exit 0), which checked a copy of the serving
+    # rules against the generator spec, while the run exited 1
+    path = config_path(parity_gap_config(gap, tmp_path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    errors = []
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
     assert not out.exists()
 
 

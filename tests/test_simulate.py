@@ -470,6 +470,40 @@ def test_central_rankings_cover_every_query():
         assert np.all(np.diff(rq.positions) > 0)
 
 
+def test_central_rankings_check_the_model_against_the_scene_as_run_benchmark_does():
+    # central_rankings read each item's (tick, camera) cell out of 4-camera
+    # transition rows at 3-camera offsets, and ranked without a word
+    scene = featured_scene(seed=12)
+    model = TransitionNet(TransitionNetConfig(num_cameras=4, embed_dim=6),
+                          np.random.default_rng(13))
+    models = sim.Models(transition=model)
+    message = "model covers 4 cameras but the scene has 3"
+    with pytest.raises(ConfigError, match=message):
+        sim.run_benchmark(scene, [sim.Strategy.RERANK], models, 12,
+                          sim.InferenceParams(), sim.QuerySpec(max_queries=5),
+                          np.random.default_rng(14))
+    with pytest.raises(ConfigError, match=message):
+        sim.central_rankings(scene, models, sim.InferenceParams(), 5,
+                             np.random.default_rng(14))
+
+
+def test_central_rankings_check_their_rules_before_the_first_query(monkeypatch):
+    scene = featured_scene(seed=12)
+    featureless = dataclasses.replace(scene, features=None)
+
+    def no_query(*args):
+        raise AssertionError("a query was chosen before the rules were checked")
+
+    monkeypatch.setattr(sim, "_choose_queries", no_query)
+    for scene_, models, message in [
+            (featureless, sim.Models(frequency=sg.fit_frequency(scene, bin_width=5)),
+             "appearance features"),
+            (scene, sim.Models(), "transition or frequency")]:
+        with pytest.raises(ConfigError, match=message):
+            sim.central_rankings(scene_, models, sim.InferenceParams(), 5,
+                                 np.random.default_rng(14))
+
+
 @pytest.mark.parametrize("max_queries", [0, -1])
 def test_central_rankings_reject_a_query_cap_below_one(max_queries, monkeypatch):
     scene = featured_scene(seed=12)

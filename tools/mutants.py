@@ -42,7 +42,8 @@ class Mutant(NamedTuple):
     tests: tuple  # pytest node ids, relative to the repo root
 
 
-NN, TRANSITION = "src/edgereid/nn.py", "src/edgereid/transition.py"
+NN, TRANSITION, CLI = ("src/edgereid/nn.py", "src/edgereid/transition.py",
+                      "src/edgereid/cli.py")
 STRATEGY, SIMULATE, SCENE = ("src/edgereid/strategy.py", "src/edgereid/simulate.py",
                              "src/edgereid/scene.py")
 BATCH_NORM_TEST = ("tests/test_nn.py::"
@@ -52,6 +53,8 @@ TRAINING_TEST = ("tests/test_transition.py::"
 EXTREME_TEST = ("tests/test_cli.py::"
                 "test_an_extreme_generator_value_fails_cleanly_and_alike_with_and_"
                 "without_dry_run")
+PARITY_TEST = ("tests/test_cli.py::"
+               "test_a_config_the_scene_rejects_exits_1_with_and_without_dry_run")
 
 MUTANTS = (
     # the normalisation kernels layer norm and batch norm share
@@ -98,6 +101,24 @@ MUTANTS = (
     Mutant("unseen-pairs-divided", STRATEGY,
            "where=self.observed[source, dest])", "where=True)",
            (EXTREME_TEST + "[floor-5e-324-simulate]",)),
+    Mutant("alpha-unbounded", STRATEGY,
+           "return 0.0 < alpha <= MAX_ALPHA", "return 0.0 < alpha < math.inf",
+           (EXTREME_TEST + "[alpha-1.7976931348623157e+308-simulate]",)),
+    # one set-up for a dry run and the run, and one implementation of each rule
+    Mutant("dry-run-before-set-up", CLI,
+           "    scene = _build_scene(config)\n    strategies =",
+           "    if dry_run:\n        return EXIT_OK\n"
+           "    scene = _build_scene(config)\n    strategies =",
+           (PARITY_TEST + "[ingested-featureless-simulate]",)),
+    Mutant("serving-set-up-without-scene-check", SIMULATE,
+           "        check_scene_compatible(models.transition, scene)\n    check(",
+           "        pass\n    check(",
+           ("tests/test_simulate.py::test_central_rankings_check_the_model_"
+            "against_the_scene_as_run_benchmark_does",)),
+    Mutant("features-rule-dropped", SIMULATE,
+           'if kind != "time" and not has_features:', "if False:",
+           ("tests/test_simulate.py::test_run_benchmark_raises_config_errors_"
+            "before_the_first_query",)),
     # serving and the scene
     Mutant("find-without-empty-camera-guard", SIMULATE,
            "if sel.size:  # a camera with no items", "if True:  # a camera with no items",
